@@ -60,10 +60,18 @@ class _Run:
         }
 
     def finish(self, ok: bool) -> int:
-        self.report["ok"] = ok
+        self.report["ok"] = bool(ok)
         self.report["wall_time"] = round(time.perf_counter() - self.t0, 6)
         _emit(self.report)
         return 0 if ok else 1
+
+
+def _check_size(n: int, d: int, cap: int):
+    """Refuse a d^n-dimensional space above the cap before anything is built."""
+    # d >= 2 reaches any cap within cap.bit_length() factors; bounding the
+    # exponent keeps a huge n from becoming a huge integer power
+    if d ** min(n, cap.bit_length()) > cap:
+        raise ValueError(f"Hilbert dimension {d}^{n} exceeds {cap}")
 
 
 def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
@@ -93,9 +101,11 @@ def cmd_decouple(args) -> int:
     run = _Run(args, inputs)
     if args.graph:
         g = graphcolor.graph_from_json(_load_json(args.graph))
+        _check_size(g.n, args.d, netham.HILBERT_CAP)
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
         model = _graph_supported_model(g, args.d, args.seed)
     else:
+        _check_size(args.n, args.d, netham.HILBERT_CAP)
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
     dim = args.d ** sch.n
@@ -114,12 +124,15 @@ def cmd_invert(args) -> int:
     if args.harmonic:
         if args.format == "csv":
             raise ValueError("phase schemes have complex entries; use json")
+        levels = 3 if args.d is None else args.d
+        _check_size(args.n, levels, harmonic.HILBERT_CAP)
         ps = harmonic.fourier_inversion(args.n)
-        net = harmonic.random_network(args.n, 3, args.seed)
+        net = harmonic.random_network(args.n, levels, args.seed)
         numeric, _ = harmonic.phase_average(net, ps)
         H = harmonic.build_hc(net)
         overhead = float(args.n - 1)
-        residual = np.linalg.norm(overhead * numeric + H) / np.linalg.norm(H)
+        residual = scheme.relative_residual(np.linalg.norm(overhead * numeric + H),
+                                            np.linalg.norm(H))
         ok = residual <= RESIDUAL_TOL
         if ok and args.out:
             _write_text(args.out, json.dumps(
@@ -127,6 +140,7 @@ def cmd_invert(args) -> int:
             run.report["outputs"].append(args.out)
         run.report["intervals"] = ps.N
     else:
+        _check_size(args.n, args.d, netham.HILBERT_CAP)
         sch = scheme.inversion_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
         H = netham.assemble(model)
@@ -172,15 +186,17 @@ def cmd_verify(args) -> int:
     if "phases" in sdoc:
         net = harmonic.network_from_json(_load_json(args.model))
         ps = harmonic.phase_scheme_from_json(sdoc)
+        _check_size(net.n, net.d, harmonic.HILBERT_CAP)
         H = harmonic.build_hc(net)
         target = _load_target(args.target, net, H)
         numeric, _ = harmonic.phase_average(net, ps)
         overhead = args.overhead if args.overhead is not None else 1.0
-        scale = max(np.linalg.norm(target), np.linalg.norm(H), 1e-30)
-        residual = float(np.linalg.norm(overhead * numeric - target) / scale)
+        residual = scheme.relative_residual(np.linalg.norm(overhead * numeric - target),
+                                            np.linalg.norm(H))
         ok = residual <= RESIDUAL_TOL
     else:
         model = netham.model_from_json(_load_json(args.model))
+        _check_size(model.n, model.d, netham.HILBERT_CAP)
         sch = scheme.scheme_from_json(sdoc)
         H = netham.assemble(model)
         target = _load_target(args.target, model, H)
@@ -244,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("invert", parents=[common, writer],
                        help="simulate the negated Hamiltonian")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, help="qudit dimension (pulse path)")
+    p.add_argument("--d", type=int, help="qudit dimension; with --harmonic, "
+                                         "oscillator levels (default 3)")
     p.add_argument("--harmonic", action="store_true",
                    help="oscillator network phase scheme instead of pulses")
     p.set_defaults(func=cmd_invert)

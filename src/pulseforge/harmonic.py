@@ -11,8 +11,11 @@ n-1.
 
 Everything is certified two ways: the algebraic route on the coupling
 matrix and the numeric conjugation average on a truncated Fock space.
-The truncation is a verification knob only; the phase identity is
-exact on the truncated ladder.
+Phase pulses are diagonal in the Fock basis, so the numeric average is
+the Hamiltonian times an elementwise weight matrix built from the
+phase rows in one product, with no per-interval conjugation.  The
+truncation is a verification knob only; the phase identity is exact
+on the truncated ladder.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, graphcolor
+from . import designs, graphcolor, netham
 
 HILBERT_CAP = 4096
 PHASE_TOL = 1e-12
@@ -93,28 +96,18 @@ def coupling_hamiltonian(C: np.ndarray, n: int, d: int) -> np.ndarray:
     """sum over ordered pairs of C[k,l] a_k a_l^dag on the truncated space.
 
     C may be complex Hermitian (effective couplings are); the result is
-    Hermitian either way.
+    Hermitian either way.  Each pair is embedded once as one d^2 x d^2
+    operator.
     """
     if d ** n > HILBERT_CAP:
         raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
-    dim = d ** n
     a = lowering_operator(d)
-    H = np.zeros((dim, dim), dtype=complex)
-    eye = np.eye(d, dtype=complex)
-    for k in range(n):
-        for l in range(n):
-            if k == l or C[k, l] == 0:
-                continue
-            term = np.eye(1, dtype=complex)
-            for t in range(n):
-                if t == k:
-                    term = np.kron(term, a)
-                elif t == l:
-                    term = np.kron(term, a.conj().T)
-                else:
-                    term = np.kron(term, eye)
-            H += C[k, l] * term
-    return H
+    lower_raise = np.kron(a, a.conj().T)      # a_k a_l^dag for k < l
+    raise_lower = np.kron(a.conj().T, a)      # a_l a_k^dag = a_k^dag a_l
+    terms = (((k, l), C[k, l] * lower_raise + C[l, k] * raise_lower)
+             for k in range(n) for l in range(k + 1, n)
+             if C[k, l] != 0 or C[l, k] != 0)
+    return netham.embed_terms(n, d, terms)
 
 
 def build_hc(net: OscillatorNetwork) -> np.ndarray:
@@ -132,6 +125,20 @@ def effective_coupling(net_C: np.ndarray, ps: PhaseScheme) -> np.ndarray:
     return np.asarray(net_C, dtype=complex) * factors
 
 
+def _phase_weights(ps: PhaseScheme, d: int) -> np.ndarray:
+    """F[x, y] = sum_j t_j conj(u_j[x]) u_j[y], u_j the diagonal of interval j's unitary.
+
+    Interval j conjugates by the diagonal U_j = diag(u_j), which scales
+    entry (x, y) of any operator by conj(u_j[x]) u_j[y]; the average is
+    therefore the elementwise product with F.
+    """
+    levels = np.arange(d)
+    u = np.ones((1, ps.N), dtype=complex)
+    for k in range(ps.n):
+        u = (u[:, None, :] * ps.phases[k] ** levels[:, None]).reshape(-1, ps.N)
+    return (u.conj() * ps.times) @ u.T
+
+
 def phase_average(net: OscillatorNetwork, ps: PhaseScheme):
     """(averaged Hamiltonian, effective coupling matrix), cross-checked.
 
@@ -141,19 +148,13 @@ def phase_average(net: OscillatorNetwork, ps: PhaseScheme):
     """
     if ps.n != net.n:
         raise ValueError("scheme and network disagree on n")
-    H = build_hc(net)
-    dim = net.d ** net.n
-    levels = np.arange(net.d)
-    numeric = np.zeros((dim, dim), dtype=complex)
-    for j in range(ps.N):
-        U = np.eye(1, dtype=complex)
-        for k in range(net.n):
-            U = np.kron(U, np.diag(ps.phases[k, j] ** levels))
-        numeric += ps.times[j] * (U.conj().T @ H @ U)
+    numeric = build_hc(net)
+    scale = max(1.0, np.linalg.norm(numeric))
+    numeric *= _phase_weights(ps, net.d)
     ceff = effective_coupling(net.C, ps)
-    algebraic = coupling_hamiltonian(ceff, net.n, net.d)
-    scale = max(1.0, np.linalg.norm(H))
-    if np.linalg.norm(numeric - algebraic) > CROSS_CHECK_TOL * scale:
+    mismatch = coupling_hamiltonian(ceff, net.n, net.d)
+    mismatch -= numeric
+    if np.linalg.norm(mismatch) > CROSS_CHECK_TOL * scale:
         raise RuntimeError("algebraic and numeric averages disagree")
     return numeric, ceff
 

@@ -6,7 +6,8 @@ coefficient vector r.  Block (k, l) holds the coefficients of
 sigma_alpha^(k) sigma_beta^(l); the sum runs over ordered pairs k != l,
 so an unordered coupling appears twice, once as J_kl and once as its
 transpose.  assemble() realizes the model as a dense Hermitian matrix
-on the d^n-dimensional Hilbert space.
+on the d^n-dimensional Hilbert space; frobenius_norm() gives that
+matrix's norm from the coefficients alone.
 """
 
 from __future__ import annotations
@@ -94,37 +95,68 @@ class PairHamiltonian:
         return self.J[k * m:(k + 1) * m, l * m:(l + 1) * m]
 
 
-def _embed(n: int, d: int, placed: dict) -> np.ndarray:
-    """Tensor product over n slots with identity everywhere except `placed`."""
-    out = np.eye(1, dtype=complex)
-    for k in range(n):
-        out = np.kron(out, placed.get(k, np.eye(d, dtype=complex)))
-    return out
+def embed_terms(n: int, d: int, terms) -> np.ndarray:
+    """Dense sum of few-node operators on (C^d)^{tensor n}.
+
+    `terms` yields (sites, op) with ascending node indices `sites` and op
+    of shape (d^len(sites), d^len(sites)) in the kron order of those
+    nodes.  Each op is added through a view of the result with the
+    other nodes' row and column axes on their diagonal, so no d^n-sized
+    temporary is made per term.
+    """
+    if d ** n > HILBERT_CAP:
+        raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
+    H = np.zeros((d ** n, d ** n), dtype=complex)
+    tensor = H.reshape((d,) * (2 * n))
+    for sites, op in terms:
+        rest = [t for t in range(n) if t not in sites]
+        cols = [n + t if t in sites else t for t in range(n)]
+        out = list(sites) + [n + t for t in sites] + rest
+        # with no summed index einsum returns a writeable view of tensor
+        view = np.einsum(tensor, list(range(n)) + cols, out)
+        view += np.reshape(op, (d,) * (2 * len(sites)) + (1,) * len(rest))
+    return H
 
 
 def assemble(h: PairHamiltonian, basis: SuBasis | None = None) -> np.ndarray:
-    """Dense Hermitian realization of the model on (C^d)^{tensor n}."""
+    """Dense Hermitian realization of the model on (C^d)^{tensor n}.
+
+    One d^2 x d^2 operator per coupled pair and one d x d operator per
+    node are embedded, each through a view of the result.
+    """
     if basis is None:
         basis = gell_mann_basis(h.d)
     if basis.d != h.d:
         raise ValueError("basis dimension does not match the model")
-    if h.d ** h.n > HILBERT_CAP:
-        raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
-    dim = h.d ** h.n
-    H = np.zeros((dim, dim), dtype=complex)
-    for k in range(h.n):
-        for l in range(k + 1, h.n):
-            blk = h.block(k, l)
-            for a, b in zip(*np.nonzero(blk)):
-                # ordered-pair convention: J_kl and its transpose both contribute
-                H += 2.0 * blk[a, b] * _embed(h.n, h.d, {k: basis.sigma[a], l: basis.sigma[b]})
+    sigma = np.array(basis.sigma)
+    dd = h.d * h.d
     m = h.m
-    for k in range(h.n):
-        for a in range(m):
-            c = h.r[k * m + a]
-            if c:
-                H += c * _embed(h.n, h.d, {k: basis.sigma[a]})
-    return H
+
+    def terms():
+        for k in range(h.n):
+            for l in range(k + 1, h.n):
+                blk = h.block(k, l)
+                if blk.any():
+                    # ordered-pair convention: J_kl and its transpose both contribute
+                    pair = np.einsum("ab,aij,bkl->ikjl", 2.0 * blk, sigma, sigma)
+                    yield (k, l), pair.reshape(dd, dd)
+            local = h.r[k * m:(k + 1) * m]
+            if local.any():
+                yield (k,), np.tensordot(local, sigma, 1)
+
+    return embed_terms(h.n, h.d, terms())
+
+
+def frobenius_norm(h: PairHamiltonian) -> float:
+    """||assemble(h)||_F from the coefficients, without the dense build.
+
+    Products of traceless basis elements on distinct nodes are
+    orthogonal, so ||H||_F^2 = d^(n-2) (16 sum_{k<l} ||J_kl||^2 + 2d ||r||^2);
+    each unordered pair sits in J twice.
+    """
+    J2 = float(np.sum(h.J * h.J))
+    r2 = float(np.sum(h.r * h.r))
+    return float(np.sqrt(8.0 * J2 + 2.0 * h.d * r2) * np.sqrt(float(h.d)) ** (h.n - 2))
 
 
 def random_model(n: int, d: int, seed: int) -> PairHamiltonian:

@@ -4,8 +4,14 @@ A scheme runs the network through N intervals; in interval j node k is
 conjugated by basis element pulses[k][j] of its own unitary error
 basis.  The engine computes the algebraic average
 sum_j times[j] U_j^dag H U_j exactly (fast-control limit, no Trotter
-error), and the synthesizers pick pulse matrices from orthogonal
-arrays:
+error) in coefficient space: each pulse acts on su(d) through a real
+adjoint matrix, so average_model() maps the model's coupling blocks and
+local vectors to those of the averaged model without touching the
+d^n-dimensional space, and average_hamiltonian() assembles the result
+once.  average_of_matrix() conjugates a dense matrix interval by
+interval; it is the reference the engine is tested against and the
+route for mixed node dimensions.  The synthesizers pick pulse matrices
+from orthogonal arrays:
 
 * decoupling: any strength-2 array with one row per node zeroes every
   coupling and every local term;
@@ -18,6 +24,7 @@ arrays:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,7 +78,11 @@ def _interval_unitary(sch: PulseScheme, j: int) -> np.ndarray:
 
 
 def average_of_matrix(H: np.ndarray, sch: PulseScheme) -> np.ndarray:
-    """sum_j times[j] U_j^dag H U_j for an explicit Hermitian H."""
+    """sum_j times[j] U_j^dag H U_j for an explicit Hermitian H.
+
+    The dense reference: it works for mixed node dimensions and any
+    operator, at two d^n products per interval.
+    """
     dim = int(np.prod(sch.dims))
     H = np.asarray(H, dtype=complex)
     if H.shape != (dim, dim):
@@ -83,15 +94,58 @@ def average_of_matrix(H: np.ndarray, sch: PulseScheme) -> np.ndarray:
     return acc
 
 
-def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
-    """Exact average of the assembled model under the scheme."""
+def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
+    """R[l-1][a, b] = tr(sigma_a E_l^dag sigma_b E_l) / 2 for every label l.
+
+    Conjugation by E_l maps sigma_b to sum_a R[l-1][a, b] sigma_a; the
+    matrices are real and orthogonal because E_l is unitary.
+    """
+    E = np.array(basis.elements)
+    conj = np.einsum("lji,bjk,lkm->lbim", E.conj(), sigma, E)
+    return np.einsum("aim,lbmi->lab", sigma, conj).real / 2.0
+
+
+def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
+    """Exact average of the model under the scheme, in coefficient space.
+
+    Interval j maps J_kl to R_k J_kl R_l^T and r_k to R_k r_k, with R the
+    adjoint matrix of each node's pulse.  Intervals are grouped by the
+    label pair of each node pair, so a block costs O(s^2 m^3) with
+    s = d^2 labels, whatever N is; nothing of size d^n is built.
+    """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
     if any(d != hmodel.d for d in sch.dims):
         raise ValueError("scheme bases do not match the node dimension")
+    n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
+    sigma = np.array(netham.gell_mann_basis(hmodel.d).sigma)
+    per_basis = {}
+    for b in sch.bases:
+        if id(b) not in per_basis:
+            per_basis[id(b)] = _adjoint_matrices(b, sigma)
+    R = [per_basis[id(b)] for b in sch.bases]
+    labels = sch.pulses - 1
+    J = np.zeros_like(hmodel.J)
+    r = np.empty_like(hmodel.r)
+    for k in range(n):
+        w = np.bincount(labels[k], weights=sch.times, minlength=s)
+        r[k * m:(k + 1) * m] = np.tensordot(w, R[k], 1) @ hmodel.r[k * m:(k + 1) * m]
+        for l in range(k + 1, n):
+            w = np.bincount(labels[k] * s + labels[l], weights=sch.times,
+                            minlength=s * s).reshape(s, s)
+            # sum_ab w_ab R_a J R_b^T, contracted as (sum_a w_ab R_a J) R_b^T
+            left = np.tensordot(w, R[k] @ hmodel.block(k, l), (0, 0))
+            blk = np.tensordot(left, R[l], ([0, 2], [0, 2]))
+            J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
+            J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
+    return netham.PairHamiltonian(n, hmodel.d, J, r)
+
+
+def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
+    """Exact average of the assembled model under the scheme, as a dense matrix."""
     if hmodel.d ** hmodel.n > netham.HILBERT_CAP:
         raise ValueError(f"Hilbert dimension exceeds {netham.HILBERT_CAP}")
-    return average_of_matrix(netham.assemble(hmodel), sch)
+    return netham.assemble(average_model(hmodel, sch))
 
 
 def _uniform(N: int) -> np.ndarray:
@@ -163,16 +217,31 @@ def inversion_scheme(n: int, d: int) -> PulseScheme:
                        target_overhead=float(N))
 
 
+def relative_residual(num: float, scale: float) -> float:
+    """num / scale, where scale is the norm of the model under test.
+
+    A zero model has nothing to scale by: its residual is 0 when num is
+    exactly 0 and infinite otherwise, so it passes only against a zero
+    target.
+    """
+    if scale > 0:
+        return float(num / scale)
+    return 0.0 if num == 0 else math.inf
+
+
 def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
                   target: np.ndarray, overhead: float | None = None) -> dict:
-    """Relative Frobenius residual of overhead*average against the target."""
+    """Frobenius residual of overhead*average against the target.
+
+    The residual is relative to the model's own norm, so rescaling the
+    model and target together cannot change the verdict.
+    """
     if overhead is None:
         overhead = sch.target_overhead
     avg = average_hamiltonian(hmodel, sch)
     target = np.asarray(target, dtype=complex)
     num = np.linalg.norm(overhead * avg - target)
-    den = max(1.0, np.linalg.norm(target))
-    residual = float(num / den)
+    residual = relative_residual(num, netham.frobenius_norm(hmodel))
     return {"ok": residual <= RESIDUAL_TOL, "residual": residual}
 
 

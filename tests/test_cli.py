@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pulseforge import cli, designs, error_basis, graphcolor, netham, scheme
+from pulseforge import cli, designs, error_basis, graphcolor, harmonic, netham, scheme
 
 
 def run(capsys, *argv):
@@ -221,3 +221,50 @@ def test_deterministic_outputs(capsys, tmp_path):
     sch = scheme.scheme_from_json(json.loads(a.read_text()))
     redumped = json.dumps(scheme.scheme_to_json(sch), indent=2, sort_keys=True)
     assert redumped == a.read_text()
+
+
+def test_size_caps_refuse_before_allocating(capsys, tmp_path):
+    # each of these would need a 2^20- or 2^13-dimensional space; the
+    # refusal must come before the scheme, model or target is built
+    mpath = write_model(tmp_path, netham.random_model(13, 2, seed=0))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 13, "d": 2, "C": np.zeros((13, 13)).tolist()}))
+    sch, phases = tmp_path / "sch.json", tmp_path / "phases.json"
+    sch.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))))
+    phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(13))))
+    for argv in (["decouple", "--n", "20", "--d", "2"],
+                 ["invert", "--n", "20", "--d", "2"],
+                 ["invert", "--harmonic", "--n", "20"],
+                 ["verify", "--model", mpath, "--scheme", str(sch), "--target", "zero"],
+                 ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"]):
+        assert cli.main(argv) == 2, argv
+        assert "exceeds 4096" in capsys.readouterr().err
+
+
+def test_invert_harmonic_honours_d(capsys):
+    code, _ = run(capsys, "invert", "--harmonic", "--n", "8")          # 3^8 > cap
+    assert code == 2
+    code, rep = run(capsys, "invert", "--harmonic", "--n", "8", "--d", "2")
+    assert code == 0
+    assert rep["options"]["d"] == 2
+    assert rep["residuals"]["invert"] < 1e-9
+
+
+def test_report_ok_is_a_json_bool(capsys, tmp_path):
+    model = write_model(tmp_path, netham.random_model(3, 2, seed=1))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps({"n": 4, "d": 2, "C": (np.ones((4, 4)) - np.eye(4)).tolist()}))
+    sch, phases = str(tmp_path / "sch.json"), str(tmp_path / "phases.json")
+    oa = tmp_path / "oa.json"
+    oa.write_text(json.dumps(designs.design_to_json(designs.rao_hamming_oa(4, 2))))
+    for argv in (["decouple", "--n", "3", "--d", "2", "--out", sch],
+                 ["invert", "--n", "2", "--d", "2"],
+                 ["invert", "--harmonic", "--n", "4", "--out", phases],
+                 ["bound", "--model", model],
+                 ["verify", "--model", model, "--scheme", sch, "--target", "zero"],
+                 ["verify", "--model", str(net), "--scheme", phases, "--target", "invert",
+                  "--overhead", "3"],
+                 ["signs", "--from-oa", str(oa)]):
+        code, rep = run(capsys, *argv)
+        assert code == 0, argv
+        assert rep["ok"] is True, argv

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseforge import bounds, designs, harmonic
 
@@ -78,6 +79,37 @@ def test_ds_decoupling_five_modes():
     assert np.abs(avg).max() < 1e-10
     with pytest.raises(ValueError):
         harmonic.ds_decoupling(_net(6, 2), ds)
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 3), d=st.integers(2, 4), N=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_phase_average_matches_conjugation_loop(n, d, N, seed):
+    rng = np.random.default_rng(seed)
+    net = _net(n, d, seed=int(rng.integers(2 ** 31)))
+    times = rng.uniform(0.05, 1.0, N)
+    ps = harmonic.PhaseScheme(n, N, np.exp(2j * np.pi * rng.random((n, N))), times / times.sum())
+    H = harmonic.build_hc(net)
+    levels = np.arange(d)
+    want = np.zeros_like(H)
+    for j in range(N):
+        U = np.eye(1, dtype=complex)
+        for k in range(n):
+            U = np.kron(U, np.diag(ps.phases[k, j] ** levels))
+        want += ps.times[j] * (U.conj().T @ H @ U)
+    got, _ = harmonic.phase_average(net, ps)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(H).max())
+
+
+def test_phase_average_cross_check_catches_tampering(monkeypatch):
+    net = _net(3, 2, seed=11)
+    ps = harmonic.fourier_phase_scheme(3)
+    harmonic.phase_average(net, ps)
+    honest = harmonic.effective_coupling
+    monkeypatch.setattr(harmonic, "effective_coupling",
+                        lambda C, p: honest(C, p) + 1e-6 * (np.ones((3, 3)) - np.eye(3)))
+    with pytest.raises(RuntimeError):
+        harmonic.phase_average(net, ps)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

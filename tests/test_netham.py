@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseforge import netham
 
@@ -78,6 +79,77 @@ def test_assemble_local_unitary_covariance():
     W = np.kron(U, U)
     assert np.allclose(netham.assemble(h, rotated),
                        W.conj().T @ netham.assemble(h, base) @ W, atol=1e-10)
+
+
+def _kron_chain_assemble(h, sigma):
+    """One full kron chain per nonzero coefficient: the slow reference."""
+    def embed(placed):
+        out = np.eye(1, dtype=complex)
+        for k in range(h.n):
+            out = np.kron(out, placed.get(k, np.eye(h.d)))
+        return out
+
+    dim = h.d ** h.n
+    H = np.zeros((dim, dim), dtype=complex)
+    m = h.m
+    for k in range(h.n):
+        for l in range(k + 1, h.n):
+            blk = h.block(k, l)
+            for a, b in zip(*np.nonzero(blk)):
+                H += 2.0 * blk[a, b] * embed({k: sigma[a], l: sigma[b]})
+        for a in range(m):
+            if h.r[k * m + a]:
+                H += h.r[k * m + a] * embed({k: sigma[a]})
+    return H
+
+
+def _rotated_basis(d, rng):
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    U, _ = np.linalg.qr(z)
+    return netham.SuBasis(d, tuple(U.conj().T @ s @ U
+                                   for s in netham.gell_mann_basis(d).sigma))
+
+
+def _sparse_model(n, d, rng):
+    # zero some coupling blocks and local terms, as graph-supported models have
+    h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
+    m = h.m
+    J, r = h.J.copy(), h.r.copy()
+    for k in range(n):
+        for l in range(k + 1, n):
+            if rng.random() < 0.3:
+                J[k * m:(k + 1) * m, l * m:(l + 1) * m] = 0.0
+                J[l * m:(l + 1) * m, k * m:(k + 1) * m] = 0.0
+        if rng.random() < 0.3:
+            r[k * m:(k + 1) * m] = 0.0
+    return netham.PairHamiltonian(n, d, J, r)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 4), d=st.sampled_from([2, 3, 4]), rotate=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_assemble_matches_kron_chain(n, d, rotate, seed):
+    rng = np.random.default_rng(seed)
+    h = _sparse_model(n, d, rng)
+    basis = _rotated_basis(d, rng) if rotate else netham.gell_mann_basis(d)
+    want = _kron_chain_assemble(h, basis.sigma)
+    got = netham.assemble(h, basis if rotate else None)
+    assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 4), d=st.sampled_from([2, 3, 4]), scale=st.floats(1e-12, 1e12),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_frobenius_norm_closed_form(n, d, scale, seed):
+    h = _sparse_model(n, d, np.random.default_rng(seed))
+    h = netham.PairHamiltonian(n, d, scale * h.J, scale * h.r)
+    want = np.linalg.norm(netham.assemble(h))
+    assert netham.frobenius_norm(h) == pytest.approx(want, rel=1e-12)
+
+
+def test_frobenius_norm_zero_model():
+    assert netham.frobenius_norm(netham.PairHamiltonian(3, 2, np.zeros((9, 9)),
+                                                        np.zeros(9))) == 0.0
 
 
 def test_random_model_invariants_and_determinism():

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseforge import designs, error_basis, netham, scheme
 
@@ -225,3 +226,67 @@ def test_scheme_json_roundtrip():
     a = scheme.average_hamiltonian(h2, sch2)
     b = scheme.average_hamiltonian(h2, rt)
     assert np.abs(a - b).max() < 1e-12
+
+
+def _conjugated_basis(d, rng):
+    """Generalized Pauli basis conjugated by a random unitary V: V^dag E V."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    V, _ = np.linalg.qr(z)
+    ref = error_basis.generalized_pauli_basis(d)
+    return error_basis.UnitaryErrorBasis(d, [V.conj().T @ e @ V for e in ref.elements])
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 4), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 12),
+       custom=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_average_model_matches_dense_oracle(n, d, N, custom, seed):
+    rng = np.random.default_rng(seed)
+    h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
+    times = rng.uniform(0.05, 1.0, N)
+    basis = _conjugated_basis(d, rng) if custom else error_basis.generalized_pauli_basis(d)
+    sch = scheme.PulseScheme(n, N, times / times.sum(),
+                             rng.integers(1, d * d + 1, size=(n, N)), [basis] * n)
+    if custom:
+        sch = scheme.scheme_from_json(scheme.scheme_to_json(sch))
+        assert len({id(b) for b in sch.bases}) == n    # one basis object per node
+    H = netham.assemble(h)
+    want = scheme.average_of_matrix(H, sch)
+    avg = scheme.average_model(h, sch)
+    assert np.array_equal(avg.J, avg.J.T)
+    got = netham.assemble(avg)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(H)
+    assert np.abs(scheme.average_hamiltonian(h, sch) - got).max() == 0.0
+
+
+def _scaled(h, c):
+    return netham.PairHamiltonian(h.n, h.d, c * h.J, c * h.r)
+
+
+def test_tiny_model_identity_scheme_fails():
+    # an identity scheme does nothing; a tiny model must not make it look decoupling
+    h = _scaled(netham.random_model(3, 2, 21), 1e-11)
+    rep = scheme.verify_scheme(h, _identity_scheme(3, 2), np.zeros((8, 8)))
+    assert rep["ok"] is False
+    assert rep["residual"] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("kind", ["decouple", "invert"])
+def test_residual_is_scale_free(kind):
+    h = netham.random_model(4, 2, 22)
+    if kind == "decouple":
+        sch, target = scheme.decoupling_scheme(4, 2), lambda m: np.zeros((16, 16))
+    else:
+        sch, target = scheme.inversion_scheme(4, 2), lambda m: -netham.assemble(m)
+    small = scheme.verify_scheme(h, sch, target(h))
+    big = scheme.verify_scheme(_scaled(h, 1e6), sch, target(_scaled(h, 1e6)))
+    assert small["ok"] and big["ok"]
+    assert big["residual"] == pytest.approx(small["residual"], abs=1e-14)
+
+
+def test_zero_model_passes_only_against_zero_target():
+    zero = netham.PairHamiltonian(2, 2, np.zeros((6, 6)), np.zeros(6))
+    sch = scheme.decoupling_scheme(2, 2)
+    assert scheme.verify_scheme(zero, sch, np.zeros((4, 4))) == {"ok": True, "residual": 0.0}
+    target = 1e-20 * netham.assemble(netham.random_model(2, 2, 1))
+    rep = scheme.verify_scheme(zero, sch, target)
+    assert rep["ok"] is False and rep["residual"] == np.inf
