@@ -19,8 +19,6 @@ import numpy as np
 
 from . import bounds, designs, graphcolor, harmonic, netham, scheme, signs
 
-RESIDUAL_TOL = 1e-9
-
 
 def _env_seed() -> int:
     return int(os.environ.get("PULSEFORGE_SEED", "0"))
@@ -89,8 +87,7 @@ def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
 
 def _write_scheme(sch, path: str, fmt: str):
     if fmt == "csv":
-        _write_text(path, "\n".join(
-            ",".join(str(int(e)) for e in row) for row in sch.pulses) + "\n")
+        _write_text(path, designs.entries_to_csv(sch.pulses))
     else:
         _write_text(path, json.dumps(scheme.scheme_to_json(sch),
                                      indent=2, sort_keys=True))
@@ -133,7 +130,7 @@ def cmd_invert(args) -> int:
         overhead = float(args.n - 1)
         residual = scheme.relative_residual(np.linalg.norm(overhead * numeric + H),
                                             np.linalg.norm(H))
-        ok = residual <= RESIDUAL_TOL
+        ok = residual <= scheme.RESIDUAL_TOL
         if ok and args.out:
             _write_text(args.out, json.dumps(
                 harmonic.phase_scheme_to_json(ps), indent=2, sort_keys=True))
@@ -193,7 +190,7 @@ def cmd_verify(args) -> int:
         overhead = args.overhead if args.overhead is not None else 1.0
         residual = scheme.relative_residual(np.linalg.norm(overhead * numeric - target),
                                             np.linalg.norm(H))
-        ok = residual <= RESIDUAL_TOL
+        ok = residual <= scheme.RESIDUAL_TOL
     else:
         model = netham.model_from_json(_load_json(args.model))
         _check_size(model.n, model.d, netham.HILBERT_CAP)
@@ -223,9 +220,7 @@ def cmd_signs(args) -> int:
     run.report["residuals"]["sign_checks"] = float(len(rep["violations"]))
     if rep["ok"] and args.out:
         if args.format == "csv":
-            rows = np.vstack([st.Sx, st.Sy, st.Sz])
-            _write_text(args.out, "\n".join(
-                ",".join(str(int(e)) for e in row) for row in rows) + "\n")
+            _write_text(args.out, designs.entries_to_csv(np.vstack([st.Sx, st.Sy, st.Sz])))
         else:
             _write_text(args.out, json.dumps(signs.signs_to_json(st),
                                              indent=2, sort_keys=True))
@@ -294,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_flags(args) -> str | None:
-    if args.command == "decouple" and not args.graph and args.n is None:
-        return "decouple needs --n or --graph"
+    if args.command == "decouple" and bool(args.graph) == (args.n is not None):
+        return "decouple needs exactly one of --n or --graph"
     if args.command == "invert" and not args.harmonic and args.d is None:
         return "invert needs --d unless --harmonic"
     if args.command == "signs":

@@ -8,10 +8,14 @@ defining property exhaustively and report located violations.
 
 Symbols of an orthogonal array are labels 1..s so they can double as
 indices into a unitary basis; difference schemes use residues 0..u-1.
+The linear arrays are digit arithmetic plus lookups in the GF(s) tables
+of :mod:`pulseforge.gf`; normal forms are label arithmetic in Z_r x Z_r
+(s = r^2) or Z_s.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,72 +71,20 @@ class DifferenceScheme:
 
 
 # ---------------------------------------------------------------------------
-# group tables on labels 1..s
-
-@dataclass(frozen=True)
-class GroupTable:
-    """Finite group on labels 1..s given by its multiplication table."""
-
-    s: int
-    identity: int
-    table: tuple  # table[a-1][b-1] = a*b, labels 1..s
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a - 1][b - 1]
-
-    def inverse(self, a: int) -> int:
-        row = self.table[a - 1]
-        return row.index(self.identity) + 1
-
-
-def _check_group(g: GroupTable):
-    s = g.s
-    labels = range(1, s + 1)
-    if len(g.table) != s or any(len(r) != s for r in g.table):
-        raise ValueError("group table must be s x s")
-    if any(g.mul(g.identity, a) != a or g.mul(a, g.identity) != a for a in labels):
-        raise ValueError("designated identity is not an identity")
-    for a in labels:
-        if sorted(g.table[a - 1]) != list(labels):
-            raise ValueError(f"row {a} of the group table is not a permutation")
-        if g.identity not in g.table[a - 1]:
-            raise ValueError(f"label {a} has no inverse")
-    for a in labels:
-        for b in labels:
-            ab = g.mul(a, b)
-            for c in labels:
-                if g.mul(ab, c) != g.mul(a, g.mul(b, c)):
-                    raise ValueError("group table is not associative")
-
-
-def cyclic_group(s: int) -> GroupTable:
-    """Z_s with label l standing for residue l-1."""
-    table = tuple(tuple((a + b) % s + 1 for b in range(s)) for a in range(s))
-    return GroupTable(s, 1, table)
-
-
-def pair_cyclic_group(d: int) -> GroupTable:
-    """Z_d x Z_d with label l standing for divmod(l-1, d)."""
-    s = d * d
-
-    def mul(a, b):
-        ah, al = divmod(a - 1, d)
-        bh, bl = divmod(b - 1, d)
-        return ((ah + bh) % d) * d + (al + bl) % d + 1
-
-    table = tuple(tuple(mul(a, b) for b in range(1, s + 1)) for a in range(1, s + 1))
-    return GroupTable(s, 1, table)
-
-
-def default_group_for(s: int) -> GroupTable:
-    r = int(round(s ** 0.5))
-    if r * r == s:
-        return pair_cyclic_group(r)
-    return cyclic_group(s)
-
-
-# ---------------------------------------------------------------------------
 # constructions
+
+def field_vectors(s: int, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """(coords, normalized): the vectors of GF(s)^i as i-row arrays.
+
+    Column j of coords holds the vector whose coordinate t is base-s
+    digit t of j, as a field encoding.  normalized keeps, in that order,
+    the nonzero vectors whose first nonzero coordinate is 1.
+    """
+    coords = np.arange(s ** i) // s ** np.arange(i)[:, None] % s
+    nonzero = coords != 0
+    lead = coords[nonzero.argmax(axis=0), np.arange(s ** i)]
+    return coords, coords[:, nonzero.any(axis=0) & (lead == 1)]
+
 
 def rao_hamming_oa(s: int, i: int) -> OrthogonalArray:
     """Linear orthogonal array over GF(s): n = (s^i-1)/(s-1), N = s^i.
@@ -148,34 +100,16 @@ def rao_hamming_oa(s: int, i: int) -> OrthogonalArray:
         raise ValueError("need i >= 2")
     if s ** i > OA_SIZE_CAP:
         raise ValueError(f"s^i = {s ** i} exceeds the {OA_SIZE_CAP} cap")
-    spec = gf.field_for_order(s)
-    es = gf.elements(spec)
+    add, mul = gf.tables(gf.field_for_order(s))
     N = s ** i
+    coords, rows = field_vectors(s, i)
+    n = (N - 1) // (s - 1)
+    assert rows.shape[1] == n
 
-    def vec(j):
-        out = []
-        for _ in range(i):
-            out.append(es[j % s])
-            j //= s
-        return out
-
-    rows = []
-    for j in range(N):
-        v = vec(j)
-        lead = next((c for c in v if c), None)
-        if lead is not None and lead == es[1]:
-            rows.append(v)
-    n = (s ** i - 1) // (s - 1)
-    assert len(rows) == n
-
-    entries = np.empty((n, N), dtype=int)
-    for k, v in enumerate(rows):
-        for j in range(N):
-            x = vec(j)
-            acc = es[0]
-            for vc, xc in zip(v, x):
-                acc = acc + vc * xc
-            entries[k, j] = acc.value + 1
+    entries = mul[rows[0][:, None], coords[0]]
+    for t in range(1, i):
+        entries = add[entries, mul[rows[t][:, None], coords[t]]]
+    entries += 1
     return OrthogonalArray(n, N, s, s ** (i - 2), entries)
 
 
@@ -227,22 +161,24 @@ def smallest_oa_for(n: int, s: int) -> OrthogonalArray:
     return product_oa(n, s)
 
 
-def normalize_oa(oa: OrthogonalArray, group: GroupTable | None = None) -> OrthogonalArray:
-    """Left-multiply each row by the inverse of its first entry.
+def normalize_oa(oa: OrthogonalArray) -> OrthogonalArray:
+    """Subtract each row's first entry from the row, in the labels' group.
 
-    The first column becomes all-identity while the pair-count property
-    is untouched (each row is relabeled by a bijection).
+    For a square alphabet s = r^2, label l stands for divmod(l-1, r) in
+    Z_r x Z_r, the labelling of the unitary error bases; otherwise for
+    the residue l-1 in Z_s.  The first column becomes all-identity while
+    the pair-count property is untouched (each row is relabeled by a
+    bijection).
     """
-    if group is None:
-        group = default_group_for(oa.s)
-    _check_group(group)
-    if group.s != oa.s:
-        raise ValueError("group order must equal the alphabet size")
-    entries = np.empty_like(oa.entries)
-    for k in range(oa.n):
-        g = group.inverse(int(oa.entries[k, 0]))
-        entries[k] = [group.mul(g, int(e)) for e in oa.entries[k]]
-    return OrthogonalArray(oa.n, oa.N, oa.s, oa.lam, entries)
+    e = oa.entries - 1
+    first = e[:, :1]
+    r = math.isqrt(oa.s)
+    if r * r == oa.s:
+        (hi, lo), (fhi, flo) = np.divmod(e, r), np.divmod(first, r)
+        e = (hi - fhi) % r * r + (lo - flo) % r
+    else:
+        e = (e - first) % oa.s
+    return OrthogonalArray(oa.n, oa.N, oa.s, oa.lam, e + 1)
 
 
 def cyclic_difference_scheme(u: int, n: int) -> DifferenceScheme:
@@ -330,5 +266,6 @@ def design_from_json(doc: dict):
     raise ValueError(f"unknown design kind: {kind!r}")
 
 
-def entries_to_csv(obj) -> str:
-    return "\n".join(",".join(str(int(e)) for e in row) for row in obj.entries) + "\n"
+def entries_to_csv(entries: np.ndarray) -> str:
+    """One line per row of a 2-D integer array, entries joined by commas."""
+    return "\n".join(",".join(str(int(e)) for e in row) for row in entries) + "\n"

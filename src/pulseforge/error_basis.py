@@ -6,8 +6,8 @@ Conjugation averaged over the whole basis kills every traceless
 Hermitian operator, which is the mechanism behind decoupling.
 
 Label l in [1, d^2] stands for (a, b) = divmod(l-1, d); this matches
-the group tables in :mod:`pulseforge.designs`, so array normal forms
-and basis labels compose consistently.
+the label arithmetic of :func:`pulseforge.designs.normalize_oa`, so
+array normal forms and basis labels compose consistently.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs
-
 TOL = 1e-12
 
 
@@ -25,11 +23,8 @@ TOL = 1e-12
 class UnitaryErrorBasis:
     d: int
     elements: list = field(repr=False)
-    group: designs.GroupTable = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.group is None:
-            self.group = designs.pair_cyclic_group(self.d)
         check_error_basis(self)
 
     def label(self, l: int) -> tuple[int, int]:

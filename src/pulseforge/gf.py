@@ -3,18 +3,23 @@
 Fields are created with :func:`field_new`, which picks the modulus
 deterministically (lexicographically smallest monic irreducible
 polynomial), so every run and every implementation agrees on the
-element labeling.  Elements are immutable coefficient tuples; the
-integer encoding ``sum(c_i * p**i)`` doubles as the enumeration index
-that design constructions use as a symbol label.
+element labeling.  An element is its integer encoding ``sum(c_i * p**i)``,
+where c_i multiplies x**i; the encoding doubles as the symbol label that
+design constructions use.  All arithmetic goes through the q x q
+addition and multiplication tables that :func:`tables` builds over these
+encodings.
 
-Sizes are capped at 2^16; everything this package builds needs q <= 81.
+Orders are capped at 2^10, so a table never exceeds a million entries;
+everything this package builds needs q <= 313.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-MAX_ORDER = 1 << 16
+import numpy as np
+
+MAX_ORDER = 1 << 10
 
 
 def is_prime(n: int) -> bool:
@@ -70,40 +75,6 @@ class FieldSpec:
 
     def __repr__(self):
         return f"GF({self.order})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """Element of a FieldSpec; coeffs[i] multiplies x**i."""
-
-    field: FieldSpec
-    coeffs: tuple[int, ...]
-
-    @property
-    def value(self) -> int:
-        """Integer encoding; equals the position under :func:`elements`."""
-        v = 0
-        for c in reversed(self.coeffs):
-            v = v * self.field.p + c
-        return v
-
-    def __bool__(self):
-        return any(self.coeffs)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return add(self, neg(other))
-
-    def __neg__(self):
-        return neg(self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __repr__(self):
-        return f"<{self.field!r}:{self.value}>"
 
 
 def _digits(v: int, p: int, length: int) -> list[int]:
@@ -178,63 +149,22 @@ def field_for_order(q: int) -> FieldSpec:
     return field_new(*pk)
 
 
-def element(spec: FieldSpec, v: int) -> FieldElement:
-    """The element whose integer encoding is v, 0 <= v < q."""
-    if not 0 <= v < spec.order:
-        raise ValueError(f"encoding {v} out of range for {spec!r}")
-    return FieldElement(spec, tuple(_digits(v, spec.p, spec.k)))
+def tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(add, mul): q x q integer tables over the encoding ``sum(c_i * p**i)``.
 
-
-def zero(spec: FieldSpec) -> FieldElement:
-    return element(spec, 0)
-
-
-def one(spec: FieldSpec) -> FieldElement:
-    return element(spec, 1)
-
-
-def elements(spec: FieldSpec) -> list[FieldElement]:
-    """All q elements in a fixed order: zero first, then one, then the rest."""
-    return [element(spec, v) for v in range(spec.order)]
-
-
-def _check_same_field(a: FieldElement, b: FieldElement):
-    if a.field != b.field:
-        raise ValueError("elements belong to different fields")
-
-
-def add(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    p = a.field.p
-    return FieldElement(a.field, tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def neg(a: FieldElement) -> FieldElement:
-    p = a.field.p
-    return FieldElement(a.field, tuple((-x) % p for x in a.coeffs))
-
-
-def mul(a: FieldElement, b: FieldElement) -> FieldElement:
-    _check_same_field(a, b)
-    spec = a.field
+    add[a, b] and mul[a, b] encode the sum and the product of the
+    elements encoded by a and b.
+    """
+    p, k, q = spec.p, spec.k, spec.order
     m = list(reversed(spec.modulus))
-    prod = _poly_mul(list(a.coeffs), list(b.coeffs), spec.p)
-    red = _poly_rem(prod, m, spec.p)
-    red += [0] * (spec.k - len(red))
-    return FieldElement(spec, tuple(red))
-
-
-def inv(a: FieldElement) -> FieldElement:
-    """Multiplicative inverse via a^(q-2); a must be nonzero."""
-    if not a:
-        raise ZeroDivisionError("zero has no multiplicative inverse")
-    spec = a.field
-    e = spec.order - 2
-    acc = one(spec)
-    base = a
-    while e:
-        if e & 1:
-            acc = mul(acc, base)
-        base = mul(base, base)
-        e >>= 1
-    return acc
+    digits = np.array([_digits(v, p, k) for v in range(q)])
+    # shifted[a, j] holds the digits of a * x^j, so digit i of a * b is
+    # sum_j shifted[a, j, i] * b_j mod p
+    shifted = np.array([[_poly_rem(_poly_mul(a, [0] * j + [1], p), m, p) for j in range(k)]
+                        for a in digits.tolist()])
+    add = np.zeros((q, q), dtype=int)
+    mul = np.zeros((q, q), dtype=int)
+    for i in range(k):
+        add += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
+        mul += (shifted[:, :, i] @ digits.T) % p * p ** i
+    return add, mul

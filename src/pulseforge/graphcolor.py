@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, error_basis, scheme
+from . import designs, error_basis, netham, scheme
 
 EXACT_VERTEX_LIMIT = 12
 EXACT_EDGE_LIMIT = 10
@@ -311,4 +311,4 @@ def graph_from_json(doc: dict) -> InteractionGraph:
         edges.add((u, v))
         if len(item) > 2:
             weights[(u, v)] = float(item[2])
-    return InteractionGraph(int(doc["n"]), edges, weights or None)
+    return InteractionGraph(netham.json_int(doc, "n"), edges, weights or None)

@@ -358,7 +358,7 @@ def network_to_json(net: OscillatorNetwork) -> dict:
 
 
 def network_from_json(doc: dict) -> OscillatorNetwork:
-    return OscillatorNetwork(int(doc["n"]), int(doc["d"]),
+    return OscillatorNetwork(netham.json_int(doc, "n"), netham.json_int(doc, "d"),
                              np.array(doc["C"], dtype=float))
 
 
@@ -375,5 +375,5 @@ def phase_scheme_to_json(ps: PhaseScheme) -> dict:
 def phase_scheme_from_json(doc: dict) -> PhaseScheme:
     phases = np.array([[complex(z["re"], z["im"]) for z in row]
                        for row in doc["phases"]])
-    return PhaseScheme(int(doc["n"]), int(doc["N"]), phases,
+    return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"), phases,
                        np.array(doc["times"], dtype=float))

@@ -202,7 +202,18 @@ def model_to_json(h: PairHamiltonian) -> dict:
     return {"n": h.n, "d": h.d, "J": h.J.tolist(), "r": h.r.tolist()}
 
 
+def json_int(doc: dict, key: str) -> int:
+    """Integer field of a loaded JSON document; ValueError when it is
+    missing, null or not a whole number."""
+    value = doc.get(key)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def model_from_json(doc: dict) -> PairHamiltonian:
-    return PairHamiltonian(int(doc["n"]), int(doc["d"]),
+    return PairHamiltonian(json_int(doc, "n"), json_int(doc, "d"),
                            np.array(doc["J"], dtype=float),
                            np.array(doc["r"], dtype=float))

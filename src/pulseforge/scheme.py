@@ -207,7 +207,7 @@ def inversion_scheme(n: int, d: int) -> PulseScheme:
     time overhead exactly N-1.
     """
     oa = designs.smallest_oa_for(n, d * d)
-    oa = designs.normalize_oa(oa, designs.pair_cyclic_group(d))
+    oa = designs.normalize_oa(oa)
     if not (oa.entries[:, 0] == 1).all():
         raise RuntimeError("normal form lost the identity column")
     pulses = oa.entries[:, 1:]
@@ -281,13 +281,13 @@ def _is_standard_basis(b) -> bool:
 
 def scheme_from_json(doc: dict) -> PulseScheme:
     if doc.get("basis") == "generalized_pauli":
-        d = int(doc["d"])
-        bases = [error_basis.generalized_pauli_basis(d)] * int(doc["n"])
+        d = netham.json_int(doc, "d")
+        bases = [error_basis.generalized_pauli_basis(d)] * netham.json_int(doc, "n")
     else:
         dims = doc["d"]
         bases = [error_basis.UnitaryErrorBasis(int(dd), [_matrix_from_pairs(e) for e in els])
                  for dd, els in zip(dims, doc["basis"])]
-    return PulseScheme(int(doc["n"]), int(doc["N"]),
+    return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
                        np.array(doc["times"], dtype=float),
                        np.array(doc["pulses"], dtype=int),
                        bases, float(doc.get("target_overhead", 1.0)))

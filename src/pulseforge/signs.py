@@ -38,12 +38,12 @@ _PATTERN_TO_LABEL = {
 
 # phi: F4 -> rows of the order-4 Hadamard matrix, indexed by the fixed
 # field-element encoding [0, 1, w, w^2]
-PHI = {
-    0: (1, 1, 1, 1),
-    1: (1, -1, -1, 1),
-    2: (1, -1, 1, -1),
-    3: (1, 1, -1, -1),
-}
+PHI = np.array([
+    (1, 1, 1, 1),
+    (1, -1, -1, 1),
+    (1, -1, 1, -1),
+    (1, 1, -1, -1),
+])
 
 
 @dataclass(eq=False)
@@ -88,42 +88,22 @@ def spread_signs(m: int) -> SignTriple:
     """
     if not 1 <= m <= 4:
         raise ValueError("m out of supported range [1, 4]")
-    f4 = gf.field_new(2, 2)
-    es = gf.elements(f4)
-    w = es[2]
-    w2 = es[3]
-    one = es[1]
+    _, mul = gf.tables(gf.field_new(2, 2))
     N = 4 ** m
+    digits, reps = designs.field_vectors(4, m)
+    n = (N - 1) // 3
+    assert reps.shape[1] == n
 
-    def vec(j):
-        out = []
-        for _ in range(m):
-            out.append(es[j % 4])
-            j //= 4
+    def rows(v):
+        # kron over coordinates: coordinate t picks the column's base-4
+        # digit m-1-t, the first factor being the most significant
+        out = np.ones((n, N), dtype=int)
+        for t in range(m):
+            out *= PHI[v[t][:, None], digits[m - 1 - t]]
         return out
 
-    def phi(v):
-        row = np.array([1])
-        for c in v:
-            row = np.kron(row, np.array(PHI[c.value]))
-        return row
-
-    reps = []
-    for j in range(N):
-        v = vec(j)
-        lead = next((c for c in v if c), None)
-        if lead is not None and lead == one:
-            reps.append(v)
-    n = (N - 1) // 3
-    assert len(reps) == n
-
-    Sx = np.empty((n, N), dtype=int)
-    Sy = np.empty((n, N), dtype=int)
-    Sz = np.empty((n, N), dtype=int)
-    for k, v in enumerate(reps):
-        Sx[k] = phi([w * c for c in v])
-        Sy[k] = phi([w2 * c for c in v])
-        Sz[k] = phi(v)
+    # w and w^2 encode as 2 and 3
+    Sx, Sy, Sz = rows(mul[2, reps]), rows(mul[3, reps]), rows(reps)
     return SignTriple(n, N, Sx, Sy, Sz)
 
 

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pulseforge import cli, designs, error_basis, graphcolor, harmonic, netham, scheme
+from pulseforge import cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
 
 
 def run(capsys, *argv):
@@ -54,6 +54,13 @@ def test_decouple_csv_output(capsys, tmp_path):
     got = np.array(rows, dtype=int)
     assert np.array_equal(got, scheme.decoupling_scheme(2, 2).pulses)
 
+    out = tmp_path / "signs.csv"
+    code, _ = run(capsys, "signs", "--m", "2", "--out", str(out), "--format", "csv")
+    assert code == 0
+    st = signs.spread_signs(2)
+    want = np.vstack([st.Sx, st.Sy, st.Sz])
+    assert out.read_text() == "".join(",".join(map(str, row)) + "\n" for row in want.tolist())
+
 
 def test_decouple_graph_coloring(capsys, tmp_path):
     g = graphcolor.InteractionGraph(6, {(k, k + 3) for k in range(3)}
@@ -69,6 +76,15 @@ def test_decouple_graph_coloring(capsys, tmp_path):
 def test_decouple_missing_n(capsys):
     code, _ = run(capsys, "decouple", "--d", "2")
     assert code == 2
+
+
+def test_decouple_graph_refuses_n(capsys, tmp_path):
+    gpath = tmp_path / "ring.json"
+    g = graphcolor.InteractionGraph(4, {(0, 1), (1, 2), (2, 3), (0, 3)})
+    gpath.write_text(json.dumps(graphcolor.graph_to_json(g)))
+    assert cli.main(["decouple", "--d", "2", "--graph", str(gpath), "--n", "7"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "exactly one of --n or --graph" in err
 
 
 def test_invert_qubits(capsys):
@@ -268,3 +284,27 @@ def test_report_ok_is_a_json_bool(capsys, tmp_path):
         code, rep = run(capsys, *argv)
         assert code == 0, argv
         assert rep["ok"] is True, argv
+
+
+@pytest.mark.parametrize("bad", [{"n": None}, {"n": "three"}, {"n": [2]}, {"d": None},
+                                 {"d": 2.5}, {"n": True}])
+def test_malformed_model_fields_exit_2(capsys, tmp_path, bad):
+    # qudit model, oscillator network and their scheme files, with n or d
+    # broken; each must be refused as an input error, not a traceback
+    model = {**netham.model_to_json(netham.random_model(2, 2, seed=0)), **bad}
+    net = {"n": 2, "d": 2, "C": [[0.0, 1.0], [1.0, 0.0]], **bad}
+    paths = {}
+    for name, doc in (("model", model), ("net", net),
+                      ("sch", scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))),
+                      ("phases", harmonic.phase_scheme_to_json(harmonic.fourier_inversion(2)))):
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    for argv in (["bound", "--model", str(paths["model"])],
+                 ["verify", "--model", str(paths["model"]), "--scheme", str(paths["sch"]),
+                  "--target", "zero"],
+                 ["verify", "--model", str(paths["net"]), "--scheme", str(paths["phases"]),
+                  "--target", "zero"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)

@@ -1,10 +1,31 @@
+import hashlib
 import itertools
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from pulseforge import designs
+from pulseforge import designs, signs
+
+# sha256 of the entries as little-endian int64: the linear array, and the
+# normal form of that array with its columns rotated by one (so the first
+# column is not already the identity)
+PINNED = {
+    (4, 3): ("4bc1f7cfd85cf3713c30c17917d9e939c3959e7c8117a01a1af2285cf2a3d9fb",
+             "f14840084139a2816ec9892fd98ffb627e8ee961e1a98883e7002da7e2e896c0"),
+    (9, 2): ("672465b3556a79983b806c1a564128499f900604aa6c5dc24642832e4bc3e017",
+             "ae86d6af8b3d46f4a8314b53b9f3841f664ba5945f3f0411b2938d4c4f523560"),
+    (16, 2): ("87e82ab613807e62aa8f23d62c25838e8229616245487910d2f1de0378a084fd",
+              "8a46a69c97bc6b26fc5412704f8e0f2102574612165c569e723b6a592a600bee"),
+    (8, 3): ("60aeb4c696dba569e5c7278191a8bae5d98ab2f5db57e1533c50ab3035e64913",
+             "97980f8bb36d063fad06003dd5210c74446d240e5c2373247aff3f10f9a982df"),
+    (3, 5): ("26bee520f35c805933b71d02b57f49ea497483a257ff69b1d456bf3905d13cca",
+             "cdf0931c2a852fbbcee76e747abceb79ec9ced848c6252d80641fdc6ff4b1a76"),
+}
+# Sx, Sy, Sz of spread_signs(4), stacked by rows
+PINNED_SPREAD_4 = "0e899a21f5a54c98f7fa77c156348db1840eeeeef33303910d4914c334f09ec7"
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
 
 def _assert_strength2(oa):
@@ -91,33 +112,67 @@ def test_column_permutation_preserves_validity():
     assert designs.verify_difference_scheme(shuffled)["ok"]
 
 
+def _normalize_row(s, row):
+    oa = designs.OrthogonalArray(1, len(row), s, 0, np.array([row]))
+    return designs.normalize_oa(oa).entries[0].tolist()
+
+
+def _digest(a):
+    return hashlib.sha256(np.ascontiguousarray(a, dtype="<i8").tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("s,i", sorted(PINNED))
+def test_constructions_match_pinned_digests(s, i):
+    oa = designs.rao_hamming_oa(s, i)
+    rolled = designs.OrthogonalArray(oa.n, oa.N, s, oa.lam, np.roll(oa.entries, 1, axis=1))
+    assert (_digest(oa.entries), _digest(designs.normalize_oa(rolled).entries)) == PINNED[(s, i)]
+    assert _digest(designs.normalize_oa(oa).entries) == PINNED[(s, i)][0]
+
+
+def test_spread_signs_match_pinned_digest():
+    st4 = signs.spread_signs(4)
+    assert _digest(np.vstack([st4.Sx, st4.Sy, st4.Sz])) == PINNED_SPREAD_4
+
+
+@settings(max_examples=30)
+@given(s=st.sampled_from(PRIME_POWERS), i=st.integers(2, 3), data=st.data())
+def test_row_deletion_and_normal_form_keep_strength2(s, i, data):
+    oa = designs.rao_hamming_oa(s, i)
+    drop = data.draw(st.sets(st.integers(0, oa.n - 1), min_size=1, max_size=oa.n - 1))
+    kept = np.delete(oa.entries, sorted(drop), axis=0)
+    assert designs.verify_oa(designs.OrthogonalArray(len(kept), oa.N, s, oa.lam, kept))["ok"]
+    # each row relabeled by its own random bijection of [1, s], then normalized
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    perms = np.array([rng.permutation(s) for _ in kept])
+    relabeled = np.take_along_axis(perms, kept - 1, axis=1) + 1
+    norm = designs.normalize_oa(designs.OrthogonalArray(len(kept), oa.N, s, oa.lam, relabeled))
+    assert (norm.entries[:, 0] == 1).all()
+    assert designs.verify_oa(norm)["ok"]
+
+
 def test_groups():
-    g = designs.cyclic_group(4)
-    assert g.mul(2, 4) == 1          # residues 1 + 3 = 0
-    assert g.inverse(2) == 4
-    h = designs.pair_cyclic_group(2)
-    assert h.identity == 1
-    assert h.mul(2, 2) == 1          # (0,1) + (0,1) = (0,0) mod 2
-    assert h.mul(3, 4) == 2          # (1,0) + (1,1) = (0,1)
-    designs._check_group(g)
-    designs._check_group(h)
-    bad = designs.GroupTable(2, 1, ((1, 2), (2, 2)))
-    with pytest.raises(ValueError):
-        designs._check_group(bad)
+    # non-square alphabets: label l is the residue l-1 in Z_s
+    assert _normalize_row(5, [3, 1, 5]) == [1, 4, 3]        # (0, 2, 4) - 2
+    assert _normalize_row(3, [2, 1, 3]) == [1, 3, 2]
+    # square alphabets s = r^2: label l is divmod(l-1, r) in Z_r x Z_r
+    assert _normalize_row(4, [2, 4, 3, 1]) == [1, 3, 4, 2]  # minus (0,1)
+    assert _normalize_row(9, [6, 1]) == [1, 8]              # (0,0) - (1,2) = (2,1)
 
 
 def test_normalize_oa():
     oa = designs.rao_hamming_oa(4, 2)
-    norm = designs.normalize_oa(oa, designs.pair_cyclic_group(2))
+    rolled = designs.OrthogonalArray(oa.n, oa.N, oa.s, oa.lam, np.roll(oa.entries, 1, axis=1))
+    norm = designs.normalize_oa(rolled)
     assert (norm.entries[:, 0] == 1).all()
     assert designs.verify_oa(norm)["ok"]
     # already normal: unchanged
-    again = designs.normalize_oa(norm, designs.pair_cyclic_group(2))
+    again = designs.normalize_oa(norm)
     assert (again.entries == norm.entries).all()
+    assert (designs.normalize_oa(oa).entries == oa.entries).all()
     # two-row product array, cyclic relabeling
     oa2 = designs.product_oa(2, 3)
     shifted = designs.OrthogonalArray(2, 9, 3, 1, (oa2.entries % 3) + 1)
-    norm2 = designs.normalize_oa(shifted, designs.cyclic_group(3))
+    norm2 = designs.normalize_oa(shifted)
     assert (norm2.entries[:, 0] == 1).all()
     assert designs.verify_oa(norm2)["ok"]
 
@@ -189,7 +244,7 @@ def test_json_roundtrip_and_csv():
     assert doc["kind"] == "ds" and doc["u"] == 3
     back = designs.design_from_json(doc)
     assert (back.entries == ds.entries).all()
-    csv = designs.entries_to_csv(oa)
+    csv = designs.entries_to_csv(oa.entries)
     assert len(csv.strip().splitlines()) == oa.n
 
 

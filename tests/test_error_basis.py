@@ -31,11 +31,12 @@ def test_projective_group_compatibility():
     # product of labels matches product of elements up to a unit phase
     for d in (2, 3, 4):
         b = error_basis.generalized_pauli_basis(d)
-        g = b.group
         for l1 in range(1, d * d + 1):
             for l2 in range(1, d * d + 1):
+                # labels multiply as their (a, b) pairs add, componentwise mod d
+                (a1, b1), (a2, b2) = b.label(l1), b.label(l2)
                 prod = b.element(l1) @ b.element(l2)
-                target = b.element(g.mul(l1, l2))
+                target = b.element((a1 + a2) % d * d + (b1 + b2) % d + 1)
                 overlap = np.trace(target.conj().T @ prod) / d
                 assert abs(abs(overlap) - 1.0) < 1e-12
 
