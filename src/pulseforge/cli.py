@@ -2,7 +2,9 @@
 
 Every synthesis command certifies its output against a seeded random
 model before anything is written, so a file on disk is always a
-verified scheme.  Exit codes: 0 success, 1 verification failure,
+verified scheme.  Qudit requests are bounded by their (d^2-1) n
+coefficient dimension, oscillator requests by d^n, both at
+netham.HILBERT_CAP.  Exit codes: 0 success, 1 verification failure,
 2 usage or input error.
 """
 
@@ -64,7 +66,13 @@ class _Run:
         return 0 if ok else 1
 
 
-def _check_size(n: int, d: int, cap: int):
+def _check_coefficients(n: int, d: int):
+    """Refuse a (d^2-1) n coefficient matrix above the cap before anything is built."""
+    if (d * d - 1) * n > netham.HILBERT_CAP:
+        raise ValueError(f"coefficient dimension ({d}^2-1)*{n} exceeds {netham.HILBERT_CAP}")
+
+
+def _check_hilbert(n: int, d: int, cap: int):
     """Refuse a d^n-dimensional space above the cap before anything is built."""
     # d >= 2 reaches any cap within cap.bit_length() factors; bounding the
     # exponent keeps a huge n from becoming a huge integer power
@@ -72,16 +80,25 @@ def _check_size(n: int, d: int, cap: int):
         raise ValueError(f"Hilbert dimension {d}^{n} exceeds {cap}")
 
 
+def _scaled(h: netham.PairHamiltonian, c: float) -> netham.PairHamiltonian:
+    return netham.PairHamiltonian(h.n, h.d, c * h.J, c * h.r)
+
+
+def _load_like(path: str, model, load):
+    """A --target file, which must hold a model of the same n and d."""
+    target = load(_load_json(path))
+    if (target.n, target.d) != (model.n, model.d):
+        raise ValueError(f"target {path} does not match the model's n and d")
+    return target
+
+
 def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
     # same-color nodes share pulses, so couplings must live on graph edges
     model = netham.random_model(g.n, d, seed)
-    m = d * d - 1
-    J = np.zeros_like(model.J)
+    edges = np.zeros((g.n, 1, g.n, 1))
     for u, v in g.edges:
-        J[u * m:(u + 1) * m, v * m:(v + 1) * m] = \
-            model.J[u * m:(u + 1) * m, v * m:(v + 1) * m]
-        J[v * m:(v + 1) * m, u * m:(u + 1) * m] = \
-            model.J[v * m:(v + 1) * m, u * m:(u + 1) * m]
+        edges[u, 0, v, 0] = edges[v, 0, u, 0] = 1.0
+    J = (model.J.reshape(g.n, model.m, g.n, model.m) * edges).reshape(model.J.shape)
     return netham.PairHamiltonian(g.n, d, J, model.r)
 
 
@@ -89,8 +106,9 @@ def _write_scheme(sch, path: str, fmt: str):
     if fmt == "csv":
         _write_text(path, designs.entries_to_csv(sch.pulses))
     else:
-        _write_text(path, json.dumps(scheme.scheme_to_json(sch),
-                                     indent=2, sort_keys=True))
+        to_json = (harmonic.phase_scheme_to_json if isinstance(sch, harmonic.PhaseScheme)
+                   else scheme.scheme_to_json)
+        _write_text(path, json.dumps(to_json(sch), indent=2, sort_keys=True))
 
 
 def cmd_decouple(args) -> int:
@@ -98,16 +116,14 @@ def cmd_decouple(args) -> int:
     run = _Run(args, inputs)
     if args.graph:
         g = graphcolor.graph_from_json(_load_json(args.graph))
-        _check_size(g.n, args.d, netham.HILBERT_CAP)
+        _check_coefficients(g.n, args.d)
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
         model = _graph_supported_model(g, args.d, args.seed)
     else:
-        _check_size(args.n, args.d, netham.HILBERT_CAP)
+        _check_coefficients(args.n, args.d)
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
-    dim = args.d ** sch.n
-    target = np.zeros((dim, dim))
-    rep = scheme.verify_scheme(model, sch, target, overhead=1.0)
+    rep = scheme.verify_scheme(model, sch, _scaled(model, 0.0), overhead=1.0)
     run.report["intervals"] = sch.N
     run.report["residuals"]["decouple"] = rep["residual"]
     if rep["ok"] and args.out:
@@ -122,34 +138,24 @@ def cmd_invert(args) -> int:
         if args.format == "csv":
             raise ValueError("phase schemes have complex entries; use json")
         levels = 3 if args.d is None else args.d
-        _check_size(args.n, levels, harmonic.HILBERT_CAP)
-        ps = harmonic.fourier_inversion(args.n)
+        _check_hilbert(args.n, levels, netham.HILBERT_CAP)
+        sch = harmonic.fourier_inversion(args.n)
         net = harmonic.random_network(args.n, levels, args.seed)
-        numeric, _ = harmonic.phase_average(net, ps)
-        H = harmonic.build_hc(net)
         overhead = float(args.n - 1)
-        residual = scheme.relative_residual(np.linalg.norm(overhead * numeric + H),
-                                            np.linalg.norm(H))
-        ok = residual <= scheme.RESIDUAL_TOL
-        if ok and args.out:
-            _write_text(args.out, json.dumps(
-                harmonic.phase_scheme_to_json(ps), indent=2, sort_keys=True))
-            run.report["outputs"].append(args.out)
-        run.report["intervals"] = ps.N
+        rep = harmonic.verify_phase_scheme(net, sch, -net.C, overhead)
     else:
-        _check_size(args.n, args.d, netham.HILBERT_CAP)
+        _check_coefficients(args.n, args.d)
         sch = scheme.inversion_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
-        H = netham.assemble(model)
-        rep = scheme.verify_scheme(model, sch, -H)
-        ok, residual, overhead = rep["ok"], rep["residual"], sch.target_overhead
-        if ok and args.out:
-            _write_scheme(sch, args.out, args.format)
-            run.report["outputs"].append(args.out)
-        run.report["intervals"] = sch.N
+        overhead = sch.target_overhead
+        rep = scheme.verify_scheme(model, sch, _scaled(model, -1.0))
+    if rep["ok"] and args.out:
+        _write_scheme(sch, args.out, args.format)
+        run.report["outputs"].append(args.out)
+    run.report["intervals"] = sch.N
     run.report["overhead"] = overhead
-    run.report["residuals"]["invert"] = residual
-    return run.finish(ok)
+    run.report["residuals"]["invert"] = rep["residual"]
+    return run.finish(rep["ok"])
 
 
 def cmd_bound(args) -> int:
@@ -163,44 +169,28 @@ def cmd_bound(args) -> int:
     return run.finish(True)
 
 
-def _load_target(spec_word: str, model, H: np.ndarray):
-    if spec_word == "zero":
-        return np.zeros_like(H)
-    if spec_word == "invert":
-        return -H
-    doc = _load_json(spec_word)
-    if "C" in doc:
-        return harmonic.build_hc(harmonic.network_from_json(doc))
-    return netham.assemble(netham.model_from_json(doc))
-
-
 def cmd_verify(args) -> int:
-    inputs = [args.model, args.scheme]
-    if args.target not in ("zero", "invert"):
-        inputs.append(args.target)
-    run = _Run(args, inputs)
-    sdoc = _load_json(args.scheme)
+    factor = {"zero": 0.0, "invert": -1.0}.get(args.target)
+    run = _Run(args, [args.model, args.scheme] + ([args.target] if factor is None else []))
+    sdoc, mdoc = _load_json(args.scheme), _load_json(args.model)
+    n, d = netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d")
     if "phases" in sdoc:
-        net = harmonic.network_from_json(_load_json(args.model))
+        _check_hilbert(n, d, netham.HILBERT_CAP)
+        net = harmonic.network_from_json(mdoc)
         ps = harmonic.phase_scheme_from_json(sdoc)
-        _check_size(net.n, net.d, harmonic.HILBERT_CAP)
-        H = harmonic.build_hc(net)
-        target = _load_target(args.target, net, H)
-        numeric, _ = harmonic.phase_average(net, ps)
+        target = (factor * net.C if factor is not None
+                  else _load_like(args.target, net, harmonic.network_from_json).C)
         overhead = args.overhead if args.overhead is not None else 1.0
-        residual = scheme.relative_residual(np.linalg.norm(overhead * numeric - target),
-                                            np.linalg.norm(H))
-        ok = residual <= scheme.RESIDUAL_TOL
+        rep = harmonic.verify_phase_scheme(net, ps, target, overhead)
     else:
-        model = netham.model_from_json(_load_json(args.model))
-        _check_size(model.n, model.d, netham.HILBERT_CAP)
+        _check_coefficients(n, d)
+        model = netham.model_from_json(mdoc)
         sch = scheme.scheme_from_json(sdoc)
-        H = netham.assemble(model)
-        target = _load_target(args.target, model, H)
+        target = (_scaled(model, factor) if factor is not None
+                  else _load_like(args.target, model, netham.model_from_json))
         rep = scheme.verify_scheme(model, sch, target, overhead=args.overhead)
-        ok, residual = rep["ok"], rep["residual"]
-    run.report["residuals"]["verify"] = residual
-    return run.finish(ok)
+    run.report["residuals"]["verify"] = rep["residual"]
+    return run.finish(rep["ok"])
 
 
 def cmd_signs(args) -> int:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import gf
 
-OA_SIZE_CAP = 10 ** 5
+OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
 
 
@@ -98,12 +98,12 @@ def rao_hamming_oa(s: int, i: int) -> OrthogonalArray:
         raise ValueError(f"alphabet size {s} is not a prime power")
     if i < 2:
         raise ValueError("need i >= 2")
-    if s ** i > OA_SIZE_CAP:
-        raise ValueError(f"s^i = {s ** i} exceeds the {OA_SIZE_CAP} cap")
-    add, mul = gf.tables(gf.field_for_order(s))
     N = s ** i
-    coords, rows = field_vectors(s, i)
     n = (N - 1) // (s - 1)
+    if n * N > OA_SIZE_CAP:
+        raise ValueError(f"n*N = {n * N} entries exceed the {OA_SIZE_CAP} cap")
+    add, mul = gf.tables(gf.field_for_order(s))
+    coords, rows = field_vectors(s, i)
     assert rows.shape[1] == n
 
     entries = mul[rows[0][:, None], coords[0]]

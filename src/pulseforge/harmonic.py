@@ -24,9 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, graphcolor, netham
+from . import designs, graphcolor, netham, scheme
 
-HILBERT_CAP = 4096
 PHASE_TOL = 1e-12
 CROSS_CHECK_TOL = 1e-10
 
@@ -97,10 +96,8 @@ def coupling_hamiltonian(C: np.ndarray, n: int, d: int) -> np.ndarray:
 
     C may be complex Hermitian (effective couplings are); the result is
     Hermitian either way.  Each pair is embedded once as one d^2 x d^2
-    operator.
+    operator, under netham.HILBERT_CAP.
     """
-    if d ** n > HILBERT_CAP:
-        raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
     a = lowering_operator(d)
     lower_raise = np.kron(a, a.conj().T)      # a_k a_l^dag for k < l
     raise_lower = np.kron(a.conj().T, a)      # a_l a_k^dag = a_k^dag a_l
@@ -157,6 +154,18 @@ def phase_average(net: OscillatorNetwork, ps: PhaseScheme):
     if np.linalg.norm(mismatch) > CROSS_CHECK_TOL * scale:
         raise RuntimeError("algebraic and numeric averages disagree")
     return numeric, ceff
+
+
+def verify_phase_scheme(net: OscillatorNetwork, ps: PhaseScheme, target: np.ndarray,
+                        overhead: float) -> dict:
+    """Frobenius residual of overhead*average against the Hamiltonian of the
+    target coupling matrix, relative to the network's own Hamiltonian."""
+    if np.shape(target) != (net.n, net.n):
+        raise ValueError(f"target coupling matrix must be {net.n} x {net.n}")
+    numeric, _ = phase_average(net, ps)
+    numeric *= overhead
+    numeric -= coupling_hamiltonian(target, net.n, net.d)
+    return scheme.residual_report(np.linalg.norm(numeric), np.linalg.norm(build_hc(net)))
 
 
 def ds_decoupling(net: OscillatorNetwork, ds: designs.DifferenceScheme) -> PhaseScheme:

@@ -6,8 +6,9 @@ coefficient vector r.  Block (k, l) holds the coefficients of
 sigma_alpha^(k) sigma_beta^(l); the sum runs over ordered pairs k != l,
 so an unordered coupling appears twice, once as J_kl and once as its
 transpose.  assemble() realizes the model as a dense Hermitian matrix
-on the d^n-dimensional Hilbert space; frobenius_norm() gives that
-matrix's norm from the coefficients alone.
+on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide;
+frobenius_norm() gives that matrix's norm from the coefficients alone,
+which is how schemes are certified without it.
 """
 
 from __future__ import annotations

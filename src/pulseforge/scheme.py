@@ -7,10 +7,10 @@ sum_j times[j] U_j^dag H U_j exactly (fast-control limit, no Trotter
 error) in coefficient space: each pulse acts on su(d) through a real
 adjoint matrix, so average_model() maps the model's coupling blocks and
 local vectors to those of the averaged model without touching the
-d^n-dimensional space, and average_hamiltonian() assembles the result
-once.  average_of_matrix() conjugates a dense matrix interval by
-interval; it is the reference the engine is tested against and the
-route for mixed node dimensions.  The synthesizers pick pulse matrices
+d^n-dimensional space, and verify_scheme() compares the result with a
+target model there.  average_hamiltonian() and average_of_matrix() are
+the dense reference the engine is tested against; the latter also
+serves mixed node dimensions.  The synthesizers pick pulse matrices
 from orthogonal arrays:
 
 * decoupling: any strength-2 array with one row per node zeroes every
@@ -217,32 +217,32 @@ def inversion_scheme(n: int, d: int) -> PulseScheme:
                        target_overhead=float(N))
 
 
-def relative_residual(num: float, scale: float) -> float:
-    """num / scale, where scale is the norm of the model under test.
+def residual_report(num: float, scale: float) -> dict:
+    """Verdict on the residual num / scale, scale the norm of the model under test.
 
     A zero model has nothing to scale by: its residual is 0 when num is
     exactly 0 and infinite otherwise, so it passes only against a zero
     target.
     """
-    if scale > 0:
-        return float(num / scale)
-    return 0.0 if num == 0 else math.inf
+    residual = float(num / scale) if scale > 0 else (0.0 if num == 0 else math.inf)
+    return {"ok": residual <= RESIDUAL_TOL, "residual": residual}
 
 
 def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
-                  target: np.ndarray, overhead: float | None = None) -> dict:
-    """Frobenius residual of overhead*average against the target.
+                  target: netham.PairHamiltonian, overhead: float | None = None) -> dict:
+    """Frobenius residual of overhead*average against the target model, from coefficients.
 
     The residual is relative to the model's own norm, so rescaling the
     model and target together cannot change the verdict.
     """
+    if (target.n, target.d) != (hmodel.n, hmodel.d):
+        raise ValueError("target and model differ in n or d")
     if overhead is None:
         overhead = sch.target_overhead
-    avg = average_hamiltonian(hmodel, sch)
-    target = np.asarray(target, dtype=complex)
-    num = np.linalg.norm(overhead * avg - target)
-    residual = relative_residual(num, netham.frobenius_norm(hmodel))
-    return {"ok": residual <= RESIDUAL_TOL, "residual": residual}
+    diff = average_model(hmodel, sch)
+    diff.J = overhead * diff.J - target.J
+    diff.r = overhead * diff.r - target.r
+    return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
 
 
 # ---------------------------------------------------------------------------

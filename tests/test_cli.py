@@ -42,7 +42,8 @@ def test_decouple_writes_verified_scheme(capsys, tmp_path):
     assert rep["outputs"] == [str(out)]
     sch = scheme.scheme_from_json(json.loads(out.read_text()))
     model = netham.random_model(3, 2, seed=9)
-    assert scheme.verify_scheme(model, sch, np.zeros((8, 8)))["ok"]
+    zero = netham.PairHamiltonian(3, 2, np.zeros_like(model.J), np.zeros_like(model.r))
+    assert scheme.verify_scheme(model, sch, zero)["ok"]
 
 
 def test_decouple_csv_output(capsys, tmp_path):
@@ -239,22 +240,82 @@ def test_deterministic_outputs(capsys, tmp_path):
     assert redumped == a.read_text()
 
 
-def test_size_caps_refuse_before_allocating(capsys, tmp_path):
-    # each of these would need a 2^20- or 2^13-dimensional space; the
-    # refusal must come before the scheme, model or target is built
-    mpath = write_model(tmp_path, netham.random_model(13, 2, seed=0))
+def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
+    # a qudit request is bounded by its (d^2-1) n coefficient matrix, an
+    # oscillator request by its d^n space; the refusal must come before any
+    # scheme or model is built
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps({"n": 1366, "d": 2, "J": [], "r": []}))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graphcolor.graph_to_json(graphcolor.InteractionGraph(274, set()))))
     net = tmp_path / "net.json"
     net.write_text(json.dumps({"n": 13, "d": 2, "C": np.zeros((13, 13)).tolist()}))
     sch, phases = tmp_path / "sch.json", tmp_path / "phases.json"
     sch.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))))
     phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(13))))
-    for argv in (["decouple", "--n", "20", "--d", "2"],
-                 ["invert", "--n", "20", "--d", "2"],
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built before the size check")
+    for cls in (netham.PairHamiltonian, harmonic.OscillatorNetwork,
+                scheme.PulseScheme, harmonic.PhaseScheme):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    for argv in (["decouple", "--n", "1366", "--d", "2"],
+                 ["decouple", "--d", "4", "--graph", str(gpath)],
+                 ["invert", "--n", "274", "--d", "4"],
                  ["invert", "--harmonic", "--n", "20"],
-                 ["verify", "--model", mpath, "--scheme", str(sch), "--target", "zero"],
+                 ["verify", "--model", str(mpath), "--scheme", str(sch), "--target", "zero"],
                  ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"]):
         assert cli.main(argv) == 2, argv
         assert "exceeds 4096" in capsys.readouterr().err
+
+
+def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):
+    # above the old d^n <= 4096 cap, with the dense embedding switched off
+    def refuse(*args):
+        raise AssertionError("dense matrix built")
+    monkeypatch.setattr(netham, "embed_terms", refuse)
+    model = netham.random_model(13, 2, seed=3)
+    mpath = write_model(tmp_path, model)
+    zpath = write_model(tmp_path, netham.PairHamiltonian(13, 2, np.zeros_like(model.J),
+                                                         np.zeros_like(model.r)), "zero.json")
+    dec, inv = str(tmp_path / "dec.json"), str(tmp_path / "inv.json")
+    for argv in (["decouple", "--n", "20", "--d", "2"],
+                 ["invert", "--n", "20", "--d", "2"],
+                 ["decouple", "--n", "13", "--d", "2", "--out", dec],
+                 ["invert", "--n", "13", "--d", "2", "--out", inv],
+                 ["verify", "--model", mpath, "--scheme", dec, "--target", "zero"],
+                 ["verify", "--model", mpath, "--scheme", inv, "--target", "invert"],
+                 ["verify", "--model", mpath, "--scheme", dec, "--target", zpath]):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["ok"] is True, argv
+        assert max(rep["residuals"].values()) <= 1e-9, argv
+
+
+def test_verify_target_file_must_match_model(capsys, tmp_path):
+    # a target of the other kind, or with another n or d, is an input error
+    model = write_model(tmp_path, netham.random_model(3, 2, seed=1))
+    sch = tmp_path / "sch.json"
+    sch.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(3, 2))))
+    net = tmp_path / "net.json"
+    net.write_text(json.dumps(harmonic.network_to_json(harmonic.random_network(3, 3, 1))))
+    phases = tmp_path / "phases.json"
+    phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(3))))
+    others = {}
+    for name, doc in (("q42", netham.model_to_json(netham.random_model(4, 2, seed=2))),
+                      ("q33", netham.model_to_json(netham.random_model(3, 3, seed=2))),
+                      ("o43", harmonic.network_to_json(harmonic.random_network(4, 3, 2))),
+                      ("o32", harmonic.network_to_json(harmonic.random_network(3, 2, 2)))):
+        others[name] = tmp_path / f"{name}.json"
+        others[name].write_text(json.dumps(doc))
+    # o32 has the qubit model's dense dimension, 8, so only its kind is wrong
+    cases = [(model, sch, target) for target in (net, others["o32"], others["q42"], others["q33"])]
+    cases += [(net, phases, target) for target in (model, others["o43"], others["o32"])]
+    for mpath, spath, tpath in cases:
+        argv = ["verify", "--model", str(mpath), "--scheme", str(spath), "--target", str(tpath)]
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
 
 
 def test_invert_harmonic_honours_d(capsys):

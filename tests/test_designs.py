@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import designs, signs
+from pulseforge import designs, gf, signs
 
 # sha256 of the entries as little-endian int64: the linear array, and the
 # normal form of that array with its columns rotated by one (so the first
@@ -150,6 +150,19 @@ def test_row_deletion_and_normal_form_keep_strength2(s, i, data):
     assert designs.verify_oa(norm)["ok"]
 
 
+@settings(max_examples=30)
+@given(s=st.sampled_from(PRIME_POWERS), i=st.integers(2, 3), data=st.data())
+def test_single_mutation_is_located(s, i, data):
+    oa = designs.rao_hamming_oa(s, i)
+    k, j = data.draw(st.integers(0, oa.n - 1)), data.draw(st.integers(0, oa.N - 1))
+    entries = oa.entries.copy()
+    entries[k, j] = (entries[k, j] - 1 + data.draw(st.integers(1, s - 1))) % s + 1
+    rep = designs.verify_oa(designs.OrthogonalArray(oa.n, oa.N, s, oa.lam, entries))
+    assert not rep["ok"]
+    assert all(k in v["rows"] for v in rep["violations"])
+    assert {r for v in rep["violations"] for r in v["rows"]} == set(range(oa.n))
+
+
 def test_groups():
     # non-square alphabets: label l is the residue l-1 in Z_s
     assert _normalize_row(5, [3, 1, 5]) == [1, 4, 3]        # (0, 2, 4) - 2
@@ -264,3 +277,14 @@ def test_construction_errors():
         designs.rao_hamming_oa(9, 7)
     with pytest.raises(ValueError):
         designs.product_oa(9, 9)
+
+
+def test_linear_array_entry_cap_refuses_before_building(monkeypatch):
+    # n*N entries of 4.29e9, 1.43e9 and 4.4e8: s^i alone is below 10^5 for each
+    def refuse(*args):
+        raise AssertionError("array built before the size check")
+    monkeypatch.setattr(designs, "field_vectors", refuse)
+    monkeypatch.setattr(gf, "tables", refuse)
+    for s, i in ((2, 16), (4, 8), (9, 5)):
+        with pytest.raises(ValueError, match="cap"):
+            designs.rao_hamming_oa(s, i)

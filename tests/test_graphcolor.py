@@ -4,6 +4,10 @@ import pytest
 from pulseforge import graphcolor, netham, scheme
 
 
+def _zero(h):
+    return netham.PairHamiltonian(h.n, h.d, np.zeros_like(h.J), np.zeros_like(h.r))
+
+
 def _proper_vertex(g, colors):
     return all(colors[u] != colors[v] for u, v in g.edges)
 
@@ -64,7 +68,7 @@ def test_colored_decoupling_bipartite():
     assert sch.N == 16          # two colors, not six rows
     for seed in range(3):
         h = _supported_model(g, 2, seed)
-        rep = scheme.verify_scheme(h, sch, np.zeros((64, 64)))
+        rep = scheme.verify_scheme(h, sch, _zero(h))
         assert rep["ok"], rep
 
 
@@ -73,7 +77,7 @@ def test_colored_decoupling_star():
     sch = graphcolor.colored_decoupling_scheme(g, 2)
     assert sch.N == 16
     h = _supported_model(g, 2, 11)
-    assert scheme.verify_scheme(h, sch, np.zeros((32, 32)))["ok"]
+    assert scheme.verify_scheme(h, sch, _zero(h))["ok"]
 
 
 def test_colored_decoupling_complete_is_plain():
@@ -82,14 +86,14 @@ def test_colored_decoupling_complete_is_plain():
     plain = scheme.decoupling_scheme(3, 2)
     assert sch.N == plain.N
     h = netham.random_model(3, 2, 5)
-    assert scheme.verify_scheme(h, sch, np.zeros((8, 8)))["ok"]
+    assert scheme.verify_scheme(h, sch, _zero(h))["ok"]
 
 
 def test_colored_decoupling_edgeless():
     g = graphcolor.InteractionGraph(3, set())
     sch = graphcolor.colored_decoupling_scheme(g, 2)
     h = netham.PairHamiltonian(3, 2, np.zeros((9, 9)), np.arange(9) / 10.0)
-    assert scheme.verify_scheme(h, sch, np.zeros((8, 8)))["ok"]
+    assert scheme.verify_scheme(h, sch, _zero(h))["ok"]
 
 
 def test_edge_coloring_small():

@@ -7,6 +7,10 @@ from pulseforge import designs, error_basis, netham, scheme
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
+def _scaled(h, c):
+    return netham.PairHamiltonian(h.n, h.d, c * h.J, c * h.r)
+
+
 def _identity_scheme(n, d, N=3):
     basis = error_basis.generalized_pauli_basis(d)
     times = np.array([0.2, 0.5, 0.3])[:N]
@@ -48,10 +52,9 @@ def test_decoupling_scheme_sizes():
 @pytest.mark.parametrize("n,d", [(2, 2), (3, 2), (5, 2), (3, 3)])
 def test_decoupling_sweep(n, d):
     sch = scheme.decoupling_scheme(n, d)
-    dim = d ** n
     for seed in range(3):
         h = netham.random_model(n, d, seed)
-        rep = scheme.verify_scheme(h, sch, np.zeros((dim, dim)))
+        rep = scheme.verify_scheme(h, sch, _scaled(h, 0.0))
         assert rep["ok"], rep
 
 
@@ -96,8 +99,7 @@ def test_selective_random_models():
         r = np.zeros_like(h.r)
         for k in ks:
             r[k * m:(k + 1) * m] = h.r[k * m:(k + 1) * m]
-        want = netham.assemble(netham.PairHamiltonian(h.n, h.d, J, r))
-        rep = scheme.verify_scheme(h, sch, want)
+        rep = scheme.verify_scheme(h, sch, netham.PairHamiltonian(h.n, h.d, J, r))
         assert rep["ok"], (keep, rep)
 
 
@@ -127,17 +129,15 @@ def test_inversion_random_models(n, d, overhead):
     assert sch.N == overhead
     for seed in (0, 1):
         h = netham.random_model(n, d, seed)
-        H = netham.assemble(h)
-        rep = scheme.verify_scheme(h, sch, -H)
+        rep = scheme.verify_scheme(h, sch, _scaled(h, -1.0))
         assert rep["ok"], rep
 
 
 def test_verify_scheme_wrong_overhead():
     sch = scheme.inversion_scheme(2, 2)
     h = netham.random_model(2, 2, 9)
-    H = netham.assemble(h)
-    assert scheme.verify_scheme(h, sch, -H, overhead=sch.N + 1)["ok"] is False
-    assert scheme.verify_scheme(h, sch, -H)["ok"] is True
+    assert scheme.verify_scheme(h, sch, _scaled(h, -1.0), overhead=sch.N + 1)["ok"] is False
+    assert scheme.verify_scheme(h, sch, _scaled(h, -1.0))["ok"] is True
 
 
 def test_pairwise_sufficiency():
@@ -258,14 +258,37 @@ def test_average_model_matches_dense_oracle(n, d, N, custom, seed):
     assert np.abs(scheme.average_hamiltonian(h, sch) - got).max() == 0.0
 
 
-def _scaled(h, c):
-    return netham.PairHamiltonian(h.n, h.d, c * h.J, c * h.r)
+@settings(max_examples=40)
+@given(n=st.integers(1, 4), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 12),
+       custom=st.booleans(), c=st.floats(-2.0, 2.0), overhead=st.floats(0.1, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_scheme_matches_dense_residual(n, d, N, custom, c, overhead, seed):
+    rng = np.random.default_rng(seed)
+    h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
+    target = _scaled(netham.random_model(n, d, int(rng.integers(2 ** 31))), c)
+    times = rng.uniform(0.05, 1.0, N)
+    basis = _conjugated_basis(d, rng) if custom else error_basis.generalized_pauli_basis(d)
+    sch = scheme.PulseScheme(n, N, times / times.sum(),
+                             rng.integers(1, d * d + 1, size=(n, N)), [basis] * n)
+    H = netham.assemble(h)
+    dense = overhead * scheme.average_of_matrix(H, sch) - netham.assemble(target)
+    want = np.linalg.norm(dense) / np.linalg.norm(H)
+    rep = scheme.verify_scheme(h, sch, target, overhead)
+    assert rep["residual"] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_verify_scheme_refuses_mismatched_target():
+    h = netham.random_model(3, 2, 5)
+    sch = scheme.decoupling_scheme(3, 2)
+    for target in (netham.random_model(4, 2, 5), netham.random_model(3, 3, 5)):
+        with pytest.raises(ValueError, match="differ in n or d"):
+            scheme.verify_scheme(h, sch, target)
 
 
 def test_tiny_model_identity_scheme_fails():
     # an identity scheme does nothing; a tiny model must not make it look decoupling
     h = _scaled(netham.random_model(3, 2, 21), 1e-11)
-    rep = scheme.verify_scheme(h, _identity_scheme(3, 2), np.zeros((8, 8)))
+    rep = scheme.verify_scheme(h, _identity_scheme(3, 2), _scaled(h, 0.0))
     assert rep["ok"] is False
     assert rep["residual"] == pytest.approx(1.0)
 
@@ -274,9 +297,9 @@ def test_tiny_model_identity_scheme_fails():
 def test_residual_is_scale_free(kind):
     h = netham.random_model(4, 2, 22)
     if kind == "decouple":
-        sch, target = scheme.decoupling_scheme(4, 2), lambda m: np.zeros((16, 16))
+        sch, target = scheme.decoupling_scheme(4, 2), lambda m: _scaled(m, 0.0)
     else:
-        sch, target = scheme.inversion_scheme(4, 2), lambda m: -netham.assemble(m)
+        sch, target = scheme.inversion_scheme(4, 2), lambda m: _scaled(m, -1.0)
     small = scheme.verify_scheme(h, sch, target(h))
     big = scheme.verify_scheme(_scaled(h, 1e6), sch, target(_scaled(h, 1e6)))
     assert small["ok"] and big["ok"]
@@ -286,7 +309,7 @@ def test_residual_is_scale_free(kind):
 def test_zero_model_passes_only_against_zero_target():
     zero = netham.PairHamiltonian(2, 2, np.zeros((6, 6)), np.zeros(6))
     sch = scheme.decoupling_scheme(2, 2)
-    assert scheme.verify_scheme(zero, sch, np.zeros((4, 4))) == {"ok": True, "residual": 0.0}
-    target = 1e-20 * netham.assemble(netham.random_model(2, 2, 1))
+    assert scheme.verify_scheme(zero, sch, zero) == {"ok": True, "residual": 0.0}
+    target = _scaled(netham.random_model(2, 2, 1), 1e-20)
     rep = scheme.verify_scheme(zero, sch, target)
     assert rep["ok"] is False and rep["residual"] == np.inf

@@ -4,6 +4,10 @@ import pytest
 from pulseforge import designs, netham, scheme, signs
 
 
+def _zero(h):
+    return netham.PairHamiltonian(h.n, h.d, np.zeros_like(h.J), np.zeros_like(h.r))
+
+
 def _assert_all_checks(st):
     rep = signs.verify_signs(st)
     assert rep["ok"], rep["violations"][:3]
@@ -79,7 +83,7 @@ def test_spread_scheme_decouples(seed):
     st = signs.spread_signs(2)
     sch = signs.signs_to_pulse_scheme(st)
     model = netham.random_model(st.n, 2, seed=seed)
-    rep = scheme.verify_scheme(model, sch, np.zeros((2 ** st.n, 2 ** st.n)))
+    rep = scheme.verify_scheme(model, sch, _zero(model))
     assert rep["ok"], rep["residual"]
 
 
@@ -88,7 +92,7 @@ def test_oa_scheme_decouples(seed):
     st = signs.oa_to_signs(designs.rao_hamming_oa(4, 2))
     sch = signs.signs_to_pulse_scheme(st)
     model = netham.random_model(st.n, 2, seed=seed)
-    rep = scheme.verify_scheme(model, sch, np.zeros((2 ** st.n, 2 ** st.n)))
+    rep = scheme.verify_scheme(model, sch, _zero(model))
     assert rep["ok"], rep["residual"]
 
 
