@@ -2,10 +2,10 @@
 
 Every synthesis command certifies its output against a seeded random
 model before anything is written, so a file on disk is always a
-verified scheme.  Qudit requests are bounded by their (d^2-1) n
-coefficient dimension, oscillator requests by d^n, both at
-netham.HILBERT_CAP.  Exit codes: 0 success, 1 verification failure,
-2 usage or input error.
+verified scheme.  Every request, qudit or oscillator (d levels), is
+bounded by its (d^2-1) n coefficient dimension at netham.HILBERT_CAP.
+Exit codes: 0 success, 1 verification failure, 2 usage or input
+error.
 """
 
 from __future__ import annotations
@@ -67,17 +67,12 @@ class _Run:
 
 
 def _check_coefficients(n: int, d: int):
-    """Refuse a (d^2-1) n coefficient matrix above the cap before anything is built."""
+    """Refuse d < 2 and a (d^2-1) n coefficient matrix above the cap before anything is built."""
+    # d = 1 or 0 makes the product 0 or negative, which passes the cap at any n
+    if d < 2:
+        raise ValueError(f"d must be at least 2, got {d}")
     if (d * d - 1) * n > netham.HILBERT_CAP:
         raise ValueError(f"coefficient dimension ({d}^2-1)*{n} exceeds {netham.HILBERT_CAP}")
-
-
-def _check_hilbert(n: int, d: int, cap: int):
-    """Refuse a d^n-dimensional space above the cap before anything is built."""
-    # d >= 2 reaches any cap within cap.bit_length() factors; bounding the
-    # exponent keeps a huge n from becoming a huge integer power
-    if d ** min(n, cap.bit_length()) > cap:
-        raise ValueError(f"Hilbert dimension {d}^{n} exceeds {cap}")
 
 
 def _scaled(h: netham.PairHamiltonian, c: float) -> netham.PairHamiltonian:
@@ -114,13 +109,12 @@ def _write_scheme(sch, path: str, fmt: str):
 def cmd_decouple(args) -> int:
     inputs = [args.graph] if args.graph else []
     run = _Run(args, inputs)
-    if args.graph:
-        g = graphcolor.graph_from_json(_load_json(args.graph))
-        _check_coefficients(g.n, args.d)
+    g = graphcolor.graph_from_json(_load_json(args.graph)) if args.graph else None
+    _check_coefficients(g.n if g else args.n, args.d)
+    if g:
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
         model = _graph_supported_model(g, args.d, args.seed)
     else:
-        _check_coefficients(args.n, args.d)
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
     rep = scheme.verify_scheme(model, sch, _scaled(model, 0.0), overhead=1.0)
@@ -134,19 +128,18 @@ def cmd_decouple(args) -> int:
 
 def cmd_invert(args) -> int:
     run = _Run(args, [])
+    d = 3 if args.d is None else args.d     # only --harmonic may omit --d
+    _check_coefficients(args.n, d)
     if args.harmonic:
         if args.format == "csv":
             raise ValueError("phase schemes have complex entries; use json")
-        levels = 3 if args.d is None else args.d
-        _check_hilbert(args.n, levels, netham.HILBERT_CAP)
         sch = harmonic.fourier_inversion(args.n)
-        net = harmonic.random_network(args.n, levels, args.seed)
+        net = harmonic.random_network(args.n, d, args.seed)
         overhead = float(args.n - 1)
         rep = harmonic.verify_phase_scheme(net, sch, -net.C, overhead)
     else:
-        _check_coefficients(args.n, args.d)
-        sch = scheme.inversion_scheme(args.n, args.d)
-        model = netham.random_model(args.n, args.d, args.seed)
+        sch = scheme.inversion_scheme(args.n, d)
+        model = netham.random_model(args.n, d, args.seed)
         overhead = sch.target_overhead
         rep = scheme.verify_scheme(model, sch, _scaled(model, -1.0))
     if rep["ok"] and args.out:
@@ -173,9 +166,8 @@ def cmd_verify(args) -> int:
     factor = {"zero": 0.0, "invert": -1.0}.get(args.target)
     run = _Run(args, [args.model, args.scheme] + ([args.target] if factor is None else []))
     sdoc, mdoc = _load_json(args.scheme), _load_json(args.model)
-    n, d = netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d")
+    _check_coefficients(netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d"))
     if "phases" in sdoc:
-        _check_hilbert(n, d, netham.HILBERT_CAP)
         net = harmonic.network_from_json(mdoc)
         ps = harmonic.phase_scheme_from_json(sdoc)
         target = (factor * net.C if factor is not None
@@ -183,7 +175,6 @@ def cmd_verify(args) -> int:
         overhead = args.overhead if args.overhead is not None else 1.0
         rep = harmonic.verify_phase_scheme(net, ps, target, overhead)
     else:
-        _check_coefficients(n, d)
         model = netham.model_from_json(mdoc)
         sch = scheme.scheme_from_json(sdoc)
         target = (_scaled(model, factor) if factor is not None

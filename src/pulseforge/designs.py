@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import gf
+from . import gf, netham
 
 OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
@@ -64,8 +64,8 @@ class DifferenceScheme:
         self.entries = np.asarray(self.entries, dtype=int)
         if self.entries.shape != (self.n, self.N):
             raise ValueError("entry matrix shape does not match (n, N)")
-        if self.N % self.u:
-            raise ValueError("u must divide N")
+        if self.u < 1 or self.N % self.u:
+            raise ValueError("u must be positive and divide N")
         if self.entries.size and (self.entries.min() < 0 or self.entries.max() >= self.u):
             raise ValueError("entries must lie in [0, u)")
 
@@ -257,12 +257,19 @@ def design_to_json(obj) -> dict:
 
 
 def design_from_json(doc: dict):
-    kind = doc.get("kind")
+    kind, rows = doc.get("kind"), doc.get("entries")
+    if not isinstance(rows, list):
+        raise ValueError("field 'entries' must be a list of rows")
+    entries = np.array(rows)
+    # the constructors cast to int, which would truncate 1.7 to a valid label
+    if entries.size and entries.dtype.kind != "i":
+        raise ValueError("field 'entries' must hold integers")
+    n, N = netham.json_int(doc, "n"), netham.json_int(doc, "N")
     if kind == "oa":
-        return OrthogonalArray(doc["n"], doc["N"], doc["s"], doc["lambda"],
-                               np.array(doc["entries"]))
+        return OrthogonalArray(n, N, netham.json_int(doc, "s"), netham.json_int(doc, "lambda"),
+                               entries)
     if kind == "ds":
-        return DifferenceScheme(doc["n"], doc["N"], doc["u"], np.array(doc["entries"]))
+        return DifferenceScheme(n, N, netham.json_int(doc, "u"), entries)
     raise ValueError(f"unknown design kind: {kind!r}")
 
 

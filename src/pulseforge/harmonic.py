@@ -9,13 +9,13 @@ supply orthogonal rows at zero time overhead; dropping the constant
 Fourier column inverts the coupling at the provably optimal overhead
 n-1.
 
-Everything is certified two ways: the algebraic route on the coupling
-matrix and the numeric conjugation average on a truncated Fock space.
-Phase pulses are diagonal in the Fock basis, so the numeric average is
-the Hamiltonian times an elementwise weight matrix built from the
-phase rows in one product, with no per-interval conjugation.  The
-truncation is a verification knob only; the phase identity is exact
-on the truncated ladder.
+Schemes are certified on coupling matrices: the terms a_k a_l^dag of
+distinct ordered pairs are orthogonal and of equal norm, so residuals
+of coupling matrices equal those of the d^n-dimensional Hamiltonians
+for every truncation d.  phase_average, the dense test oracle, takes
+the numeric average on the truncated Fock space as the Hamiltonian
+times an elementwise weight matrix of the (diagonal) phase pulses, and
+cross-checks it against the coupling matrix.
 """
 
 from __future__ import annotations
@@ -158,14 +158,17 @@ def phase_average(net: OscillatorNetwork, ps: PhaseScheme):
 
 def verify_phase_scheme(net: OscillatorNetwork, ps: PhaseScheme, target: np.ndarray,
                         overhead: float) -> dict:
-    """Frobenius residual of overhead*average against the Hamiltonian of the
-    target coupling matrix, relative to the network's own Hamiltonian."""
+    """Frobenius residual of overhead*average against a target coupling matrix,
+    relative to the network's; it equals the residual of the dense Hamiltonians,
+    which have no diagonal terms, so a target with a nonzero diagonal is refused."""
+    if ps.n != net.n:
+        raise ValueError("scheme and network disagree on n")
     if np.shape(target) != (net.n, net.n):
         raise ValueError(f"target coupling matrix must be {net.n} x {net.n}")
-    numeric, _ = phase_average(net, ps)
-    numeric *= overhead
-    numeric -= coupling_hamiltonian(target, net.n, net.d)
-    return scheme.residual_report(np.linalg.norm(numeric), np.linalg.norm(build_hc(net)))
+    if np.any(np.diag(target) != 0):
+        raise ValueError("target coupling matrix must have zero diagonal")
+    diff = overhead * effective_coupling(net.C, ps) - target
+    return scheme.residual_report(np.linalg.norm(diff), np.linalg.norm(net.C))
 
 
 def ds_decoupling(net: OscillatorNetwork, ds: designs.DifferenceScheme) -> PhaseScheme:
@@ -353,8 +356,7 @@ def compose_schedule(net: OscillatorNetwork, schedule) -> dict:
         ps = clique_recoupling(net, step["cliques"])
         if step["flip"]:
             ps = flip_rows(ps, step["flip"])
-        _, ceff = phase_average(net, ps)
-        total += step["duration"] * ceff
+        total += step["duration"] * effective_coupling(net.C, ps)
         overhead += step["duration"]
     return {"coupling": total, "overhead": overhead}
 

@@ -241,32 +241,43 @@ def test_deterministic_outputs(capsys, tmp_path):
 
 
 def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
-    # a qudit request is bounded by its (d^2-1) n coefficient matrix, an
-    # oscillator request by its d^n space; the refusal must come before any
-    # scheme or model is built
+    # every request, qudit or oscillator, is bounded by its (d^2-1) n
+    # coefficient matrix, and d < 2 is refused first; the refusal must come
+    # before any scheme or model is built
     mpath = tmp_path / "model.json"
     mpath.write_text(json.dumps({"n": 1366, "d": 2, "J": [], "r": []}))
     gpath = tmp_path / "graph.json"
     gpath.write_text(json.dumps(graphcolor.graph_to_json(graphcolor.InteractionGraph(274, set()))))
     net = tmp_path / "net.json"
-    net.write_text(json.dumps({"n": 13, "d": 2, "C": np.zeros((13, 13)).tolist()}))
+    net.write_text(json.dumps({"n": 1366, "d": 2, "C": []}))
     sch, phases = tmp_path / "sch.json", tmp_path / "phases.json"
     sch.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))))
     phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(13))))
 
-    def refuse(self):
-        raise AssertionError(f"{type(self).__name__} built before the size check")
+    def refuse(*args):
+        raise AssertionError("built before the size check")
     for cls in (netham.PairHamiltonian, harmonic.OscillatorNetwork,
                 scheme.PulseScheme, harmonic.PhaseScheme):
         monkeypatch.setattr(cls, "__post_init__", refuse)
-    for argv in (["decouple", "--n", "1366", "--d", "2"],
-                 ["decouple", "--d", "4", "--graph", str(gpath)],
-                 ["invert", "--n", "274", "--d", "4"],
-                 ["invert", "--harmonic", "--n", "20"],
-                 ["verify", "--model", str(mpath), "--scheme", str(sch), "--target", "zero"],
-                 ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"]):
+    # the constructions allocate before any constructor runs
+    for module, name in ((harmonic, "fourier_inversion"), (harmonic, "random_network"),
+                         (netham, "random_model"), (scheme, "decoupling_scheme"),
+                         (scheme, "inversion_scheme"), (graphcolor, "colored_decoupling_scheme")):
+        monkeypatch.setattr(module, name, refuse)
+    too_big = [["decouple", "--n", "1366", "--d", "2"],
+               ["decouple", "--d", "4", "--graph", str(gpath)],
+               ["invert", "--n", "274", "--d", "4"],
+               ["invert", "--harmonic", "--n", "513"],
+               ["verify", "--model", str(mpath), "--scheme", str(sch), "--target", "zero"],
+               ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"]]
+    too_few_levels = [["decouple", "--n", "100000", "--d", "1"]]
+    too_few_levels += [["invert", "--harmonic", "--d", d, "--n", "100000"] for d in ("1", "0", "-2")]
+    for argv in too_big + too_few_levels:
         assert cli.main(argv) == 2, argv
-        assert "exceeds 4096" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        lines = err.strip().splitlines()
+        assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+        assert ("exceeds 4096" if argv in too_big else "at least 2") in err, (argv, err)
 
 
 def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):
@@ -291,6 +302,30 @@ def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatc
         assert max(rep["residuals"].values()) <= 1e-9, argv
 
 
+def test_oscillator_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):
+    # above the old 2^12 cap, with the dense embedding and phase average switched off
+    def refuse(*args):
+        raise AssertionError("dense matrix built")
+    monkeypatch.setattr(netham, "embed_terms", refuse)
+    monkeypatch.setattr(harmonic, "phase_average", refuse)
+    net = harmonic.random_network(13, 2, 5)
+    paths = {}
+    for name, doc in (("net", harmonic.network_to_json(net)),
+                      ("neg", harmonic.network_to_json(harmonic.OscillatorNetwork(13, 2, -net.C))),
+                      ("dec", harmonic.phase_scheme_to_json(harmonic.fourier_phase_scheme(13))),
+                      ("inv", harmonic.phase_scheme_to_json(harmonic.fourier_inversion(13)))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    verify = ["verify", "--model", paths["net"], "--scheme"]
+    for argv in (["invert", "--harmonic", "--n", "200", "--d", "2"],
+                 verify + [paths["dec"], "--target", "zero"],
+                 verify + [paths["inv"], "--target", "invert", "--overhead", "12"],
+                 verify + [paths["inv"], "--target", paths["neg"], "--overhead", "12"]):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and rep["ok"] is True, argv
+        assert max(rep["residuals"].values()) <= 1e-9, argv
+
+
 def test_verify_target_file_must_match_model(capsys, tmp_path):
     # a target of the other kind, or with another n or d, is an input error
     model = write_model(tmp_path, netham.random_model(3, 2, seed=1))
@@ -310,6 +345,11 @@ def test_verify_target_file_must_match_model(capsys, tmp_path):
     # o32 has the qubit model's dense dimension, 8, so only its kind is wrong
     cases = [(model, sch, target) for target in (net, others["o32"], others["q42"], others["q33"])]
     cases += [(net, phases, target) for target in (model, others["o43"], others["o32"])]
+    # a scheme for four nodes against three-node models, with a matching target
+    sch4, phases4 = tmp_path / "sch4.json", tmp_path / "phases4.json"
+    sch4.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(4, 2))))
+    phases4.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(4))))
+    cases += [(model, sch4, model), (net, phases4, net)]
     for mpath, spath, tpath in cases:
         argv = ["verify", "--model", str(mpath), "--scheme", str(spath), "--target", str(tpath)]
         assert cli.main(argv) == 2, argv
@@ -319,9 +359,9 @@ def test_verify_target_file_must_match_model(capsys, tmp_path):
 
 
 def test_invert_harmonic_honours_d(capsys):
-    code, _ = run(capsys, "invert", "--harmonic", "--n", "8")          # 3^8 > cap
+    code, _ = run(capsys, "invert", "--harmonic", "--n", "513")        # 8 * 513 > cap
     assert code == 2
-    code, rep = run(capsys, "invert", "--harmonic", "--n", "8", "--d", "2")
+    code, rep = run(capsys, "invert", "--harmonic", "--n", "513", "--d", "2")
     assert code == 0
     assert rep["options"]["d"] == 2
     assert rep["residuals"]["invert"] < 1e-9
@@ -345,6 +385,24 @@ def test_report_ok_is_a_json_bool(capsys, tmp_path):
         code, rep = run(capsys, *argv)
         assert code == 0, argv
         assert rep["ok"] is True, argv
+
+
+_OA42 = designs.design_to_json(designs.rao_hamming_oa(4, 2))
+
+
+# a boolean n equals 1, so with one row it would match the array's shape
+@pytest.mark.parametrize("bad", [{"s": "4"}, {"s": None}, {"entries": None},
+                                 {"n": True, "entries": _OA42["entries"][:1]},
+                                 {"lambda": 1.5}, {"kind": "ds", "u": 0},
+                                 {"entries": [[e + 0.7 for e in row] for row in _OA42["entries"]]}])
+def test_malformed_oa_file_exits_2(capsys, tmp_path, bad):
+    doc = {**_OA42, **bad}
+    path = tmp_path / "oa.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["signs", "--from-oa", str(path)]) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
 
 
 @pytest.mark.parametrize("bad", [{"n": None}, {"n": "three"}, {"n": [2]}, {"d": None},

@@ -112,6 +112,35 @@ def test_phase_average_cross_check_catches_tampering(monkeypatch):
         harmonic.phase_average(net, ps)
 
 
+@settings(max_examples=40)
+@given(n=st.integers(2, 5), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 6),
+       hermitian=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_verify_phase_scheme_matches_dense_residual(n, d, N, hermitian, seed):
+    rng = np.random.default_rng(seed)
+    net = _net(n, d, seed=int(rng.integers(2 ** 31)))
+    times = rng.uniform(0.05, 1.0, N)
+    ps = harmonic.PhaseScheme(n, N, np.exp(2j * np.pi * rng.random((n, N))), times / times.sum())
+    T = np.triu(rng.uniform(-1, 1, (n, n)) + 1j * hermitian * rng.uniform(-1, 1, (n, n)), 1)
+    T += T.conj().T
+    overhead = float(rng.uniform(0.1, 5.0))
+    got = harmonic.verify_phase_scheme(net, ps, T, overhead)["residual"]
+    dense = overhead * harmonic.phase_average(net, ps)[0] - harmonic.coupling_hamiltonian(T, n, d)
+    want = np.linalg.norm(dense) / np.linalg.norm(harmonic.build_hc(net))
+    assert abs(got - want) <= 1e-12 * max(1.0, want)
+
+
+def test_verify_phase_scheme_refuses_mismatches():
+    net = _net(3, 2, seed=12)
+    ps = harmonic.fourier_inversion(3)
+    assert harmonic.verify_phase_scheme(net, ps, -net.C, 2.0)["ok"]
+    with pytest.raises(ValueError, match="diagonal"):
+        harmonic.verify_phase_scheme(net, ps, np.eye(3) - net.C, 2.0)
+    with pytest.raises(ValueError, match="disagree on n"):
+        harmonic.verify_phase_scheme(net, harmonic.fourier_inversion(4), -net.C, 2.0)
+    with pytest.raises(ValueError, match="3 x 3"):
+        harmonic.verify_phase_scheme(net, ps, np.zeros((2, 2)), 2.0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_fourier_fallback_decouples_any_n(n):
     net = _net(n, 2, seed=n)
