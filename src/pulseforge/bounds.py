@@ -48,30 +48,35 @@ def tau_min(Jtilde, J) -> float:
     Maximum over k < D of the prefix-sum ratios of the two descending
     spectra.  Degenerate prefixes (both sums ~ 0) are skipped; a
     vanishing denominator with positive numerator means no tau works
-    and the result is inf.
+    and the result is inf.  For Jtilde = +-J the one spectrum of J
+    serves both sides: the descending spectrum of -J is -y[::-1].
     """
-    Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
     J = _check_traceless_symmetric(J, "J")
-    if Jtilde.shape != J.shape:
-        raise ValueError("matrices must have equal shape")
-    x = eigvals_sym(Jtilde)
+    Jtilde = np.asarray(Jtilde, dtype=float)
     y = eigvals_sym(J)
-    cx, cy = np.cumsum(x), np.cumsum(y)
-    best = 0.0
-    for k in range(len(x) - 1):
-        num, den = cx[k], cy[k]
-        if den <= TOL:
-            if num > TOL:
-                return float("inf")
-            continue
-        best = max(best, num / den)
-    return best
+    # +-J is exactly as symmetric and traceless as J, so only another target is checked
+    if np.array_equal(Jtilde, J):
+        x = y
+    elif np.array_equal(Jtilde, -J):
+        x = -y[::-1]
+    else:
+        Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
+        if Jtilde.shape != J.shape:
+            raise ValueError("matrices must have equal shape")
+        x = eigvals_sym(Jtilde)
+    cx, cy = np.cumsum(x)[:-1], np.cumsum(y)[:-1]
+    degenerate = cy <= TOL
+    if np.any(cx[degenerate] > TOL):
+        return float("inf")
+    live = ~degenerate
+    return float((cx[live] / cy[live]).max(initial=0.0))
 
 
 def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    # entry (k*m + a, l*m + b) times S[k, l]; negation commutes with it exactly
     n = S.shape[0]
     m = M.shape[0] // n
-    return M * np.kron(S, np.ones((m, m)))
+    return (M.reshape(n, m, n, m) * S[:, None, :, None]).reshape(M.shape)
 
 
 def tau_min_rescaled(Jtilde, J, S) -> float:
@@ -97,6 +102,8 @@ def rescaled_search(Jtilde, J, n: int, trials: int = 100,
     The all-ones S is always tried first, so the result is never worse
     than the plain tau_min.  Returns (bound, argmax S).
     """
+    if trials < 0:
+        raise ValueError(f"trials must be at least 0, got {trials}")
     rng = np.random.default_rng(seed)
     best_S = np.ones((n, n))
     best = tau_min_rescaled(Jtilde, J, best_S)

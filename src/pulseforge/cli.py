@@ -153,9 +153,11 @@ def cmd_invert(args) -> int:
 
 def cmd_bound(args) -> int:
     run = _Run(args, [args.model])
-    model = netham.model_from_json(_load_json(args.model))
+    doc = _load_json(args.model)
+    _check_coefficients(netham.json_int(doc, "n"), netham.json_int(doc, "d"))
+    model = netham.model_from_json(doc)
     Jt = -model.J if args.invert else model.J
-    trials = args.rescale_search if args.rescale_search else 1
+    trials = 1 if args.rescale_search is None else args.rescale_search
     rep = bounds.bound_report(Jt, model.J, model.n, trials=trials,
                               seed=args.seed)
     run.report.update(rep)
@@ -248,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--invert", action="store_true",
                    help="bound the overhead of simulating -H")
     p.add_argument("--rescale-search", type=int, metavar="K",
-                   help="try K random block rescalings for a sharper bound")
+                   help="try K >= 0 random block rescalings for a sharper "
+                        "bound (default 1)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("verify", parents=[common],
@@ -274,6 +277,8 @@ def _check_flags(args) -> str | None:
         return "decouple needs exactly one of --n or --graph"
     if args.command == "invert" and not args.harmonic and args.d is None:
         return "invert needs --d unless --harmonic"
+    if args.command == "bound" and (args.rescale_search or 0) < 0:
+        return "--rescale-search needs K >= 0"
     if args.command == "signs":
         if (args.m is None) == (args.from_oa is None):
             return "signs needs exactly one of --m or --from-oa"

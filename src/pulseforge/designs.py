@@ -257,13 +257,7 @@ def design_to_json(obj) -> dict:
 
 
 def design_from_json(doc: dict):
-    kind, rows = doc.get("kind"), doc.get("entries")
-    if not isinstance(rows, list):
-        raise ValueError("field 'entries' must be a list of rows")
-    entries = np.array(rows)
-    # the constructors cast to int, which would truncate 1.7 to a valid label
-    if entries.size and entries.dtype.kind != "i":
-        raise ValueError("field 'entries' must hold integers")
+    kind, entries = doc.get("kind"), netham.json_int_rows(doc, "entries")
     n, N = netham.json_int(doc, "n"), netham.json_int(doc, "N")
     if kind == "oa":
         return OrthogonalArray(n, N, netham.json_int(doc, "s"), netham.json_int(doc, "lambda"),

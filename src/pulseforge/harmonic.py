@@ -383,8 +383,15 @@ def phase_scheme_to_json(ps: PhaseScheme) -> dict:
     }
 
 
+def _complex_from_json(z) -> complex:
+    try:
+        return complex(z["re"], z["im"])
+    except (TypeError, KeyError):
+        raise ValueError(f"phase entries must be {{'re': x, 'im': y}}, got {z!r}") from None
+
+
 def phase_scheme_from_json(doc: dict) -> PhaseScheme:
-    phases = np.array([[complex(z["re"], z["im"]) for z in row]
-                       for row in doc["phases"]])
+    phases = np.array([[_complex_from_json(z) for z in row]
+                       for row in netham.json_rows(doc, "phases")])
     return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"), phases,
                        np.array(doc["times"], dtype=float))

@@ -214,6 +214,26 @@ def json_int(doc: dict, key: str) -> int:
     return value
 
 
+def json_rows(doc: dict, key: str) -> list:
+    """List-of-rows field of a loaded JSON document; ValueError when it is
+    missing, null, not a list of lists or ragged."""
+    rows = doc.get(key)
+    if (not isinstance(rows, list) or not all(isinstance(row, list) for row in rows)
+            or len({len(row) for row in rows}) > 1):
+        raise ValueError(f"field {key!r} must be a list of equal-length rows")
+    return rows
+
+
+def json_int_rows(doc: dict, key: str) -> np.ndarray:
+    """Integer matrix field of a loaded JSON document; ValueError as for
+    json_rows, or when an entry is not an integer."""
+    rows = np.array(json_rows(doc, key))
+    # a cast to int would truncate 1.7 to a valid label
+    if rows.size and rows.dtype.kind != "i":
+        raise ValueError(f"field {key!r} must hold integers")
+    return rows
+
+
 def model_from_json(doc: dict) -> PairHamiltonian:
     return PairHamiltonian(json_int(doc, "n"), json_int(doc, "d"),
                            np.array(doc["J"], dtype=float),

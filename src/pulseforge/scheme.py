@@ -289,5 +289,5 @@ def scheme_from_json(doc: dict) -> PulseScheme:
                  for dd, els in zip(dims, doc["basis"])]
     return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
                        np.array(doc["times"], dtype=float),
-                       np.array(doc["pulses"], dtype=int),
+                       netham.json_int_rows(doc, "pulses"),
                        bases, float(doc.get("target_overhead", 1.0)))

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pulseforge import bounds, netham, scheme
 
@@ -144,3 +147,114 @@ def test_bound_report_shape():
     assert abs(rep["inversion_bound"] - 2.0) < 1e-9
     assert rep["rescaled_max"] >= rep["tau_min"] - 1e-12
     assert len(rep["S_argmax"]) == 3
+
+
+# -- reference: both spectra decomposed, prefix ratios in an explicit loop ----
+
+def _ref_tau_min(Jt, J):
+    x = np.linalg.eigvalsh(Jt)[::-1]
+    y = np.linalg.eigvalsh(J)[::-1]
+    cx, cy = np.cumsum(x), np.cumsum(y)
+    best = 0.0
+    for k in range(len(x) - 1):
+        if cy[k] <= bounds.TOL:
+            if cx[k] > bounds.TOL:
+                return math.inf
+            continue
+        best = max(best, cx[k] / cy[k])
+    return best
+
+
+def _ref_rescaled(Jt, J, S):
+    K = np.kron(S, np.ones((J.shape[0] // len(S),) * 2))
+    return _ref_tau_min(Jt * K, J * K)
+
+
+def _ref_search(Jt, J, n, trials, seed):
+    # the same seeded draws as rescaled_search, in the same order
+    rng = np.random.default_rng(seed)
+    best_S = np.ones((n, n))
+    best = _ref_rescaled(Jt, J, best_S)
+    for _ in range(trials):
+        S = _random_signs(rng, n)
+        val = _ref_rescaled(Jt, J, S)
+        if val > best:
+            best, best_S = val, S
+    return best, best_S
+
+
+def _close(got, want):
+    return got == want or math.isclose(got, want, rel_tol=1e-12)
+
+
+def _random_traceless(rng, n, m, pair_shaped):
+    D = n * m
+    A = rng.normal(size=(D, D))
+    A = A + A.T
+    if pair_shaped:
+        # a coupling matrix: zero m x m blocks on the diagonal
+        A = (A.reshape(n, m, n, m) * (1 - np.eye(n))[:, None, :, None]).reshape(D, D)
+    # traceless diagonal blocks keep every rescaling by S traceless
+    block_means = np.diagonal(A).reshape(n, m).mean(axis=1)
+    return A - np.diag(np.repeat(block_means, m))
+
+
+def _random_signs(rng, n):
+    S = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
+    return np.triu(S) + np.triu(S, 1).T
+
+
+@settings(max_examples=40)
+@given(n=st.integers(2, 5), m=st.integers(1, 3), pair_shaped=st.booleans(),
+       scale=st.sampled_from([0.0, 1e-10, 1.0, 1e3]), seed=st.integers(0, 2 ** 32 - 1))
+def test_single_spectrum_route_matches_two_decompositions(n, m, pair_shaped, scale, seed):
+    rng = np.random.default_rng(seed)
+    J = scale * _random_traceless(rng, n, m, pair_shaped)
+    other = _random_traceless(rng, n, m, pair_shaped)
+    S = _random_signs(rng, n)
+    for Jt in (-J, J, other):
+        assert _close(bounds.tau_min(Jt, J), _ref_tau_min(Jt, J))
+        assert _close(bounds.tau_min_rescaled(Jt, J, S), _ref_rescaled(Jt, J, S))
+    if scale == 0.0:
+        assert bounds.tau_min(-J, J) == 0.0
+        assert bounds.tau_min(other, J) == math.inf
+        return
+    rep = bounds.bound_report(-J, J, n, trials=5, seed=seed)
+    best, _ = _ref_search(-J, J, n, 5, seed)
+    ev = np.linalg.eigvalsh(J)
+    assert _close(rep["tau_min"], _ref_tau_min(-J, J))
+    assert _close(rep["rescaled_max"], best)
+    assert _close(rep["inversion_bound"], ev[-1] / -ev[0])
+    assert _close(bounds.tau_min_rescaled(-J, J, np.array(rep["S_argmax"])), rep["rescaled_max"])
+
+
+@pytest.mark.parametrize("trials", [0, 1, 7])
+def test_bound_report_decomposes_once_per_evaluation(monkeypatch, trials):
+    # one spectrum for each of the 1 + (trials + 1) tau_min evaluations,
+    # one for the inversion bound
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(1) or eigvalsh(M))
+    J = netham.random_model(4, 2, 3).J
+    bounds.bound_report(-J, J, 4, trials=trials)
+    assert len(calls) == trials + 3
+    calls.clear()
+    bounds.tau_min(0.5 * J, J)               # any other target decomposes both sides
+    assert len(calls) == 2
+
+
+def test_seeded_search_argmax_pinned_to_reference():
+    J = netham.random_model(6, 2, 11).J
+    rep = bounds.bound_report(-J, J, 6, trials=40, seed=5)
+    best, S = _ref_search(-J, J, 6, 40, 5)
+    assert np.array_equal(np.array(rep["S_argmax"]), S)
+    assert _close(rep["rescaled_max"], best)
+
+
+def test_rescaled_search_refuses_negative_trials():
+    J = _complete_zz_J(3)
+    with pytest.raises(ValueError):
+        bounds.rescaled_search(-J, J, 3, trials=-1)
+    best, S = bounds.rescaled_search(-J, J, 3, trials=0)
+    assert np.array_equal(S, np.ones((3, 3)))
+    assert best == bounds.tau_min(-J, J)

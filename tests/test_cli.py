@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from pulseforge import cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
+from pulseforge import bounds, cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
 
 
 def run(capsys, *argv):
@@ -136,6 +136,28 @@ def test_bound_rescale_search(capsys, tmp_path):
     assert S.shape == (4, 4)
 
 
+def test_rescale_search_counts_exactly(capsys, tmp_path, monkeypatch):
+    # K random trials after the all-ones start; the flag's absence means one
+    path = write_model(tmp_path, netham.complete_coupling_model(4, 2, alpha=2))
+    calls = []
+    rescaled = bounds.tau_min_rescaled
+    monkeypatch.setattr(bounds, "tau_min_rescaled",
+                        lambda *a: calls.append(1) or rescaled(*a))
+    for extra, want in (([], 2), (["--rescale-search", "0"], 1),
+                        (["--rescale-search", "3"], 4)):
+        calls.clear()
+        code, rep = run(capsys, "bound", "--model", path, "--invert", *extra)
+        assert code == 0 and len(calls) == want, (extra, len(calls))
+    assert rep["rescaled_max"] >= rep["tau_min"]
+
+    calls.clear()
+    assert cli.main(["bound", "--model", path, "--rescale-search", "-1"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("usage error:"), err
+    assert not calls
+
+
 def test_verify_decoupling_scheme_file(capsys, tmp_path):
     out = tmp_path / "sch.json"
     run(capsys, "decouple", "--n", "3", "--d", "2", "--out", str(out))
@@ -261,15 +283,17 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # the constructions allocate before any constructor runs
     for module, name in ((harmonic, "fourier_inversion"), (harmonic, "random_network"),
-                         (netham, "random_model"), (scheme, "decoupling_scheme"),
-                         (scheme, "inversion_scheme"), (graphcolor, "colored_decoupling_scheme")):
+                         (netham, "random_model"), (netham, "model_from_json"),
+                         (scheme, "decoupling_scheme"), (scheme, "inversion_scheme"),
+                         (graphcolor, "colored_decoupling_scheme"), (bounds, "bound_report")):
         monkeypatch.setattr(module, name, refuse)
     too_big = [["decouple", "--n", "1366", "--d", "2"],
                ["decouple", "--d", "4", "--graph", str(gpath)],
                ["invert", "--n", "274", "--d", "4"],
                ["invert", "--harmonic", "--n", "513"],
                ["verify", "--model", str(mpath), "--scheme", str(sch), "--target", "zero"],
-               ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"]]
+               ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"],
+               ["bound", "--model", str(mpath), "--invert", "--rescale-search", "100"]]
     too_few_levels = [["decouple", "--n", "100000", "--d", "1"]]
     too_few_levels += [["invert", "--harmonic", "--d", d, "--n", "100000"] for d in ("1", "0", "-2")]
     for argv in too_big + too_few_levels:
@@ -427,3 +451,38 @@ def test_malformed_model_fields_exit_2(capsys, tmp_path, bad):
         out, err = capsys.readouterr()
         lines = err.strip().splitlines()
         assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), (argv, err)
+
+
+_MISSING = object()
+
+
+@pytest.mark.parametrize("kind,bad", [
+    ("pulses", _MISSING), ("pulses", None), ("pulses", 5), ("pulses", "1,2"),
+    ("pulses", [[1, 2], [3]]), ("pulses", [[1, None], [2, 3]]),
+    ("phases", _MISSING), ("phases", None), ("phases", {"re": 1}),
+    ("phases", [[{"re": 1, "im": 0}], []]), ("phases", [[1, 2, 3], [1, 2, 3]]),
+    ("phases", [[{"re": None, "im": 0}], [{"re": 1, "im": 0}]])])
+def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
+    # a missing, null, non-list, ragged or ill-typed pulse or phase matrix is
+    # an input error, not a traceback
+    if kind == "pulses":
+        model = netham.model_to_json(netham.random_model(2, 2, seed=0))
+        doc = scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))
+    else:
+        model = {"n": 2, "d": 2, "C": [[0.0, 1.0], [1.0, 0.0]]}
+        doc = harmonic.phase_scheme_to_json(harmonic.fourier_inversion(2))
+    if bad is _MISSING:
+        del doc[kind]
+    else:
+        doc[kind] = bad
+    loader = scheme.scheme_from_json if kind == "pulses" else harmonic.phase_scheme_from_json
+    with pytest.raises(ValueError):
+        loader(doc)
+    mpath, spath = tmp_path / "model.json", tmp_path / "sch.json"
+    mpath.write_text(json.dumps(model))
+    spath.write_text(json.dumps(doc))
+    assert cli.main(["verify", "--model", str(mpath), "--scheme", str(spath),
+                     "--target", "zero"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
