@@ -48,16 +48,14 @@ def tau_min(Jtilde, J) -> float:
     Maximum over k < D of the prefix-sum ratios of the two descending
     spectra.  Degenerate prefixes (both sums ~ 0) are skipped; a
     vanishing denominator with positive numerator means no tau works
-    and the result is inf.  For Jtilde = +-J the one spectrum of J
+    and the result is inf.  For Jtilde = -J the one spectrum of J
     serves both sides: the descending spectrum of -J is -y[::-1].
     """
     J = _check_traceless_symmetric(J, "J")
     Jtilde = np.asarray(Jtilde, dtype=float)
     y = eigvals_sym(J)
-    # +-J is exactly as symmetric and traceless as J, so only another target is checked
-    if np.array_equal(Jtilde, J):
-        x = y
-    elif np.array_equal(Jtilde, -J):
+    # -J is exactly as symmetric and traceless as J, so only another target is checked
+    if np.array_equal(Jtilde, -J):
         x = -y[::-1]
     else:
         Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
@@ -102,8 +100,6 @@ def rescaled_search(Jtilde, J, n: int, trials: int = 100,
     The all-ones S is always tried first, so the result is never worse
     than the plain tau_min.  Returns (bound, argmax S).
     """
-    if trials < 0:
-        raise ValueError(f"trials must be at least 0, got {trials}")
     rng = np.random.default_rng(seed)
     best_S = np.ones((n, n))
     best = tau_min_rescaled(Jtilde, J, best_S)

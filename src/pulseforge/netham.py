@@ -226,10 +226,13 @@ def json_rows(doc: dict, key: str) -> list:
 
 def json_int_rows(doc: dict, key: str) -> np.ndarray:
     """Integer matrix field of a loaded JSON document; ValueError as for
-    json_rows, or when an entry is not an integer."""
+    json_rows, or when an entry is not a whole number."""
     rows = np.array(json_rows(doc, key))
-    # a cast to int would truncate 1.7 to a valid label
-    if rows.size and rows.dtype.kind != "i":
+    # whole-number floats are accepted as json_int accepts them; a plain
+    # cast to int would truncate 1.7 to a valid label
+    if rows.dtype.kind == "f" and np.all((rows == np.round(rows)) & (np.abs(rows) < 2 ** 53)):
+        rows = rows.astype(int)
+    if rows.dtype.kind != "i":
         raise ValueError(f"field {key!r} must hold integers")
     return rows
 

@@ -458,7 +458,7 @@ _MISSING = object()
 
 @pytest.mark.parametrize("kind,bad", [
     ("pulses", _MISSING), ("pulses", None), ("pulses", 5), ("pulses", "1,2"),
-    ("pulses", [[1, 2], [3]]), ("pulses", [[1, None], [2, 3]]),
+    ("pulses", [[1, 2], [3]]), ("pulses", [[1, None], [2, 3]]), ("pulses", [[1.5, 2], [3, 4]]),
     ("phases", _MISSING), ("phases", None), ("phases", {"re": 1}),
     ("phases", [[{"re": 1, "im": 0}], []]), ("phases", [[1, 2, 3], [1, 2, 3]]),
     ("phases", [[{"re": None, "im": 0}], [{"re": 1, "im": 0}]])])
@@ -486,3 +486,16 @@ def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
     out, err = capsys.readouterr()
     lines = err.strip().splitlines()
     assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
+
+
+def test_whole_number_float_pulses_are_labels(capsys, tmp_path):
+    # pulse labels written as 2.0 load as 2, as json_int reads n = 3.0 as 3
+    sch = scheme.decoupling_scheme(3, 2)
+    doc = scheme.scheme_to_json(sch)
+    doc["pulses"] = [[float(p) for p in row] for row in doc["pulses"]]
+    assert np.array_equal(scheme.scheme_from_json(doc).pulses, sch.pulses)
+    spath = tmp_path / "sch.json"
+    spath.write_text(json.dumps(doc))
+    mpath = write_model(tmp_path, netham.random_model(3, 2, seed=4))
+    code, rep = run(capsys, "verify", "--model", mpath, "--scheme", str(spath), "--target", "zero")
+    assert code == 0 and rep["residuals"]["verify"] < 1e-9
