@@ -42,6 +42,28 @@ def _check_traceless_symmetric(M, name: str):
     return M
 
 
+def _tau_min_and_spectrum(Jtilde, J) -> tuple[float, np.ndarray]:
+    """tau_min(Jtilde, J) and the descending spectrum of J it used."""
+    J = _check_traceless_symmetric(J, "J")
+    Jtilde = np.asarray(Jtilde, dtype=float)
+    # J passed a tighter symmetry check than eigvals_sym's Hermitian one
+    y = np.linalg.eigvalsh(J)[::-1]
+    # -J is exactly as symmetric and traceless as J, so only another target is checked
+    if np.array_equal(Jtilde, -J):
+        x = -y[::-1]
+    else:
+        Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
+        if Jtilde.shape != J.shape:
+            raise ValueError("matrices must have equal shape")
+        x = np.linalg.eigvalsh(Jtilde)[::-1]
+    cx, cy = np.cumsum(x)[:-1], np.cumsum(y)[:-1]
+    degenerate = cy <= TOL
+    if np.any(cx[degenerate] > TOL):
+        return float("inf"), y
+    live = ~degenerate
+    return float((cx[live] / cy[live]).max(initial=0.0)), y
+
+
 def tau_min(Jtilde, J) -> float:
     """Smallest tau >= 0 with Spec(Jtilde) majorized by Spec(tau*J).
 
@@ -51,23 +73,7 @@ def tau_min(Jtilde, J) -> float:
     and the result is inf.  For Jtilde = -J the one spectrum of J
     serves both sides: the descending spectrum of -J is -y[::-1].
     """
-    J = _check_traceless_symmetric(J, "J")
-    Jtilde = np.asarray(Jtilde, dtype=float)
-    y = eigvals_sym(J)
-    # -J is exactly as symmetric and traceless as J, so only another target is checked
-    if np.array_equal(Jtilde, -J):
-        x = -y[::-1]
-    else:
-        Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
-        if Jtilde.shape != J.shape:
-            raise ValueError("matrices must have equal shape")
-        x = eigvals_sym(Jtilde)
-    cx, cy = np.cumsum(x)[:-1], np.cumsum(y)[:-1]
-    degenerate = cy <= TOL
-    if np.any(cx[degenerate] > TOL):
-        return float("inf")
-    live = ~degenerate
-    return float((cx[live] / cy[live]).max(initial=0.0))
+    return _tau_min_and_spectrum(Jtilde, J)[0]
 
 
 def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -94,15 +100,18 @@ def tau_min_rescaled(Jtilde, J, S) -> float:
 
 
 def rescaled_search(Jtilde, J, n: int, trials: int = 100,
-                    seed: int = SEARCH_SEED) -> tuple[float, np.ndarray]:
+                    seed: int = SEARCH_SEED, start: float | None = None
+                    ) -> tuple[float, np.ndarray]:
     """Best rescaled bound over random symmetric +-1 matrices S.
 
     The all-ones S is always tried first, so the result is never worse
-    than the plain tau_min.  Returns (bound, argmax S).
+    than the plain tau_min; a caller that has tau_min(Jtilde, J) passes
+    it as `start`, which is that trial's value (rescaling by 1.0 is
+    exact).  Returns (bound, argmax S).
     """
     rng = np.random.default_rng(seed)
     best_S = np.ones((n, n))
-    best = tau_min_rescaled(Jtilde, J, best_S)
+    best = tau_min_rescaled(Jtilde, J, best_S) if start is None else start
     for _ in range(trials):
         S = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         S = np.triu(S) + np.triu(S, 1).T
@@ -110,6 +119,12 @@ def rescaled_search(Jtilde, J, n: int, trials: int = 100,
         if val > best:
             best, best_S = val, S
     return best, best_S
+
+
+def _inversion_bound(J: np.ndarray, y: np.ndarray) -> float:
+    if np.abs(J).max(initial=0.0) == 0.0:
+        raise ValueError("J must be nonzero")
+    return float(y[0] / -y[-1])
 
 
 def inversion_lower_bound(J) -> float:
@@ -120,11 +135,7 @@ def inversion_lower_bound(J) -> float:
     ratio of tau_min(-J, J), hence never exceeds it.
     """
     J = _check_traceless_symmetric(J, "J")
-    if np.abs(J).max(initial=0.0) == 0.0:
-        raise ValueError("J must be nonzero")
-    ev = eigvals_sym(J)
-    r, q = ev[0], ev[-1]
-    return float(r / -q)
+    return _inversion_bound(J, np.linalg.eigvalsh(J)[::-1])
 
 
 def spectral_check_hamiltonian(Htilde, H, tau: float, tol: float = 1e-8) -> bool:
@@ -137,11 +148,12 @@ def spectral_check_hamiltonian(Htilde, H, tau: float, tol: float = 1e-8) -> bool
 def bound_report(Jtilde, J, n: int, trials: int = 100,
                  seed: int = SEARCH_SEED) -> dict:
     """All bounds in one report; these floors are necessary, not achievable."""
-    plain = tau_min(Jtilde, J)
-    rescaled, S = rescaled_search(Jtilde, J, n, trials=trials, seed=seed)
+    # one spectrum of J serves tau_min, the all-ones trial and the inversion bound
+    plain, y = _tau_min_and_spectrum(Jtilde, J)
+    rescaled, S = rescaled_search(Jtilde, J, n, trials=trials, seed=seed, start=plain)
     return {
         "tau_min": plain,
-        "inversion_bound": inversion_lower_bound(J),
+        "inversion_bound": _inversion_bound(np.asarray(J, dtype=float), y),
         "rescaled_max": rescaled,
         "S_argmax": S.tolist(),
         "lower_bound": True,

@@ -117,7 +117,7 @@ def cmd_decouple(args) -> int:
     else:
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
-    rep = scheme.verify_scheme(model, sch, _scaled(model, 0.0), overhead=1.0)
+    rep = scheme.verify_scheme(model, sch, None, overhead=1.0)
     run.report["intervals"] = sch.N
     run.report["residuals"]["decouple"] = rep["residual"]
     if rep["ok"] and args.out:
@@ -179,8 +179,10 @@ def cmd_verify(args) -> int:
     else:
         model = netham.model_from_json(mdoc)
         sch = scheme.scheme_from_json(sdoc)
-        target = (_scaled(model, factor) if factor is not None
-                  else _load_like(args.target, model, netham.model_from_json))
+        if factor is None:
+            target = _load_like(args.target, model, netham.model_from_json)
+        else:
+            target = _scaled(model, factor) if factor else None
         rep = scheme.verify_scheme(model, sch, target, overhead=args.overhead)
     run.report["residuals"]["verify"] = rep["residual"]
     return run.finish(rep["ok"])

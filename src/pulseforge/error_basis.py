@@ -39,23 +39,31 @@ class UnitaryErrorBasis:
 
 
 def check_error_basis(basis: UnitaryErrorBasis):
-    """Raise unless unitarity, trace-orthogonality and the identity label hold."""
+    """Raise unless unitarity, trace-orthogonality and the identity label hold.
+
+    Comparisons are written as not (err <= TOL), so NaN entries fail.
+    """
     d = basis.d
     if len(basis.elements) != d * d:
         raise ValueError(f"need d^2 = {d * d} elements, got {len(basis.elements)}")
     eye = np.eye(d)
-    if np.abs(basis.elements[0] - eye).max() > TOL:
+    if not np.abs(basis.elements[0] - eye).max() <= TOL:
         raise ValueError("element with label (0,0) must be the identity")
-    for i, e in enumerate(basis.elements):
-        if e.shape != (d, d):
-            raise ValueError(f"element {i + 1} is not {d}x{d}")
-        if np.abs(e.conj().T @ e - eye).max() > TOL:
-            raise ValueError(f"element {i + 1} is not unitary")
-    for i in range(d * d):
-        for j in range(i + 1, d * d):
-            ip = np.trace(basis.elements[i].conj().T @ basis.elements[j]) / d
-            if abs(ip) > TOL:
-                raise ValueError(f"elements {i + 1} and {j + 1} are not trace-orthogonal")
+    # the first misshapen element is reported unless an earlier one is not unitary
+    shaped = next((i for i, e in enumerate(basis.elements) if e.shape != (d, d)), d * d)
+    E = np.array(basis.elements[:shaped], dtype=complex).reshape(shaped, d, d)
+    gram = np.einsum("lji,ljk->lik", E.conj(), E) - eye
+    bad = np.flatnonzero(~(np.abs(gram).max(axis=(1, 2), initial=0.0) <= TOL))
+    if bad.size:
+        raise ValueError(f"element {bad[0] + 1} is not unitary")
+    if shaped < d * d:
+        raise ValueError(f"element {shaped + 1} is not {d}x{d}")
+    flat = E.reshape(d * d, d * d)
+    inner = np.triu(flat.conj() @ flat.T / d, 1)
+    bad = np.argwhere(~(np.abs(inner) <= TOL))
+    if bad.size:
+        i, j = bad[0]
+        raise ValueError(f"elements {i + 1} and {j + 1} are not trace-orthogonal")
 
 
 def generalized_pauli_basis(d: int) -> UnitaryErrorBasis:

@@ -82,10 +82,9 @@ class PairHamiltonian:
         scale = max(1.0, float(np.abs(self.J).max(initial=0.0)))
         if np.abs(self.J - self.J.T).max(initial=0.0) > _SYM_TOL * scale:
             raise ValueError("J must be symmetric")
-        for k in range(self.n):
-            blk = self.J[k * m:(k + 1) * m, k * m:(k + 1) * m]
-            if np.any(blk != 0.0):
-                raise ValueError("diagonal blocks of J must be zero")
+        nodes = np.arange(self.n)
+        if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):
+            raise ValueError("diagonal blocks of J must be zero")
 
     @property
     def m(self) -> int:
@@ -164,12 +163,13 @@ def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
     """Seeded dense model with coupling and local entries in [-1, 1]."""
     rng = np.random.default_rng(seed)
     m = d * d - 1
+    # one draw for every pair block, in the row-major order of the pairs k < l
+    k, l = np.triu_indices(n, 1)
+    blocks = rng.uniform(-1.0, 1.0, size=(k.size, m, m))
     J = np.zeros((m * n, m * n))
-    for k in range(n):
-        for l in range(k + 1, n):
-            blk = rng.uniform(-1.0, 1.0, size=(m, m))
-            J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
-            J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
+    J4 = J.reshape(n, m, n, m)
+    J4[k, :, l, :] = blocks
+    J4[l, :, k, :] = blocks.transpose(0, 2, 1)
     r = rng.uniform(-1.0, 1.0, size=m * n)
     return PairHamiltonian(n, d, J, r)
 

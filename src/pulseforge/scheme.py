@@ -8,9 +8,12 @@ error) in coefficient space: each pulse acts on su(d) through a real
 adjoint matrix, so average_model() maps the model's coupling blocks and
 local vectors to those of the averaged model without touching the
 d^n-dimensional space, and verify_scheme() compares the result with a
-target model there.  average_hamiltonian() and average_of_matrix() are
-the dense reference the engine is tested against; the latter also
-serves mixed node dimensions.  The synthesizers pick pulse matrices
+target model there.  Pauli pulses on qubits map every sigma to
++-itself, so for them the average is J o F, F the Gram matrix of the
+pulse signs, one matrix product; other bases go pair by pair.
+average_hamiltonian() and average_of_matrix() are the dense reference
+the engine is tested against; the latter also serves mixed node
+dimensions.  The synthesizers pick pulse matrices
 from orthogonal arrays:
 
 * decoupling: any strength-2 array with one row per node zeroes every
@@ -33,6 +36,8 @@ from . import designs, error_basis, netham
 
 RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
+_SIGN_TOL = 1e-12
+_BAND_ROWS = 512      # rows of F per product in _sign_average
 
 
 @dataclass(eq=False)
@@ -105,25 +110,54 @@ def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
     return np.einsum("aim,lbmi->lab", sigma, conj).real / 2.0
 
 
-def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
-    """Exact average of the model under the scheme, in coefficient space.
+def _pulse_signs(R: np.ndarray) -> np.ndarray | None:
+    """Diagonals of the adjoint matrices when each is a sign matrix, else None.
 
-    Interval j maps J_kl to R_k J_kl R_l^T and r_k to R_k r_k, with R the
-    adjoint matrix of each node's pulse.  Intervals are grouped by the
-    label pair of each node pair, so a block costs O(s^2 m^3) with
-    s = d^2 labels, whatever N is; nothing of size d^n is built.
+    Pauli pulses map every sigma_a to +-sigma_a; the check is numeric, to
+    _SIGN_TOL, so a rotated qubit basis or any d >= 3 basis gives None.
     """
-    if hmodel.n != sch.n:
-        raise ValueError("node counts differ")
-    if any(d != hmodel.d for d in sch.dims):
-        raise ValueError("scheme bases do not match the node dimension")
+    signs = np.sign(np.einsum("laa->la", R))
+    if np.abs(R - signs[:, :, None] * np.eye(R.shape[1])).max() > _SIGN_TOL:
+        return None
+    return signs
+
+
+def _sign_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, signs: np.ndarray):
+    """(J o F, r o X t) with F = X diag(t) X^T, for pulses that act by signs.
+
+    X[(k, a), j] = signs[k, label, a] is the sign of sigma_a under node
+    k's pulse in interval j.  F is filled by row bands of its upper
+    triangle and mirrored, so it is exactly symmetric and no second
+    (mn)^2 array is made; its diagonal blocks are set to exact zeros.
+    """
+    n, m, t = hmodel.n, hmodel.m, sch.times
+    D = n * m
+    X = signs[np.arange(n)[:, None, None], (sch.pulses - 1)[:, None, :],
+              np.arange(m)[:, None]].reshape(D, sch.N)
+    r = hmodel.r * (X @ t)
+    F = np.empty((D, D))
+    band = m * max(1, _BAND_ROWS // m)
+    for i in range(0, D, band):
+        j = min(i + band, D)
+        G = (X[i:j] * t) @ X[i:].T
+        sq = G[:, :j - i]
+        sq[...] = np.triu(sq) + np.triu(sq, 1).T
+        F[i:j, i:] = G
+        F[i:, i:j] = G.T
+    nodes = np.arange(n)
+    F.reshape(n, m, n, m)[nodes, :, nodes, :] = 0.0
+    F *= hmodel.J
+    return F, r
+
+
+def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: list):
+    """(J, r) of the average, one node pair at a time: the general route.
+
+    Interval j maps J_kl to R_k J_kl R_l^T and r_k to R_k r_k.  Intervals
+    are grouped by the label pair of each node pair, so a block costs
+    O(s^2 m^3) with s = d^2 labels, whatever N is.
+    """
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
-    sigma = np.array(netham.gell_mann_basis(hmodel.d).sigma)
-    per_basis = {}
-    for b in sch.bases:
-        if id(b) not in per_basis:
-            per_basis[id(b)] = _adjoint_matrices(b, sigma)
-    R = [per_basis[id(b)] for b in sch.bases]
     labels = sch.pulses - 1
     J = np.zeros_like(hmodel.J)
     r = np.empty_like(hmodel.r)
@@ -138,7 +172,33 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
             blk = np.tensordot(left, R[l], ([0, 2], [0, 2]))
             J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
             J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
-    return netham.PairHamiltonian(n, hmodel.d, J, r)
+    return J, r
+
+
+def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
+    """Exact average of the model under the scheme, in coefficient space.
+
+    Each pulse acts on su(d) through its adjoint matrix R, computed from
+    the basis unitaries.  When every R is a sign matrix (Pauli pulses on
+    qubits) the average is J o F and r o (X t), one matrix product
+    (_sign_average); otherwise it is taken pair by pair (_pair_average).
+    Nothing of size d^n is built.
+    """
+    if hmodel.n != sch.n:
+        raise ValueError("node counts differ")
+    if any(d != hmodel.d for d in sch.dims):
+        raise ValueError("scheme bases do not match the node dimension")
+    sigma = np.array(netham.gell_mann_basis(hmodel.d).sigma)
+    per_basis = {}
+    for b in sch.bases:
+        if id(b) not in per_basis:
+            per_basis[id(b)] = _adjoint_matrices(b, sigma)
+    signs = {key: _pulse_signs(R) for key, R in per_basis.items()}
+    if all(s is not None for s in signs.values()):
+        J, r = _sign_average(hmodel, sch, np.array([signs[id(b)] for b in sch.bases]))
+    else:
+        J, r = _pair_average(hmodel, sch, [per_basis[id(b)] for b in sch.bases])
+    return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
 
 
 def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
@@ -229,19 +289,24 @@ def residual_report(num: float, scale: float) -> dict:
 
 
 def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
-                  target: netham.PairHamiltonian, overhead: float | None = None) -> dict:
+                  target: netham.PairHamiltonian | None,
+                  overhead: float | None = None) -> dict:
     """Frobenius residual of overhead*average against the target model, from coefficients.
 
-    The residual is relative to the model's own norm, so rescaling the
-    model and target together cannot change the verdict.
+    A target of None is the zero model, which is then never built.  The
+    residual is relative to the model's own norm, so rescaling the model
+    and target together cannot change the verdict.
     """
-    if (target.n, target.d) != (hmodel.n, hmodel.d):
+    if target is not None and (target.n, target.d) != (hmodel.n, hmodel.d):
         raise ValueError("target and model differ in n or d")
     if overhead is None:
         overhead = sch.target_overhead
     diff = average_model(hmodel, sch)
-    diff.J = overhead * diff.J - target.J
-    diff.r = overhead * diff.r - target.r
+    diff.J *= overhead
+    diff.r *= overhead
+    if target is not None:
+        diff.J -= target.J
+        diff.r -= target.r
     return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
 
 
@@ -252,10 +317,6 @@ def _matrix_to_pairs(m: np.ndarray) -> list:
     return [[[float(c.real), float(c.imag)] for c in row] for row in m]
 
 
-def _matrix_from_pairs(rows) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows])
-
-
 def scheme_to_json(sch: PulseScheme) -> dict:
     doc = {
         "n": sch.n,
@@ -264,19 +325,39 @@ def scheme_to_json(sch: PulseScheme) -> dict:
         "pulses": sch.pulses.tolist(),
         "target_overhead": sch.target_overhead,
     }
-    dims = sch.dims
-    if len(set(dims)) == 1 and all(_is_standard_basis(b) for b in sch.bases):
-        doc["d"] = dims[0]
+    if _is_standard_basis(sch.bases):
+        doc["d"] = sch.bases[0].d
         doc["basis"] = "generalized_pauli"
     else:
-        doc["d"] = dims
+        doc["d"] = sch.dims
         doc["basis"] = [[_matrix_to_pairs(e) for e in b.elements] for b in sch.bases]
     return doc
 
 
-def _is_standard_basis(b) -> bool:
-    ref = error_basis.generalized_pauli_basis(b.d)
-    return all(np.abs(x - y).max() < 1e-12 for x, y in zip(b.elements, ref.elements))
+def _is_standard_basis(bases) -> bool:
+    """True when every node has the generalized Pauli basis of one common d.
+
+    Each distinct basis object is compared once with one reference.
+    """
+    distinct = list({id(b): b for b in bases}.values())
+    if len({b.d for b in distinct}) != 1:
+        return False
+    ref = error_basis.generalized_pauli_basis(distinct[0].d)
+    return all(np.abs(x - y).max() < 1e-12
+               for b in distinct for x, y in zip(b.elements, ref.elements))
+
+
+def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:
+    """One node's custom basis: d^2 matrices of d x d [re, im] pairs."""
+    d = netham.json_int({"d": d}, "d")
+    try:
+        pairs = np.array(elements, dtype=float)
+    except TypeError:                    # a dict or a list where a number belongs
+        pairs = None
+    if d < 1 or pairs is None or pairs.shape != (d * d, d, d, 2):
+        raise ValueError(f"a basis of dimension {d} must hold {d * d} "
+                         f"{d}x{d} matrices of [re, im] pairs")
+    return error_basis.UnitaryErrorBasis(d, list(pairs.view(complex)[..., 0]))
 
 
 def scheme_from_json(doc: dict) -> PulseScheme:
@@ -284,10 +365,15 @@ def scheme_from_json(doc: dict) -> PulseScheme:
         d = netham.json_int(doc, "d")
         bases = [error_basis.generalized_pauli_basis(d)] * netham.json_int(doc, "n")
     else:
-        dims = doc["d"]
-        bases = [error_basis.UnitaryErrorBasis(int(dd), [_matrix_from_pairs(e) for e in els])
-                 for dd, els in zip(dims, doc["basis"])]
+        dims, mats = doc.get("d"), doc.get("basis")
+        if not (isinstance(dims, list) and isinstance(mats, list) and len(dims) == len(mats)):
+            raise ValueError("field 'basis' must be 'generalized_pauli' or one basis per "
+                             "entry of a list 'd'")
+        bases = [_basis_from_json(dd, els) for dd, els in zip(dims, mats)]
+    overhead = doc.get("target_overhead", 1.0)
+    if isinstance(overhead, bool) or not isinstance(overhead, (int, float)):
+        raise ValueError(f"field 'target_overhead' must be a number, got {overhead!r}")
     return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
                        np.array(doc["times"], dtype=float),
                        netham.json_int_rows(doc, "pulses"),
-                       bases, float(doc.get("target_overhead", 1.0)))
+                       bases, float(overhead))

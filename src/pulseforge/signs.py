@@ -27,14 +27,11 @@ SIGN_TABLE = {
     "z": (1, -1, -1, 1),
 }
 
-# column pattern (sx, sy, sz) -> conjugating element as a shift/clock label;
-# sigma_y and XZ differ by a phase only, so they conjugate identically
-_PATTERN_TO_LABEL = {
-    (1, 1, 1): 1,      # identity
-    (1, -1, -1): 3,    # X
-    (-1, 1, -1): 4,    # XZ
-    (-1, -1, 1): 2,    # Z
-}
+# conjugating element of each column pattern (sx, sy, sz) as a shift/clock
+# label, indexed by the sign bits 4[sx < 0] + 2[sy < 0] + [sz < 0]: I, Z, X
+# and XZ (sigma_y and XZ differ by a phase only, so they conjugate
+# identically); 0 marks the four patterns with sx * sy != sz
+_LABEL_OF_SIGN_BITS = np.array([1, 0, 0, 3, 0, 4, 2, 0])
 
 # phi: F4 -> rows of the order-4 Hadamard matrix, indexed by the fixed
 # field-element encoding [0, 1, w, w^2]
@@ -114,15 +111,14 @@ def verify_signs(st: SignTriple) -> dict:
         bad = np.argwhere(st.Sx * st.Sy != st.Sz)
         for k, j in bad[:16]:
             violations.append({"kind": "schur", "row": int(k), "column": int(j)})
-    rows = np.vstack([st.Sx, st.Sy, st.Sz])
+    # in floats the Gram product runs in BLAS; sums of +-1 are exact there
+    rows = np.vstack([st.Sx, st.Sy, st.Sz]).astype(float)
     tags = [(axis, k) for axis in ("x", "y", "z") for k in range(st.n)]
     G = rows @ rows.T
-    for i in range(3 * st.n):
-        for j in range(i + 1, 3 * st.n):
-            if G[i, j] != 0:
-                violations.append({"kind": "orthogonality",
-                                   "rows": (tags[i], tags[j]),
-                                   "dot": int(G[i, j])})
+    for i, j in np.argwhere(np.triu(G, 1)):
+        violations.append({"kind": "orthogonality",
+                           "rows": (tags[i], tags[j]),
+                           "dot": int(G[i, j])})
     sums = rows.sum(axis=1)
     for i in np.flatnonzero(sums):
         violations.append({"kind": "row_sum", "row": tags[i], "sum": int(sums[i])})
@@ -135,14 +131,12 @@ def signs_to_pulse_scheme(st: SignTriple) -> scheme.PulseScheme:
     The four valid (sx, sy, sz) patterns are distinct, so the lookup is
     unique; anything else means the triple is corrupted.
     """
-    pulses = np.empty((st.n, st.N), dtype=int)
-    for k in range(st.n):
-        for j in range(st.N):
-            pat = (int(st.Sx[k, j]), int(st.Sy[k, j]), int(st.Sz[k, j]))
-            label = _PATTERN_TO_LABEL.get(pat)
-            if label is None:
-                raise ValueError(f"invalid sign pattern {pat} at row {k}, column {j}")
-            pulses[k, j] = label
+    pulses = _LABEL_OF_SIGN_BITS[4 * (st.Sx < 0) + 2 * (st.Sy < 0) + (st.Sz < 0)]
+    bad = np.argwhere(pulses == 0)
+    if bad.size:
+        k, j = bad[0]
+        pat = (int(st.Sx[k, j]), int(st.Sy[k, j]), int(st.Sz[k, j]))
+        raise ValueError(f"invalid sign pattern {pat} at row {k}, column {j}")
     basis = error_basis.generalized_pauli_basis(2)
     return scheme.PulseScheme(st.n, st.N, np.full(st.N, 1.0 / st.N), pulses,
                               [basis] * st.n)

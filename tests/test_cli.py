@@ -137,14 +137,15 @@ def test_bound_rescale_search(capsys, tmp_path):
 
 
 def test_rescale_search_counts_exactly(capsys, tmp_path, monkeypatch):
-    # K random trials after the all-ones start; the flag's absence means one
+    # K random trials; the all-ones start reuses tau_min's value, and the
+    # flag's absence means one trial
     path = write_model(tmp_path, netham.complete_coupling_model(4, 2, alpha=2))
     calls = []
     rescaled = bounds.tau_min_rescaled
     monkeypatch.setattr(bounds, "tau_min_rescaled",
                         lambda *a: calls.append(1) or rescaled(*a))
-    for extra, want in (([], 2), (["--rescale-search", "0"], 1),
-                        (["--rescale-search", "3"], 4)):
+    for extra, want in (([], 1), (["--rescale-search", "0"], 0),
+                        (["--rescale-search", "3"], 3)):
         calls.clear()
         code, rep = run(capsys, "bound", "--model", path, "--invert", *extra)
         assert code == 0 and len(calls) == want, (extra, len(calls))
@@ -461,11 +462,13 @@ _MISSING = object()
     ("pulses", [[1, 2], [3]]), ("pulses", [[1, None], [2, 3]]), ("pulses", [[1.5, 2], [3, 4]]),
     ("phases", _MISSING), ("phases", None), ("phases", {"re": 1}),
     ("phases", [[{"re": 1, "im": 0}], []]), ("phases", [[1, 2, 3], [1, 2, 3]]),
-    ("phases", [[{"re": None, "im": 0}], [{"re": 1, "im": 0}]])])
+    ("phases", [[{"re": None, "im": 0}], [{"re": 1, "im": 0}]]),
+    ("basis", None), ("basis", {"basis": [[1]], "d": [2]}),
+    ("basis", {"basis": [[[[[1, 0]]]], [{"re": 1}]], "d": [1, 2]}), ("target_overhead", None)])
 def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
-    # a missing, null, non-list, ragged or ill-typed pulse or phase matrix is
-    # an input error, not a traceback
-    if kind == "pulses":
+    # a missing, null, non-list, ragged or ill-typed pulse or phase matrix,
+    # basis or overhead is an input error, not a traceback
+    if kind != "phases":
         model = netham.model_to_json(netham.random_model(2, 2, seed=0))
         doc = scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))
     else:
@@ -473,9 +476,11 @@ def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
         doc = harmonic.phase_scheme_to_json(harmonic.fourier_inversion(2))
     if bad is _MISSING:
         del doc[kind]
+    elif kind == "basis" and isinstance(bad, dict):
+        doc.update(bad)                     # a custom basis: one dimension per node
     else:
         doc[kind] = bad
-    loader = scheme.scheme_from_json if kind == "pulses" else harmonic.phase_scheme_from_json
+    loader = harmonic.phase_scheme_from_json if kind == "phases" else scheme.scheme_from_json
     with pytest.raises(ValueError):
         loader(doc)
     mpath, spath = tmp_path / "model.json", tmp_path / "sch.json"

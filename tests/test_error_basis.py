@@ -87,3 +87,11 @@ def test_basis_validation():
            np.array([[0, -1j], [1j, 0]]), np.eye(2)]
     with pytest.raises(ValueError):
         error_basis.UnitaryErrorBasis(2, bad)                 # identity not first
+    good = error_basis.generalized_pauli_basis(2).elements
+    for i, e, msg in ((2, 2 * good[2], "element 3 is not unitary"),
+                      (1, np.full((2, 2), np.nan), "element 2 is not unitary"),
+                      (3, np.eye(3), "element 4 is not 2x2")):
+        with pytest.raises(ValueError, match=msg):
+            error_basis.UnitaryErrorBasis(2, good[:i] + [e] + good[i + 1:])
+    with pytest.raises(ValueError, match="elements 2 and 4 are not trace-orthogonal"):
+        error_basis.UnitaryErrorBasis(2, good[:3] + [good[1]])

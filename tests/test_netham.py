@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -163,6 +165,17 @@ def test_random_model_invariants_and_determinism():
     for k in range(4):
         assert np.all(h1.J[k * m:(k + 1) * m, k * m:(k + 1) * m] == 0)
     assert np.allclose(h1.J, h1.J.T)
+
+
+
+@pytest.mark.parametrize("n,d,seed,digest", [
+    (8, 2, 0, "9c3b73dc8e1bcbc34057e4ab7ae7bedacc74373f394885a8ad55cf939937702a"),
+    (5, 3, 4, "b285ab88f8cf16eb7783e8ff3e7b1b7fd7af0feeda908cea7713e46595e3c89f"),
+    (12, 4, 7, "3e5d0dc2e3c109677094bef984fb3c438434ac12d8a43aadf535f68a40689cef")])
+def test_random_model_pinned(n, d, seed, digest):
+    # the draws of one block per pair in row-major pair order, then r
+    h = netham.random_model(n, d, seed)
+    assert hashlib.sha256(h.J.tobytes() + h.r.tobytes()).hexdigest() == digest
 
 
 def test_model_validation():

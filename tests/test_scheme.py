@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import designs, error_basis, netham, scheme
+from pulseforge import designs, error_basis, graphcolor, netham, scheme
 
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
@@ -313,3 +313,83 @@ def test_zero_model_passes_only_against_zero_target():
     target = _scaled(netham.random_model(2, 2, 1), 1e-20)
     rep = scheme.verify_scheme(zero, sch, target)
     assert rep["ok"] is False and rep["residual"] == np.inf
+
+
+def _loop_average(h, sch):
+    """The per-pair route, run whatever the pulses' adjoint matrices are."""
+    sigma = np.array(netham.gell_mann_basis(h.d).sigma)
+    return scheme._pair_average(h, sch, [scheme._adjoint_matrices(b, sigma) for b in sch.bases])
+
+
+def _qubit_scheme(kind, n, rng):
+    if kind == "decouple":
+        return scheme.decoupling_scheme(n, 2)
+    if kind == "invert":
+        return scheme.inversion_scheme(n, 2)
+    if kind == "selective":
+        return scheme.selective_scheme(n, 2, keep=rng.choice(n, size=min(n, 2), replace=False))
+    if kind == "colored":
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
+        return graphcolor.colored_decoupling_scheme(graphcolor.InteractionGraph(n, set(pairs)), 2)
+    N = int(rng.integers(1, 20))
+    times = rng.uniform(0.05, 1.0, N)
+    return scheme.PulseScheme(n, N, times / times.sum(), rng.integers(1, 5, size=(n, N)),
+                              [error_basis.generalized_pauli_basis(2)] * n)
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 6), kind=st.sampled_from(["random", "decouple", "invert", "selective",
+                                                  "colored"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sign_route_matches_pair_loop(n, kind, seed):
+    rng = np.random.default_rng(seed)
+    if kind in ("decouple", "invert") and n < 2:
+        n = 2
+    sch = _qubit_scheme(kind, n, rng)
+    h = netham.random_model(n, 2, int(rng.integers(2 ** 31)))
+    avg = scheme.average_model(h, sch)
+    J, r = _loop_average(h, sch)
+    assert np.array_equal(avg.J, avg.J.T)
+    assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+
+
+def _route_spy(monkeypatch):
+    loops = []
+    pair_average = scheme._pair_average
+    monkeypatch.setattr(scheme, "_pair_average",
+                        lambda *a: loops.append(1) or pair_average(*a))
+    return loops
+
+
+def test_only_pauli_qubit_pulses_take_the_sign_route(monkeypatch):
+    loops = _route_spy(monkeypatch)
+    rng = np.random.default_rng(3)
+    for n, d in ((3, 2), (4, 2)):
+        for sch in (scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d)):
+            scheme.average_model(netham.random_model(n, d, 1), sch)
+    assert not loops
+    # a rotated qubit basis has non-diagonal adjoint matrices, and no d >= 3 basis acts by signs
+    rotated = _conjugated_basis(2, rng)
+    schemes = [scheme.PulseScheme(3, 4, np.full(4, 0.25), rng.integers(1, 5, size=(3, 4)),
+                                  [rotated] * 3),
+               scheme.PulseScheme(2, 4, np.full(4, 0.25), rng.integers(1, 5, size=(2, 4)),
+                                  [error_basis.generalized_pauli_basis(2), rotated])]
+    for n, d in ((3, 3), (2, 4)):
+        schemes += [scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d),
+                    scheme.selective_scheme(n, d, keep=[0])]
+    for i, sch in enumerate(schemes):
+        h = netham.random_model(sch.n, sch.dims[0], i)
+        loops.clear()
+        avg = scheme.average_model(h, sch)
+        assert loops == [1]
+        J, r = _loop_average(h, sch)
+        assert np.array_equal(avg.J, J) and np.array_equal(avg.r, r)
+
+
+@pytest.mark.parametrize("n", [2, 5, 6, 21, 40])
+def test_sign_route_decouples_exactly(n):
+    h = netham.random_model(n, 2, n)
+    avg = scheme.average_model(h, scheme.decoupling_scheme(n, 2))
+    assert not avg.J.any() and not avg.r.any()
+    assert scheme.verify_scheme(h, scheme.decoupling_scheme(n, 2), None) == {"ok": True,
+                                                                            "residual": 0.0}

@@ -139,8 +139,13 @@ def test_verify_signs_locates_orthogonality_break():
     st.Sz[0] = st.Sx[0] * st.Sy[0]
     rep = signs.verify_signs(st)
     assert not rep["ok"]
-    kinds = {v["kind"] for v in rep["violations"]}
-    assert "orthogonality" in kinds
+    # every non-orthogonal pair of the 3n rows, in the row-major order of (i, j)
+    rows = np.vstack([st.Sx, st.Sy, st.Sz])
+    tags = [(axis, k) for axis in "xyz" for k in range(st.n)]
+    want = [{"kind": "orthogonality", "rows": (tags[i], tags[j]), "dot": int(rows[i] @ rows[j])}
+            for i in range(3 * st.n) for j in range(i + 1, 3 * st.n) if rows[i] @ rows[j]]
+    assert len(want) > 1
+    assert [v for v in rep["violations"] if v["kind"] == "orthogonality"] == want
 
 
 def test_verify_signs_row_sum_break():
