@@ -75,10 +75,6 @@ def _check_coefficients(n: int, d: int):
         raise ValueError(f"coefficient dimension ({d}^2-1)*{n} exceeds {netham.HILBERT_CAP}")
 
 
-def _scaled(h: netham.PairHamiltonian, c: float) -> netham.PairHamiltonian:
-    return netham.PairHamiltonian(h.n, h.d, c * h.J, c * h.r)
-
-
 def _load_like(path: str, model, load):
     """A --target file, which must hold a model of the same n and d."""
     target = load(_load_json(path))
@@ -141,7 +137,7 @@ def cmd_invert(args) -> int:
         sch = scheme.inversion_scheme(args.n, d)
         model = netham.random_model(args.n, d, args.seed)
         overhead = sch.target_overhead
-        rep = scheme.verify_scheme(model, sch, _scaled(model, -1.0))
+        rep = scheme.verify_scheme(model, sch, -1.0)
     if rep["ok"] and args.out:
         _write_scheme(sch, args.out, args.format)
         run.report["outputs"].append(args.out)
@@ -179,10 +175,8 @@ def cmd_verify(args) -> int:
     else:
         model = netham.model_from_json(mdoc)
         sch = scheme.scheme_from_json(sdoc)
-        if factor is None:
-            target = _load_like(args.target, model, netham.model_from_json)
-        else:
-            target = _scaled(model, factor) if factor else None
+        target = (factor if factor is not None
+                  else _load_like(args.target, model, netham.model_from_json))
         rep = scheme.verify_scheme(model, sch, target, overhead=args.overhead)
     run.report["residuals"]["verify"] = rep["residual"]
     return run.finish(rep["ok"])

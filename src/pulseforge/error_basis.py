@@ -75,15 +75,12 @@ def generalized_pauli_basis(d: int) -> UnitaryErrorBasis:
     if not 2 <= d <= 8:
         raise ValueError(f"node dimension {d} out of supported range [2, 8]")
     w = np.exp(2j * np.pi / d)
-    X = np.zeros((d, d), dtype=complex)
-    for j in range(d):
-        X[(j + 1) % d, j] = 1
-    Z = np.diag(w ** np.arange(d))
-    elements = []
-    for a in range(d):
-        for b in range(d):
-            elements.append(np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b))
-    return UnitaryErrorBasis(d, elements)
+    # X^a Z^b holds the diagonal of Z^b, a running product, a rows down
+    zpow = np.cumprod([np.ones(d)] + [w ** np.arange(d)] * (d - 1), axis=0)
+    a, b, j = np.ix_(range(d), range(d), range(d))
+    E = np.zeros((d, d, d, d), dtype=complex)
+    E[a, b, (j + a) % d, j] = zpow[b, j]
+    return UnitaryErrorBasis(d, list(E.reshape(d * d, d, d)))
 
 
 def annihilate(basis: UnitaryErrorBasis, a: np.ndarray) -> np.ndarray:

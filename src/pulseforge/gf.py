@@ -78,20 +78,7 @@ class FieldSpec:
 
 
 def _digits(v: int, p: int, length: int) -> list[int]:
-    out = []
-    for _ in range(length):
-        out.append(v % p)
-        v //= p
-    return out
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return out
+    return [v // p ** i % p for i in range(length)]
 
 
 def _poly_rem(a, m, p):
@@ -156,12 +143,15 @@ def tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     elements encoded by a and b.
     """
     p, k, q = spec.p, spec.k, spec.order
-    m = list(reversed(spec.modulus))
-    digits = np.array([_digits(v, p, k) for v in range(q)])
+    low = np.array(spec.modulus[:0:-1])       # x^k = -low(x) modulo the monic modulus
+    digits = np.arange(q)[:, None] // p ** np.arange(k) % p
     # shifted[a, j] holds the digits of a * x^j, so digit i of a * b is
-    # sum_j shifted[a, j, i] * b_j mod p
-    shifted = np.array([[_poly_rem(_poly_mul(a, [0] * j + [1], p), m, p) for j in range(k)]
-                        for a in digits.tolist()])
+    # sum_j shifted[a, j, i] * b_j mod p; each step multiplies every a by x
+    shifted = [digits]
+    for _ in range(k - 1):
+        prev = shifted[-1]
+        shifted.append((np.hstack([0 * prev[:, :1], prev[:, :-1]]) - prev[:, -1:] * low) % p)
+    shifted = np.stack(shifted, axis=1)
     add = np.zeros((q, q), dtype=int)
     mul = np.zeros((q, q), dtype=int)
     for i in range(k):

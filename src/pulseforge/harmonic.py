@@ -167,6 +167,7 @@ def verify_phase_scheme(net: OscillatorNetwork, ps: PhaseScheme, target: np.ndar
         raise ValueError(f"target coupling matrix must be {net.n} x {net.n}")
     if np.any(np.diag(target) != 0):
         raise ValueError("target coupling matrix must have zero diagonal")
+    scheme.check_overhead(overhead)
     diff = overhead * effective_coupling(net.C, ps) - target
     return scheme.residual_report(np.linalg.norm(diff), np.linalg.norm(net.C))
 

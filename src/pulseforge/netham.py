@@ -121,30 +121,24 @@ def embed_terms(n: int, d: int, terms) -> np.ndarray:
 def assemble(h: PairHamiltonian, basis: SuBasis | None = None) -> np.ndarray:
     """Dense Hermitian realization of the model on (C^d)^{tensor n}.
 
-    One d^2 x d^2 operator per coupled pair and one d x d operator per
-    node are embedded, each through a view of the result.
+    One d^2 x d^2 operator per coupled pair, sigma_flat^T (2 J_kl) sigma_flat
+    with its axes reordered from (i, j, k, l) to (i, k, j, l), and one d x d
+    operator per node are embedded, each through a view of the result.
     """
     if basis is None:
         basis = gell_mann_basis(h.d)
     if basis.d != h.d:
         raise ValueError("basis dimension does not match the model")
-    sigma = np.array(basis.sigma)
-    dd = h.d * h.d
-    m = h.m
-
-    def terms():
-        for k in range(h.n):
-            for l in range(k + 1, h.n):
-                blk = h.block(k, l)
-                if blk.any():
-                    # ordered-pair convention: J_kl and its transpose both contribute
-                    pair = np.einsum("ab,aij,bkl->ikjl", 2.0 * blk, sigma, sigma)
-                    yield (k, l), pair.reshape(dd, dd)
-            local = h.r[k * m:(k + 1) * m]
-            if local.any():
-                yield (k,), np.tensordot(local, sigma, 1)
-
-    return embed_terms(h.n, h.d, terms())
+    d, dd, m, n = h.d, h.d * h.d, h.m, h.n
+    flat = np.array(basis.sigma).reshape(m, dd)
+    k, l = np.triu_indices(n, 1)
+    # ordered-pair convention: J_kl and its transpose both contribute
+    blocks = 2.0 * h.J.reshape(n, m, n, m)[k, :, l, :]
+    pairs = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    terms = [((a, b), op.reshape(dd, dd)) for a, b, op, J in zip(k, l, pairs, blocks) if J.any()]
+    local = h.r.reshape(n, m)
+    terms += [((a,), op) for a, op in enumerate((local @ flat).reshape(n, d, d)) if local[a].any()]
+    return embed_terms(n, d, terms)
 
 
 def frobenius_norm(h: PairHamiltonian) -> float:

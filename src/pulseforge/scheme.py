@@ -10,7 +10,8 @@ local vectors to those of the averaged model without touching the
 d^n-dimensional space, and verify_scheme() compares the result with a
 target model there.  Pauli pulses on qubits map every sigma to
 +-itself, so for them the average is J o F, F the Gram matrix of the
-pulse signs, one matrix product; other bases go pair by pair.
+pulse signs, one matrix product; other bases go one row of coupling
+blocks per node, in three matrix products.
 average_hamiltonian() and average_of_matrix() are the dense reference
 the engine is tested against; the latter also serves mixed node
 dimensions.  The synthesizers pick pulse matrices
@@ -37,7 +38,8 @@ from . import designs, error_basis, netham
 RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SIGN_TOL = 1e-12
-_BAND_ROWS = 512      # rows of F per product in _sign_average
+_BAND_ROWS = 512      # rows per product or update of an (mn)^2 array
+_RUN_ENTRIES = 1 << 17  # weights or product entries per node run in _pair_average
 
 
 @dataclass(eq=False)
@@ -67,12 +69,18 @@ class PulseScheme:
             row = self.pulses[k]
             if row.min() < 1 or row.max() > hi:
                 raise ValueError(f"pulse labels of node {k} out of [1, {hi}]")
-        if self.target_overhead <= 0:
-            raise ValueError("target_overhead must be positive")
+        check_overhead(self.target_overhead, "target_overhead")
 
     @property
     def dims(self) -> list:
         return [b.d for b in self.bases]
+
+
+def check_overhead(overhead: float, name: str = "overhead"):
+    """Refuse an overhead that is not finite and positive, NaN included: a
+    zero overhead would certify a do-nothing scheme as decoupling."""
+    if not 0 < overhead < math.inf:
+        raise ValueError(f"{name} must be finite and positive, got {overhead!r}")
 
 
 def _interval_unitary(sch: PulseScheme, j: int) -> np.ndarray:
@@ -103,11 +111,16 @@ def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
     """R[l-1][a, b] = tr(sigma_a E_l^dag sigma_b E_l) / 2 for every label l.
 
     Conjugation by E_l maps sigma_b to sum_a R[l-1][a, b] sigma_a; the
-    matrices are real and orthogonal because E_l is unitary.
+    matrices are real and orthogonal because E_l is unitary.  The
+    row-major vec of E^dag X E is K vec(X), K = E^dag kron E^T, so with the
+    K of every element built at once the traces are two products with the
+    flattened sigma (sigma_a is Hermitian).
     """
     E = np.array(basis.elements)
-    conj = np.einsum("lji,bjk,lkm->lbim", E.conj(), sigma, E)
-    return np.einsum("aim,lbmi->lab", sigma, conj).real / 2.0
+    Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
+    K = (Ed[:, :, None, :, None] * Et[:, None, :, None, :]).reshape(len(E), Et[0].size, -1)
+    flat = sigma.reshape(len(sigma), -1)
+    return (flat.conj() @ K @ flat.T).real / 2.0
 
 
 def _pulse_signs(R: np.ndarray) -> np.ndarray | None:
@@ -150,29 +163,39 @@ def _sign_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, signs: np.nd
     return F, r
 
 
-def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: list):
-    """(J, r) of the average, one node pair at a time: the general route.
+def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: np.ndarray,
+                  index: np.ndarray):
+    """(J, r) of the average, one row of coupling blocks per node: the general route.
 
-    Interval j maps J_kl to R_k J_kl R_l^T and r_k to R_k r_k.  Intervals
-    are grouped by the label pair of each node pair, so a block costs
-    O(s^2 m^3) with s = d^2 labels, whatever N is.
+    R[index[k], a] is the adjoint matrix of label a + 1 on node k.  Grouped
+    by the label pair (a, b) of nodes k and l, block J_kl becomes
+    sum_ab w_ab R_ka J_kl R_lb^T.  Row k is taken in runs of nodes l > k,
+    at most _RUN_ENTRIES weights or products per node: one bincount gives
+    their weights, three products their blocks (R_k against the row, the
+    weights contracted over a, the stacked R_l over (b, c)), and the mirror
+    blocks are the transposes.
     """
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
     labels = sch.pulses - 1
     J = np.zeros_like(hmodel.J)
-    r = np.empty_like(hmodel.r)
+    J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
+    Rl = R.transpose(0, 1, 3, 2).reshape(len(R), s * m, m)      # Rl[i][(b, c), e] = R[i, b, e, c]
+    run = max(1, _RUN_ENTRIES // max(sch.N, s * m * m))
     for k in range(n):
-        w = np.bincount(labels[k], weights=sch.times, minlength=s)
-        r[k * m:(k + 1) * m] = np.tensordot(w, R[k], 1) @ hmodel.r[k * m:(k + 1) * m]
-        for l in range(k + 1, n):
-            w = np.bincount(labels[k] * s + labels[l], weights=sch.times,
-                            minlength=s * s).reshape(s, s)
-            # sum_ab w_ab R_a J R_b^T, contracted as (sum_a w_ab R_a J) R_b^T
-            left = np.tensordot(w, R[k] @ hmodel.block(k, l), (0, 0))
-            blk = np.tensordot(left, R[l], ([0, 2], [0, 2]))
-            J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
-            J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
-    return J, r
+        for lo in range(k + 1, n, run):
+            hi = min(lo + run, n)
+            pair = labels[lo:hi] + (s * s * np.arange(hi - lo)[:, None] + s * labels[k])
+            w = np.bincount(pair.ravel(), np.tile(sch.times, hi - lo), (hi - lo) * s * s)
+            RJ = R[index[k]].reshape(s * m, m) @ H4[k, :, lo:hi].transpose(1, 0, 2)
+            W = w.reshape(-1, s, s).swapaxes(1, 2) @ RJ.reshape(-1, s, m * m)   # (l, b, (i, c))
+            blk = W.reshape(-1, s, m, m).swapaxes(1, 2).reshape(-1, m, s * m) @ Rl[index[lo:hi]]
+            J4[k, :, lo:hi] = blk.transpose(1, 0, 2)
+            J4[lo:hi, :, k] = blk.transpose(0, 2, 1)
+    w = np.bincount((labels + s * np.arange(n)[:, None]).ravel(), np.tile(sch.times, n), n * s)
+    Rbar = np.empty((n, m * m))
+    for i, Ri in enumerate(R):          # sum_a w_ka R_ka for the nodes k of basis i
+        Rbar[index == i] = w.reshape(n, s)[index == i] @ Ri.reshape(s, m * m)
+    return J, (Rbar.reshape(n, m, m) @ hmodel.r.reshape(n, m, 1)).reshape(n * m)
 
 
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
@@ -181,7 +204,7 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     Each pulse acts on su(d) through its adjoint matrix R, computed from
     the basis unitaries.  When every R is a sign matrix (Pauli pulses on
     qubits) the average is J o F and r o (X t), one matrix product
-    (_sign_average); otherwise it is taken pair by pair (_pair_average).
+    (_sign_average); otherwise row by row of coupling blocks (_pair_average).
     Nothing of size d^n is built.
     """
     if hmodel.n != sch.n:
@@ -189,15 +212,14 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     if any(d != hmodel.d for d in sch.dims):
         raise ValueError("scheme bases do not match the node dimension")
     sigma = np.array(netham.gell_mann_basis(hmodel.d).sigma)
-    per_basis = {}
-    for b in sch.bases:
-        if id(b) not in per_basis:
-            per_basis[id(b)] = _adjoint_matrices(b, sigma)
-    signs = {key: _pulse_signs(R) for key, R in per_basis.items()}
-    if all(s is not None for s in signs.values()):
-        J, r = _sign_average(hmodel, sch, np.array([signs[id(b)] for b in sch.bases]))
+    slot = {}                       # each distinct basis once, in order of first use
+    index = np.array([slot.setdefault(id(b), len(slot)) for b in sch.bases])
+    R = np.array([_adjoint_matrices(b, sigma) for b in {id(b): b for b in sch.bases}.values()])
+    signs = [_pulse_signs(Ri) for Ri in R]
+    if all(sg is not None for sg in signs):
+        J, r = _sign_average(hmodel, sch, np.array(signs)[index])
     else:
-        J, r = _pair_average(hmodel, sch, [per_basis[id(b)] for b in sch.bases])
+        J, r = _pair_average(hmodel, sch, R, index)
     return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
 
 
@@ -289,24 +311,26 @@ def residual_report(num: float, scale: float) -> dict:
 
 
 def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
-                  target: netham.PairHamiltonian | None,
+                  target: netham.PairHamiltonian | float | None,
                   overhead: float | None = None) -> dict:
     """Frobenius residual of overhead*average against the target model, from coefficients.
 
-    A target of None is the zero model, which is then never built.  The
-    residual is relative to the model's own norm, so rescaling the model
-    and target together cannot change the verdict.
+    A number c as target stands for c*hmodel, None for the zero model;
+    neither is built.  The residual is relative to the model's own norm, so
+    rescaling the model and target together cannot change the verdict.
     """
-    if target is not None and (target.n, target.d) != (hmodel.n, hmodel.d):
+    sub, c = (target, 1.0) if isinstance(target, netham.PairHamiltonian) else (hmodel, target)
+    if (sub.n, sub.d) != (hmodel.n, hmodel.d):
         raise ValueError("target and model differ in n or d")
-    if overhead is None:
-        overhead = sch.target_overhead
+    overhead = sch.target_overhead if overhead is None else overhead
+    check_overhead(overhead)
     diff = average_model(hmodel, sch)
     diff.J *= overhead
     diff.r *= overhead
-    if target is not None:
-        diff.J -= target.J
-        diff.r -= target.r
+    if c:                               # by row bands, so no second (mn)^2 array is made
+        for i in range(0, diff.J.shape[0], _BAND_ROWS):
+            diff.J[i:i + _BAND_ROWS] -= c * sub.J[i:i + _BAND_ROWS]
+        diff.r -= c * sub.r
     return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
 
 

@@ -351,6 +351,25 @@ def test_oscillator_certification_builds_no_dense_matrix(capsys, tmp_path, monke
         assert max(rep["residuals"].values()) <= 1e-9, argv
 
 
+@pytest.mark.parametrize("overhead", ["0", "-1", "nan", "inf"])
+def test_verify_refuses_bad_overhead(capsys, tmp_path, overhead):
+    # an overhead of 0 would certify a do-nothing scheme as decoupling, and
+    # nan or inf would print a bare NaN token in the report
+    model = write_model(tmp_path, netham.random_model(2, 2, seed=3))
+    identity = scheme.PulseScheme(2, 1, np.ones(1), np.ones((2, 1), dtype=int),
+                                  [error_basis.generalized_pauli_basis(2)] * 2)
+    sch, net, phases = tmp_path / "id.json", tmp_path / "net.json", tmp_path / "phases.json"
+    sch.write_text(json.dumps(scheme.scheme_to_json(identity)))
+    net.write_text(json.dumps(harmonic.network_to_json(harmonic.random_network(3, 2, 1))))
+    phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(3))))
+    for mpath, spath in ((model, sch), (net, phases)):
+        argv = ["verify", "--model", str(mpath), "--scheme", str(spath), "--target", "zero",
+                "--overhead", overhead]
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: overhead must be finite and positive"), err
+
+
 def test_verify_target_file_must_match_model(capsys, tmp_path):
     # a target of the other kind, or with another n or d, is an input error
     model = write_model(tmp_path, netham.random_model(3, 2, seed=1))
@@ -464,10 +483,13 @@ _MISSING = object()
     ("phases", [[{"re": 1, "im": 0}], []]), ("phases", [[1, 2, 3], [1, 2, 3]]),
     ("phases", [[{"re": None, "im": 0}], [{"re": 1, "im": 0}]]),
     ("basis", None), ("basis", {"basis": [[1]], "d": [2]}),
-    ("basis", {"basis": [[[[[1, 0]]]], [{"re": 1}]], "d": [1, 2]}), ("target_overhead", None)])
+    ("basis", {"basis": [[[[[1, 0]]]], [{"re": 1}]], "d": [1, 2]}), ("target_overhead", None),
+    ("target_overhead", 0), ("target_overhead", -1.0), ("target_overhead", float("nan")),
+    ("target_overhead", float("inf"))])
 def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
     # a missing, null, non-list, ragged or ill-typed pulse or phase matrix,
-    # basis or overhead is an input error, not a traceback
+    # basis or overhead, or an overhead that is not finite and positive, is
+    # an input error, not a traceback
     if kind != "phases":
         model = netham.model_to_json(netham.random_model(2, 2, seed=0))
         doc = scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))

@@ -15,6 +15,19 @@ def test_d2_elements():
 
 
 @pytest.mark.parametrize("d", range(2, 9))
+def test_weyl_elements_match_matrix_powers(d):
+    # label (a, b) is X^a Z^b, as the direct construction by matrix powers gives it
+    w = np.exp(2j * np.pi / d)
+    X = np.roll(np.eye(d), 1, axis=0)
+    Z = np.diag(w ** np.arange(d))
+    b = error_basis.generalized_pauli_basis(d)
+    for l, e in enumerate(b.elements, start=1):
+        a, c = b.label(l)
+        want = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, c)
+        assert np.abs(e - want).max() <= 1e-15, (a, c)
+
+
+@pytest.mark.parametrize("d", range(2, 9))
 def test_unitarity_and_orthogonality(d):
     b = error_basis.generalized_pauli_basis(d)
     eye = np.eye(d)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -152,3 +153,42 @@ def test_errors():
     with pytest.raises(ValueError):
         gf.field_for_order(6)
     assert gf.field_new(2, 10).order == gf.MAX_ORDER
+
+
+# first 16 hex digits of the sha256 of add then mul, each as little-endian
+# int64, for every prime power q <= 256
+_TABLE_DIGESTS = {
+    2: "e0e2ab06335db0a1", 3: "cffce48c67cbb359", 4: "4450d8a9fbb25198", 5: "85abf1af779bdf17",
+    7: "d47d2047798c9f20", 8: "5f037fb7a3a3e3d8", 9: "41dc416798bda53f", 11: "56f1eb01bcf3ddc0",
+    13: "2b791b349f218002", 16: "d37030fcdd9c2213", 17: "433889178d737594",
+    19: "9b927223af476c1f", 23: "3e767e4a54a2fe23", 25: "44450bee243e95c7",
+    27: "6ea69dd87226ced1", 29: "7a753a2780e0cbc8", 31: "208845b517e78600",
+    32: "45d5e5be67f0350e", 37: "6b88183848fc678c", 41: "f61cabf3ab3e800b",
+    43: "5a4fb0ad509958d1", 47: "94e29e7693946161", 49: "b99967056f7b81a9",
+    53: "47adf036f0a9a143", 59: "16dd7f787691954f", 61: "f498d1a9edf96d2c",
+    64: "51fcc993f469ca34", 67: "d61519a14d173342", 71: "c7e80adf61cf831d",
+    73: "a13f10287ce83bca", 79: "12b2ef81b09f106c", 81: "b645cc2729d47fc7",
+    83: "7d2920dbac917cad", 89: "3dd5b4d99f6f49ec", 97: "691e74abbeccfa4d",
+    101: "4cd364304821bd47", 103: "3a0e3696b5c8f2d4", 107: "be15a3aefba816b9",
+    109: "c6310f4597913f2b", 113: "db3b4cf5ddf32cc0", 121: "c234dd0688802a6d",
+    125: "509412ddbd693361", 127: "c182c664d11176a3", 128: "59a18cfe025099e6",
+    131: "51283b12910a90d7", 137: "d3affdc53aed8bc9", 139: "e5ace61ae702ea68",
+    149: "18a978dd5b6f2c53", 151: "3e542c8b68f0e862", 157: "ad52275aa921910c",
+    163: "a90453fe31cc6753", 167: "febb97c4c0b735d5", 169: "b26c6054ad385f11",
+    173: "480946b297681dd6", 179: "35ac8c04cf5716b0", 181: "e92cd6e5da5b6af3",
+    191: "9567b388de842ed7", 193: "f585aafec1241251", 197: "f08e7338d5bcc03f",
+    199: "15be6d285057bbcc", 211: "23b5c341bfe1d22c", 223: "05eb812700c87a81",
+    227: "d8ec19172764536f", 229: "87030ed2ea0ed5ca", 233: "d13e1211cdf024b1",
+    239: "541ce7ad7363a8bc", 241: "7d533faed3bcc654", 243: "d1a134611ac89f32",
+    251: "25450caf77f261fb", 256: "be4b2201ac71c3ba",
+}
+
+
+def test_tables_match_pinned_digests():
+    got = {}
+    for q in range(2, 257):
+        if gf.is_prime_power(q):
+            add, mul = gf.tables(gf.field_for_order(q))
+            data = b"".join(np.ascontiguousarray(t, "<i8").tobytes() for t in (add, mul))
+            got[q] = hashlib.sha256(data).hexdigest()[:16]
+    assert got == _TABLE_DIGESTS

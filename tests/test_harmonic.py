@@ -139,6 +139,9 @@ def test_verify_phase_scheme_refuses_mismatches():
         harmonic.verify_phase_scheme(net, harmonic.fourier_inversion(4), -net.C, 2.0)
     with pytest.raises(ValueError, match="3 x 3"):
         harmonic.verify_phase_scheme(net, ps, np.zeros((2, 2)), 2.0)
+    for overhead in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            harmonic.verify_phase_scheme(net, ps, -net.C, overhead)
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])

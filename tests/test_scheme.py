@@ -277,6 +277,27 @@ def test_verify_scheme_matches_dense_residual(n, d, N, custom, c, overhead, seed
     assert rep["residual"] == pytest.approx(want, rel=1e-12, abs=1e-12)
 
 
+def test_verify_scheme_refuses_bad_overhead():
+    # a zero overhead would pass an identity scheme as decoupling
+    h = netham.random_model(3, 2, 5)
+    sch = _identity_scheme(3, 2)
+    for overhead in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="finite and positive"):
+            scheme.verify_scheme(h, sch, None, overhead)
+        with pytest.raises(ValueError, match="target_overhead"):
+            scheme.PulseScheme(3, sch.N, sch.times, sch.pulses, sch.bases, overhead)
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (180, 2)])
+def test_number_target_equals_scaled_model(n, d):
+    # c stands for c * model; 180 qubits span more than one row band
+    h = netham.random_model(n, d, 8)
+    for sch in (scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d)):
+        for c in (-1.0, 0.0, 0.5):
+            assert scheme.verify_scheme(h, sch, c) == scheme.verify_scheme(h, sch, _scaled(h, c))
+    assert scheme.verify_scheme(h, sch, 0.0) == scheme.verify_scheme(h, sch, None)
+
+
 def test_verify_scheme_refuses_mismatched_target():
     h = netham.random_model(3, 2, 5)
     sch = scheme.decoupling_scheme(3, 2)
@@ -315,10 +336,74 @@ def test_zero_model_passes_only_against_zero_target():
     assert rep["ok"] is False and rep["residual"] == np.inf
 
 
+def _adjoint_stack(sch, d):
+    """Adjoint matrices of each distinct basis and every node's index into them."""
+    sigma = np.array(netham.gell_mann_basis(d).sigma)
+    distinct = list({id(b): b for b in sch.bases}.values())
+    index = np.array([[id(x) for x in distinct].index(id(b)) for b in sch.bases])
+    return np.array([scheme._adjoint_matrices(b, sigma) for b in distinct]), index
+
+
 def _loop_average(h, sch):
-    """The per-pair route, run whatever the pulses' adjoint matrices are."""
-    sigma = np.array(netham.gell_mann_basis(h.d).sigma)
-    return scheme._pair_average(h, sch, [scheme._adjoint_matrices(b, sigma) for b in sch.bases])
+    """The general route, run whatever the pulses' adjoint matrices are."""
+    return scheme._pair_average(h, sch, *_adjoint_stack(sch, h.d))
+
+
+def _pair_loop_reference(h, sch, R):
+    """(J, r) of the average one node pair at a time: the reference for _pair_average.
+
+    Intervals are grouped by the label pair of each node pair, and block
+    J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T, taken as two tensordots.
+    """
+    n, m, s = h.n, h.m, h.d * h.d
+    labels = sch.pulses - 1
+    J = np.zeros_like(h.J)
+    r = np.empty_like(h.r)
+    for k in range(n):
+        w = np.bincount(labels[k], weights=sch.times, minlength=s)
+        r[k * m:(k + 1) * m] = np.tensordot(w, R[k], 1) @ h.r[k * m:(k + 1) * m]
+        for l in range(k + 1, n):
+            w = np.bincount(labels[k] * s + labels[l], weights=sch.times,
+                            minlength=s * s).reshape(s, s)
+            left = np.tensordot(w, R[k] @ h.block(k, l), (0, 0))
+            blk = np.tensordot(left, R[l], ([0, 2], [0, 2]))
+            J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
+            J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
+    return J, r
+
+
+@settings(max_examples=60)
+@given(n=st.integers(1, 7), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 20),
+       run=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
+def test_row_batched_average_matches_pair_loop(n, d, N, run, seed):
+    # nodes share one standard basis or have their own conjugated one; rows
+    # are taken in runs of `run` nodes
+    rng = np.random.default_rng(seed)
+    h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
+    times = rng.uniform(0.05, 1.0, N)
+    standard = error_basis.generalized_pauli_basis(d)
+    bases = [_conjugated_basis(d, rng) if rng.random() < 0.5 else standard for _ in range(n)]
+    sch = scheme.PulseScheme(n, N, times / times.sum(),
+                             rng.integers(1, d * d + 1, size=(n, N)), bases)
+    R, index = _adjoint_stack(sch, d)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "_RUN_ENTRIES", run * max(N, (d ** 4) * (d * d - 1) ** 2))
+        J, r = scheme._pair_average(h, sch, R, index)
+    J_ref, r_ref = _pair_loop_reference(h, sch, R[index])
+    assert np.array_equal(J, J.T)
+    assert np.abs(J - J_ref).max(initial=0.0) <= 1e-12
+    assert np.abs(r - r_ref).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_adjoint_matrices_match_trace_loop(d):
+    sigma = np.array(netham.gell_mann_basis(d).sigma)
+    rng = np.random.default_rng(d)
+    for basis in (error_basis.generalized_pauli_basis(d), _conjugated_basis(d, rng)):
+        R = scheme._adjoint_matrices(basis, sigma)
+        want = np.array([[[np.trace(sa @ E.conj().T @ sb @ E).real / 2 for sb in sigma]
+                          for sa in sigma] for E in basis.elements])
+        assert np.abs(R - want).max() <= 1e-14
 
 
 def _qubit_scheme(kind, n, rng):
