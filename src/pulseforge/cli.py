@@ -10,6 +10,11 @@ error.
 
 from __future__ import annotations
 
+import gc
+
+if __name__ == "__main__":
+    gc.disable()        # before the imports below, numpy's above all; see script()
+
 import argparse
 import hashlib
 import json
@@ -33,7 +38,10 @@ def _digest(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path) as f:
-        return json.load(f)
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
 
 
 def _write_text(path: str, text: str):
@@ -298,5 +306,23 @@ def main(argv=None) -> int:
         return 2
 
 
+def script() -> int:
+    """The `pulseforge` command: main() in a process of its own.
+
+    A command process lives for one request, and reference counting
+    frees its arrays and reports; the cyclic collector would only walk
+    the import-time objects of numpy and the stdlib, during the imports
+    and again in full at interpreter shutdown.  So automatic collection
+    is switched off, and every object is frozen before exit, which
+    shutdown's collections then skip.  main() called in-process leaves
+    the collector as it found it.
+    """
+    gc.disable()
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(script())

@@ -269,4 +269,5 @@ def design_from_json(doc: dict):
 
 def entries_to_csv(entries: np.ndarray) -> str:
     """One line per row of a 2-D integer array, entries joined by commas."""
-    return "\n".join(",".join(str(int(e)) for e in row) for row in entries) + "\n"
+    # tolist() gives Python ints, whose str() costs far less than a numpy scalar's
+    return "\n".join(",".join(map(str, row)) for row in entries.tolist()) + "\n"

@@ -15,6 +15,7 @@ inexact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -305,10 +306,17 @@ def graph_to_json(g: InteractionGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> InteractionGraph:
+    items = doc.get("edges")
+    if not (isinstance(items, list)
+            and all(isinstance(item, list) and len(item) in (2, 3) for item in items)):
+        raise ValueError("field 'edges' must be a list of [u, v] or [u, v, weight] rows")
     edges, weights = set(), {}
-    for item in doc["edges"]:
-        u, v = int(item[0]), int(item[1])
+    for item in items:
+        u, v = (netham.json_int({"vertex": x}, "vertex") for x in item[:2])
         edges.add((u, v))
         if len(item) > 2:
-            weights[(u, v)] = float(item[2])
+            w = item[2]
+            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
+                raise ValueError(f"edge weight must be a finite number, got {w!r}")
+            weights[(u, v)] = float(w)
     return InteractionGraph(netham.json_int(doc, "n"), edges, weights or None)

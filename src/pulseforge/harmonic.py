@@ -371,7 +371,7 @@ def network_to_json(net: OscillatorNetwork) -> dict:
 
 def network_from_json(doc: dict) -> OscillatorNetwork:
     return OscillatorNetwork(netham.json_int(doc, "n"), netham.json_int(doc, "d"),
-                             np.array(doc["C"], dtype=float))
+                             netham.json_floats(doc, "C"))
 
 
 def phase_scheme_to_json(ps: PhaseScheme) -> dict:
@@ -395,4 +395,4 @@ def phase_scheme_from_json(doc: dict) -> PhaseScheme:
     phases = np.array([[_complex_from_json(z) for z in row]
                        for row in netham.json_rows(doc, "phases")])
     return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"), phases,
-                       np.array(doc["times"], dtype=float))
+                       netham.json_floats(doc, "times"))

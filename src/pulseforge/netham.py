@@ -231,7 +231,21 @@ def json_int_rows(doc: dict, key: str) -> np.ndarray:
     return rows
 
 
+def json_floats(doc: dict, key: str) -> np.ndarray:
+    """Number array field (vector or matrix) of a loaded JSON document;
+    ValueError when it is missing, null, ragged, or an entry is not a
+    finite number.  Shapes are left to the caller."""
+    try:
+        values = np.array(doc.get(key))
+    except ValueError:                  # ragged rows
+        values = None
+    # str, dict and null entries give kinds U and O, all-bool ones kind b;
+    # a cast to float would read "2" as 2.0
+    if values is None or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+        raise ValueError(f"field {key!r} must hold finite numbers")
+    return values.astype(float, copy=False)
+
+
 def model_from_json(doc: dict) -> PairHamiltonian:
     return PairHamiltonian(json_int(doc, "n"), json_int(doc, "d"),
-                           np.array(doc["J"], dtype=float),
-                           np.array(doc["r"], dtype=float))
+                           json_floats(doc, "J"), json_floats(doc, "r"))

@@ -398,6 +398,6 @@ def scheme_from_json(doc: dict) -> PulseScheme:
     if isinstance(overhead, bool) or not isinstance(overhead, (int, float)):
         raise ValueError(f"field 'target_overhead' must be a number, got {overhead!r}")
     return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
-                       np.array(doc["times"], dtype=float),
+                       netham.json_floats(doc, "times"),
                        netham.json_int_rows(doc, "pulses"),
                        bases, float(overhead))

@@ -1,4 +1,8 @@
+import gc
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -526,3 +530,120 @@ def test_whole_number_float_pulses_are_labels(capsys, tmp_path):
     mpath = write_model(tmp_path, netham.random_model(3, 2, seed=4))
     code, rep = run(capsys, "verify", "--model", mpath, "--scheme", str(spath), "--target", "zero")
     assert code == 0 and rep["residuals"]["verify"] < 1e-9
+
+
+# one valid input file of each kind, and a command reading each
+_INPUTS = {
+    "model": netham.model_to_json(netham.random_model(2, 2, seed=0)),
+    "sch": scheme.scheme_to_json(scheme.decoupling_scheme(2, 2)),
+    "net": {"n": 2, "d": 2, "C": [[0.0, 1.0], [1.0, 0.0]]},
+    "phases": harmonic.phase_scheme_to_json(harmonic.fourier_inversion(2)),
+    "graph": {"n": 3, "edges": [[0, 1, 2.0], [1, 2]]},
+    "oa": _OA42,
+}
+_READERS = {
+    "bound": ["bound", "--model", "@model"],
+    "verify": ["verify", "--model", "@model", "--scheme", "@sch", "--target", "zero"],
+    "verify_phases": ["verify", "--model", "@net", "--scheme", "@phases", "--target", "invert"],
+    "graph": ["decouple", "--d", "2", "--graph", "@graph"],
+    "signs": ["signs", "--from-oa", "@oa"],
+}
+
+
+def _reader_argv(tmp_path, reader, docs) -> list:
+    for name, doc in docs.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    return [str(tmp_path / f"{w[1:]}.json") if w.startswith("@") else w for w in _READERS[reader]]
+
+
+def test_exit_code_inputs_are_valid(capsys, tmp_path):
+    # the malformed cases below each break one part of these
+    for reader in _READERS:
+        assert cli.main(_reader_argv(tmp_path, reader, _INPUTS)) == 0, reader
+        capsys.readouterr()
+
+
+_WHOLE = object()
+
+
+# a document that is not an object, or a non-number where a number array
+# belongs, is an input error (2), not a traceback (1, the code of a failed
+# verification)
+@pytest.mark.parametrize("reader,name,key,bad,message", [
+    ("bound", "model", _WHOLE, [1, 2], "must hold a JSON object"),
+    ("verify", "model", _WHOLE, [], "must hold a JSON object"),
+    ("verify", "sch", _WHOLE, [[1]], "must hold a JSON object"),
+    ("verify_phases", "net", _WHOLE, "C", "must hold a JSON object"),
+    ("graph", "graph", _WHOLE, [[0, 1]], "must hold a JSON object"),
+    ("signs", "oa", _WHOLE, [_OA42], "must hold a JSON object"),
+    ("bound", "model", "J", {"a": 1}, "field 'J'"),
+    ("verify", "model", "J", {"a": 1}, "field 'J'"),
+    ("verify", "model", "J", [["0.5"] * 6] * 6, "field 'J'"),
+    ("verify", "model", "r", [float("nan")] * 6, "field 'r'"),
+    ("verify_phases", "net", "C", {"a": 1}, "field 'C'"),
+    ("verify_phases", "net", "C", [[0.0, 1.0], [1.0]], "field 'C'"),
+    ("verify", "sch", "times", {"a": 1}, "field 'times'"),
+    ("verify", "sch", "times", None, "field 'times'"),
+    ("verify_phases", "phases", "times", {"a": 1}, "field 'times'"),
+    ("verify_phases", "phases", "times", [0.5, [0.5]], "field 'times'"),
+    ("graph", "graph", "edges", [[0, 1], 2], "field 'edges'"),
+    ("graph", "graph", "edges", [[0, {}], [1, 2]], "field 'vertex'"),
+    ("graph", "graph", "edges", [[0, "1"]], "field 'vertex'"),
+    ("graph", "graph", "edges", [[0, 1, {}]], "edge weight"),
+])
+def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
+    docs = dict(_INPUTS)
+    docs[name] = bad if key is _WHOLE else {**docs[name], key: bad}
+    assert cli.main(_reader_argv(tmp_path, reader, docs)) == 2
+    out, err = capsys.readouterr()
+    lines = err.strip().splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
+    assert message in lines[0], err
+
+
+def _command(tmp_path, *argv) -> subprocess.CompletedProcess:
+    """`python -m pulseforge.cli ARGV` in a fresh process, in tmp_path."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "pulseforge.cli", *argv], cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_command_process_exit_codes(capsys, tmp_path):
+    proc = _command(tmp_path, "decouple", "--n", "2", "--d", "2", "--out", "sch.json")
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is True
+    doc = json.loads((tmp_path / "sch.json").read_text())
+    doc["pulses"][0][0] = doc["pulses"][0][0] % 4 + 1
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    write_model(tmp_path, netham.random_model(2, 2, seed=4))
+    proc = _command(tmp_path, "verify", "--model", "model.json", "--scheme", "bad.json",
+                    "--target", "zero")
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is False
+    proc = _command(tmp_path, "decouple", "--d", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("usage error:")
+    # main() in-process, on success and on an input error, leaves the
+    # collector as it found it; only the script entry changes it
+    state = gc.isenabled(), gc.get_freeze_count()
+    for argv in (["decouple", "--n", "2", "--d", "2"], ["bound", "--model", "missing.json"]):
+        cli.main(argv)
+        assert (gc.isenabled(), gc.get_freeze_count()) == state, argv
+    capsys.readouterr()
+
+
+def test_script_entry_skips_the_collector(capsys, monkeypatch):
+    # the script entry returns main()'s exit code with automatic collection
+    # off and every object frozen, so interpreter shutdown collects nothing
+    monkeypatch.setattr(sys, "argv", ["pulseforge", "decouple", "--n", "2", "--d", "2"])
+    enabled = gc.isenabled()
+    try:
+        assert cli.script() == 0
+        assert not gc.isenabled() and gc.get_freeze_count() > 0
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+    assert json.loads(capsys.readouterr().out)["ok"] is True

@@ -257,8 +257,11 @@ def test_json_roundtrip_and_csv():
     assert doc["kind"] == "ds" and doc["u"] == 3
     back = designs.design_from_json(doc)
     assert (back.entries == ds.entries).all()
-    csv = designs.entries_to_csv(oa.entries)
-    assert len(csv.strip().splitlines()) == oa.n
+    assert designs.entries_to_csv(oa.entries) == ("1,2,3,1,2,3,1,2,3\n1,1,1,2,2,2,3,3,3\n"
+                                                  "1,2,3,2,3,1,3,1,2\n1,2,3,3,1,2,2,3,1\n")
+    assert designs.entries_to_csv(ds.entries) == "0,0,0\n0,1,2\n0,2,1\n"
+    pm = np.array([[1, -1], [-1, 1]])
+    assert designs.entries_to_csv(pm) == "1,-1\n-1,1\n"
 
 
 def test_mixed_product_array():
