@@ -16,7 +16,6 @@ if __name__ == "__main__":
     gc.disable()        # before the imports below, numpy's above all; see script()
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -24,7 +23,7 @@ import time
 
 import numpy as np
 
-from . import bounds, designs, graphcolor, harmonic, netham, scheme, signs
+from . import netham    # the size cap, models and loaders most commands use
 
 
 def _env_seed() -> int:
@@ -32,6 +31,7 @@ def _env_seed() -> int:
 
 
 def _digest(path: str) -> str:
+    import hashlib
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()[:16]
 
@@ -49,8 +49,70 @@ def _write_text(path: str, text: str):
         f.write(text)
 
 
+def _json_pieces(doc, default=None):
+    """`json.dumps(doc, indent=2, sort_keys=True, default=default)` in pieces.
+
+    With an indent the stdlib encodes in pure Python.  Here containers are
+    laid out in Python, and each one that holds no container goes through
+    one call of the C encoder that json.dumps uses without an indent, its
+    item separator carrying the newline and indent.  Keys must be str, and
+    `default` must map an object to a scalar.
+    """
+    default = default or json.JSONEncoder().default     # TypeError, as json.dumps raises
+    levels = []     # per depth: C encoder for the items one level in, and their line start
+
+    def level(depth: int):
+        while len(levels) <= depth:
+            inner = "\n" + "  " * (len(levels) + 1)
+            # markers, default, string encoder, indent, key and item separators,
+            # sort_keys, skipkeys, allow_nan: json.dumps's own settings
+            levels.append((json.encoder.c_make_encoder(
+                {}, default, json.encoder.encode_basestring_ascii, None, ": ", "," + inner,
+                True, False, True), inner))
+        return levels[depth]
+
+    def flat(obj, depth: int) -> str | None:
+        """The text of obj at this depth when it holds no container, else None."""
+        encode, inner = level(depth)
+        if not (isinstance(obj, (dict, list, tuple)) and obj):
+            return "".join(encode(obj, 0))         # a scalar, [] or {}
+        types = set(map(type, obj.values() if isinstance(obj, dict) else obj))
+        if any(issubclass(t, (dict, list, tuple)) for t in types):
+            return None
+        text = "".join(encode(obj, 0))
+        return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
+
+    def pieces(obj, depth: int):
+        text = flat(obj, depth)
+        if text is not None:
+            yield text
+            return
+        inner = level(depth)[1]
+        is_dict = isinstance(obj, dict)
+        sep = ("{" if is_dict else "[") + inner
+        for item in (sorted(obj.items()) if is_dict else obj):
+            if is_dict:
+                key, item = item
+                sep += json.encoder.encode_basestring_ascii(key) + ": "
+            text = flat(item, depth + 1)
+            if text is None:
+                yield sep
+                yield from pieces(item, depth + 1)
+            else:
+                yield sep + text
+            sep = "," + inner
+        yield inner[:-2] + ("}" if is_dict else "]")
+
+    return pieces(doc, 0)
+
+
+def _write_json(path: str, doc):
+    with open(path, "w") as f:
+        f.writelines(_json_pieces(doc))
+
+
 def _emit(report: dict):
-    print(json.dumps(report, indent=2, sort_keys=True, default=float))
+    sys.stdout.write("".join(_json_pieces(report, default=float)) + "\n")
 
 
 class _Run:
@@ -101,19 +163,22 @@ def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
     return netham.PairHamiltonian(g.n, d, J, model.r)
 
 
-def _write_scheme(sch, path: str, fmt: str):
+def _write_scheme(sch, path: str, fmt: str, to_json):
     if fmt == "csv":
+        from . import designs
         _write_text(path, designs.entries_to_csv(sch.pulses))
     else:
-        to_json = (harmonic.phase_scheme_to_json if isinstance(sch, harmonic.PhaseScheme)
-                   else scheme.scheme_to_json)
-        _write_text(path, json.dumps(to_json(sch), indent=2, sort_keys=True))
+        _write_json(path, to_json(sch))
 
 
 def cmd_decouple(args) -> int:
+    from . import scheme
     inputs = [args.graph] if args.graph else []
     run = _Run(args, inputs)
-    g = graphcolor.graph_from_json(_load_json(args.graph)) if args.graph else None
+    g = None
+    if args.graph:
+        from . import graphcolor
+        g = graphcolor.graph_from_json(_load_json(args.graph))
     _check_coefficients(g.n if g else args.n, args.d)
     if g:
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
@@ -125,7 +190,7 @@ def cmd_decouple(args) -> int:
     run.report["intervals"] = sch.N
     run.report["residuals"]["decouple"] = rep["residual"]
     if rep["ok"] and args.out:
-        _write_scheme(sch, args.out, args.format)
+        _write_scheme(sch, args.out, args.format, scheme.scheme_to_json)
         run.report["outputs"].append(args.out)
     return run.finish(rep["ok"])
 
@@ -135,19 +200,23 @@ def cmd_invert(args) -> int:
     d = 3 if args.d is None else args.d     # only --harmonic may omit --d
     _check_coefficients(args.n, d)
     if args.harmonic:
+        from . import harmonic
         if args.format == "csv":
             raise ValueError("phase schemes have complex entries; use json")
         sch = harmonic.fourier_inversion(args.n)
         net = harmonic.random_network(args.n, d, args.seed)
         overhead = float(args.n - 1)
         rep = harmonic.verify_phase_scheme(net, sch, -net.C, overhead)
+        to_json = harmonic.phase_scheme_to_json
     else:
+        from . import scheme
         sch = scheme.inversion_scheme(args.n, d)
         model = netham.random_model(args.n, d, args.seed)
         overhead = sch.target_overhead
         rep = scheme.verify_scheme(model, sch, -1.0)
+        to_json = scheme.scheme_to_json
     if rep["ok"] and args.out:
-        _write_scheme(sch, args.out, args.format)
+        _write_scheme(sch, args.out, args.format, to_json)
         run.report["outputs"].append(args.out)
     run.report["intervals"] = sch.N
     run.report["overhead"] = overhead
@@ -156,6 +225,7 @@ def cmd_invert(args) -> int:
 
 
 def cmd_bound(args) -> int:
+    from . import bounds
     run = _Run(args, [args.model])
     doc = _load_json(args.model)
     _check_coefficients(netham.json_int(doc, "n"), netham.json_int(doc, "d"))
@@ -174,6 +244,7 @@ def cmd_verify(args) -> int:
     sdoc, mdoc = _load_json(args.scheme), _load_json(args.model)
     _check_coefficients(netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d"))
     if "phases" in sdoc:
+        from . import harmonic
         net = harmonic.network_from_json(mdoc)
         ps = harmonic.phase_scheme_from_json(sdoc)
         target = (factor * net.C if factor is not None
@@ -181,6 +252,7 @@ def cmd_verify(args) -> int:
         overhead = args.overhead if args.overhead is not None else 1.0
         rep = harmonic.verify_phase_scheme(net, ps, target, overhead)
     else:
+        from . import scheme
         model = netham.model_from_json(mdoc)
         sch = scheme.scheme_from_json(sdoc)
         target = (factor if factor is not None
@@ -191,6 +263,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_signs(args) -> int:
+    from . import designs, signs
     inputs = [args.from_oa] if args.from_oa else []
     run = _Run(args, inputs)
     if args.m is not None:
@@ -209,8 +282,7 @@ def cmd_signs(args) -> int:
         if args.format == "csv":
             _write_text(args.out, designs.entries_to_csv(np.vstack([st.Sx, st.Sy, st.Sz])))
         else:
-            _write_text(args.out, json.dumps(signs.signs_to_json(st),
-                                             indent=2, sort_keys=True))
+            _write_json(args.out, signs.signs_to_json(st))
         run.report["outputs"].append(args.out)
     return run.finish(rep["ok"])
 
@@ -306,22 +378,23 @@ def main(argv=None) -> int:
         return 2
 
 
-def script() -> int:
+def script():
     """The `pulseforge` command: main() in a process of its own.
 
     A command process lives for one request, and reference counting
     frees its arrays and reports; the cyclic collector would only walk
-    the import-time objects of numpy and the stdlib, during the imports
-    and again in full at interpreter shutdown.  So automatic collection
-    is switched off, and every object is frozen before exit, which
-    shutdown's collections then skip.  main() called in-process leaves
-    the collector as it found it.
+    the import-time objects of numpy and the stdlib.  So automatic
+    collection is switched off, and once main() returns, stdout and
+    stderr are flushed and the process ends at once, skipping interpreter
+    teardown: every file main() wrote is closed by then.  An exception
+    that escapes main() still propagates, to a traceback and exit code 1.
+    main() called in-process leaves the collector as it found it.
     """
     gc.disable()
-    try:
-        return main()
-    finally:
-        gc.freeze()
+    code = main()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ which is how schemes are certified without it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -218,10 +219,21 @@ def json_rows(doc: dict, key: str) -> list:
     return rows
 
 
+def _holds_bool(value, ndim: int) -> bool:
+    """Whether a nested list of ndim >= 1 equal-length levels holds a bool,
+    which numpy would promote to 0 or 1 beside numbers; one pass."""
+    rows = [value]
+    for _ in range(ndim - 1):
+        rows = itertools.chain.from_iterable(rows)
+    return any(bool in set(map(type, row)) for row in rows)
+
+
 def json_int_rows(doc: dict, key: str) -> np.ndarray:
     """Integer matrix field of a loaded JSON document; ValueError as for
     json_rows, or when an entry is not a whole number."""
     rows = np.array(json_rows(doc, key))
+    if rows.ndim == 2 and _holds_bool(doc[key], 2):
+        raise ValueError(f"field {key!r} must hold integers")
     # whole-number floats are accepted as json_int accepts them; a plain
     # cast to int would truncate 1.7 to a valid label
     if rows.dtype.kind == "f" and np.all((rows == np.round(rows)) & (np.abs(rows) < 2 ** 53)):
@@ -239,9 +251,10 @@ def json_floats(doc: dict, key: str) -> np.ndarray:
         values = np.array(doc.get(key))
     except ValueError:                  # ragged rows
         values = None
-    # str, dict and null entries give kinds U and O, all-bool ones kind b;
-    # a cast to float would read "2" as 2.0
-    if values is None or values.dtype.kind not in "iuf" or not np.isfinite(values).all():
+    # str, dict and null entries give kinds U and O, all-bool ones kind b,
+    # bools beside numbers kind i or f; a cast to float would read "2" as 2.0
+    if (values is None or values.dtype.kind not in "iuf" or not np.isfinite(values).all()
+            or (values.ndim and _holds_bool(doc[key], values.ndim))):
         raise ValueError(f"field {key!r} must hold finite numbers")
     return values.astype(float, copy=False)
 

@@ -6,6 +6,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from pulseforge import bounds, cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
 
@@ -590,6 +591,11 @@ _WHOLE = object()
     ("graph", "graph", "edges", [[0, {}], [1, 2]], "field 'vertex'"),
     ("graph", "graph", "edges", [[0, "1"]], "field 'vertex'"),
     ("graph", "graph", "edges", [[0, 1, {}]], "edge weight"),
+    # numpy would read a bool beside numbers as 0 or 1
+    ("bound", "model", "J", [[True, *row[1:]] for row in _INPUTS["model"]["J"]], "field 'J'"),
+    ("verify", "model", "r", [False, *_INPUTS["model"]["r"][1:]], "field 'r'"),
+    ("verify", "sch", "pulses", [[True, *row[1:]] for row in _INPUTS["sch"]["pulses"]],
+     "field 'pulses'"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)
@@ -601,12 +607,20 @@ def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, me
     assert message in lines[0], err
 
 
-def _command(tmp_path, *argv) -> subprocess.CompletedProcess:
-    """`python -m pulseforge.cli ARGV` in a fresh process, in tmp_path."""
+# the script entry as the installed `pulseforge` console script calls it
+_SCRIPT = ["-c", "import sys; from pulseforge.cli import script; sys.exit(script())"]
+
+
+def _command(tmp_path, *argv, entry=("-m", "pulseforge.cli")) -> subprocess.CompletedProcess:
+    """`python ENTRY ARGV` in a fresh process, in tmp_path; by default
+    `python -m pulseforge.cli ARGV`."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "pulseforge.cli", *argv], cwd=tmp_path,
-                          env=dict(os.environ, PYTHONPATH=path), capture_output=True,
+    # without PYTHONUNBUFFERED stdout to a pipe is block-buffered, as users
+    # run it, so a report lost at exit shows
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *entry, *argv], cwd=tmp_path,
+                          env=dict(env, PYTHONPATH=path), capture_output=True,
                           text=True, timeout=120)
 
 
@@ -634,16 +648,72 @@ def test_command_process_exit_codes(capsys, tmp_path):
     capsys.readouterr()
 
 
-def test_script_entry_skips_the_collector(capsys, monkeypatch):
-    # the script entry returns main()'s exit code with automatic collection
-    # off and every object frozen, so interpreter shutdown collects nothing
-    monkeypatch.setattr(sys, "argv", ["pulseforge", "decouple", "--n", "2", "--d", "2"])
-    enabled = gc.isenabled()
+def test_script_entry_exits_with_complete_output(tmp_path):
+    # the script entry ends its process without interpreter teardown, so it
+    # runs in a child: its report must reach the pipe and its file the disk
+    proc = _command(tmp_path, "signs", "--m", "4", "--out", "signs.json", entry=_SCRIPT)
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["ok"] is True and report["outputs"] == ["signs.json"]
+    assert (tmp_path / "signs.json").read_text() == json.dumps(
+        signs.signs_to_json(signs.spread_signs(4)), indent=2, sort_keys=True)
+    write_model(tmp_path, netham.random_model(2, 2, seed=4))
+    # a sign file is no scheme file: an input error
+    proc = _command(tmp_path, "verify", "--model", "model.json", "--scheme", "signs.json",
+                    "--target", "zero", entry=_SCRIPT)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error:")
+    proc = _command(tmp_path, "decouple", "--n", "2", "--d", "2", "--out", "sch.json",
+                    entry=_SCRIPT)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["ok"] is True, proc.stderr
+    doc = json.loads((tmp_path / "sch.json").read_text())
+    doc["pulses"][0][0] = doc["pulses"][0][0] % 4 + 1
+    (tmp_path / "bad.json").write_text(json.dumps(doc))
+    proc = _command(tmp_path, "verify", "--model", "model.json", "--scheme", "bad.json",
+                    "--target", "zero", entry=_SCRIPT)
+    assert proc.returncode == 1, proc.stderr
+    assert json.loads(proc.stdout)["ok"] is False
+
+
+def test_script_entry_propagates_an_escaping_exception(tmp_path):
+    code = ("import sys; from pulseforge import cli; cli.main = lambda: 1 / 0; "
+            "sys.exit(cli.script())")
+    proc = _command(tmp_path, entry=["-c", code])
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr.rstrip().endswith("ZeroDivisionError: division by zero")
+
+
+_SCALARS = (st.none() | st.booleans() | st.integers() | st.text()
+            | st.floats() | st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 1e300])
+            | st.floats().map(np.float64) | st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64)
+            | st.booleans().map(np.bool_))
+_DOCUMENTS = st.recursive(_SCALARS, lambda inner: (
+    st.lists(inner) | st.lists(inner).map(tuple) | st.dictionaries(st.text(), inner)
+    | st.lists(st.lists(st.integers(), max_size=6), max_size=4)), max_leaves=20)
+
+
+@given(doc=_DOCUMENTS, default=st.sampled_from([float, None]))
+def test_json_writer_matches_stdlib(doc, default):
+    # the report and file writer lays out what json.dumps with indent=2 would,
+    # byte for byte, and refuses what it refuses
     try:
-        assert cli.script() == 0
-        assert not gc.isenabled() and gc.get_freeze_count() > 0
-    finally:
-        gc.unfreeze()
-        if enabled:
-            gc.enable()
-    assert json.loads(capsys.readouterr().out)["ok"] is True
+        want = json.dumps(doc, indent=2, sort_keys=True, default=default)
+    except TypeError:
+        with pytest.raises(TypeError):
+            "".join(cli._json_pieces(doc, default))
+        return
+    assert "".join(cli._json_pieces(doc, default)) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["decouple", "--n", "4", "--d", "3"],
+    ["invert", "--n", "3", "--d", "2"],
+    ["invert", "--harmonic", "--n", "4"],
+    ["signs", "--m", "2"],
+])
+def test_written_files_are_stdlib_pretty_json(capsys, tmp_path, argv):
+    out = tmp_path / "out.json"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
