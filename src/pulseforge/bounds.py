@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .netham import eigvals_sym
-
 TOL = 1e-9
 SEARCH_SEED = 0xC0FFEE
 
@@ -46,7 +44,6 @@ def _tau_min_and_spectrum(Jtilde, J) -> tuple[float, np.ndarray]:
     """tau_min(Jtilde, J) and the descending spectrum of J it used."""
     J = _check_traceless_symmetric(J, "J")
     Jtilde = np.asarray(Jtilde, dtype=float)
-    # J passed a tighter symmetry check than eigvals_sym's Hermitian one
     y = np.linalg.eigvalsh(J)[::-1]
     # -J is exactly as symmetric and traceless as J, so only another target is checked
     if np.array_equal(Jtilde, -J):
@@ -136,13 +133,6 @@ def inversion_lower_bound(J) -> float:
     """
     J = _check_traceless_symmetric(J, "J")
     return _inversion_bound(J, np.linalg.eigvalsh(J)[::-1])
-
-
-def spectral_check_hamiltonian(Htilde, H, tau: float, tol: float = 1e-8) -> bool:
-    """Secondary check at the Hilbert-space level: Spec(Htilde) < tau*Spec(H)."""
-    x = eigvals_sym(np.asarray(Htilde))
-    y = eigvals_sym(np.asarray(H))
-    return majorizes(x, tau * y, tol=tol)
 
 
 def bound_report(Jtilde, J, n: int, trials: int = 100,

@@ -12,10 +12,9 @@ n-1.
 Schemes are certified on coupling matrices: the terms a_k a_l^dag of
 distinct ordered pairs are orthogonal and of equal norm, so residuals
 of coupling matrices equal those of the d^n-dimensional Hamiltonians
-for every truncation d.  phase_average, the dense test oracle, takes
-the numeric average on the truncated Fock space as the Hamiltonian
-times an elementwise weight matrix of the (diagonal) phase pulses, and
-cross-checks it against the coupling matrix.
+for every truncation d.  The average itself is the coupling-matrix map
+effective_coupling(); phase_average() realizes it once as a dense
+Hamiltonian on the truncated Fock space.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import numpy as np
 from . import designs, graphcolor, netham, scheme
 
 PHASE_TOL = 1e-12
-CROSS_CHECK_TOL = 1e-10
 
 
 @dataclass(eq=False)
@@ -63,17 +61,11 @@ class PhaseScheme:
         self.phases = np.asarray(self.phases, dtype=complex)
         if self.phases.shape != (self.n, self.N):
             raise ValueError("phase matrix must be n x N")
-        if np.abs(np.abs(self.phases) - 1.0).max() > PHASE_TOL:
+        if not np.all(np.abs(np.abs(self.phases) - 1.0) <= PHASE_TOL):
             raise ValueError("phase entries must have modulus 1")
         if self.times is None:
             self.times = np.full(self.N, 1.0 / self.N)
-        self.times = np.asarray(self.times, dtype=float)
-        if self.times.shape != (self.N,):
-            raise ValueError("times must have length N")
-        if np.any(self.times <= 0):
-            raise ValueError("interval durations must be positive")
-        if abs(self.times.sum() - 1.0) > 1e-12:
-            raise ValueError("interval durations must sum to 1")
+        self.times = scheme.check_times(self.times, self.N)
 
 
 def random_network(n: int, d: int, seed: int) -> OscillatorNetwork:
@@ -107,10 +99,6 @@ def coupling_hamiltonian(C: np.ndarray, n: int, d: int) -> np.ndarray:
     return netham.embed_terms(n, d, terms)
 
 
-def build_hc(net: OscillatorNetwork) -> np.ndarray:
-    return coupling_hamiltonian(net.C, net.n, net.d)
-
-
 def gram(ps: PhaseScheme) -> np.ndarray:
     """Unweighted Gram matrix: entry (k,l) = <m_k|m_l>."""
     return ps.phases.conj() @ ps.phases.T
@@ -122,38 +110,13 @@ def effective_coupling(net_C: np.ndarray, ps: PhaseScheme) -> np.ndarray:
     return np.asarray(net_C, dtype=complex) * factors
 
 
-def _phase_weights(ps: PhaseScheme, d: int) -> np.ndarray:
-    """F[x, y] = sum_j t_j conj(u_j[x]) u_j[y], u_j the diagonal of interval j's unitary.
-
-    Interval j conjugates by the diagonal U_j = diag(u_j), which scales
-    entry (x, y) of any operator by conj(u_j[x]) u_j[y]; the average is
-    therefore the elementwise product with F.
-    """
-    levels = np.arange(d)
-    u = np.ones((1, ps.N), dtype=complex)
-    for k in range(ps.n):
-        u = (u[:, None, :] * ps.phases[k] ** levels[:, None]).reshape(-1, ps.N)
-    return (u.conj() * ps.times) @ u.T
-
-
 def phase_average(net: OscillatorNetwork, ps: PhaseScheme):
-    """(averaged Hamiltonian, effective coupling matrix), cross-checked.
-
-    The numeric conjugation average on the truncated space must match
-    the algebraic coupling computation to 1e-10; a mismatch means an
-    implementation bug, not physics, and raises.
-    """
+    """(averaged Hamiltonian, effective coupling matrix): the dense realization
+    of effective_coupling, one coupling_hamiltonian build."""
     if ps.n != net.n:
         raise ValueError("scheme and network disagree on n")
-    numeric = build_hc(net)
-    scale = max(1.0, np.linalg.norm(numeric))
-    numeric *= _phase_weights(ps, net.d)
     ceff = effective_coupling(net.C, ps)
-    mismatch = coupling_hamiltonian(ceff, net.n, net.d)
-    mismatch -= numeric
-    if np.linalg.norm(mismatch) > CROSS_CHECK_TOL * scale:
-        raise RuntimeError("algebraic and numeric averages disagree")
-    return numeric, ceff
+    return coupling_hamiltonian(ceff, net.n, net.d), ceff
 
 
 def verify_phase_scheme(net: OscillatorNetwork, ps: PhaseScheme, target: np.ndarray,
@@ -384,15 +347,18 @@ def phase_scheme_to_json(ps: PhaseScheme) -> dict:
     }
 
 
-def _complex_from_json(z) -> complex:
-    try:
-        return complex(z["re"], z["im"])
-    except (TypeError, KeyError):
-        raise ValueError(f"phase entries must be {{'re': x, 'im': y}}, got {z!r}") from None
+def _pair_from_json(z) -> list:
+    if not (isinstance(z, dict) and "re" in z and "im" in z):
+        raise ValueError(f"phase entries must be {{'re': x, 'im': y}}, got {z!r}")
+    return [z["re"], z["im"]]
 
 
 def phase_scheme_from_json(doc: dict) -> PhaseScheme:
-    phases = np.array([[_complex_from_json(z) for z in row]
-                       for row in netham.json_rows(doc, "phases")])
-    return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"), phases,
-                       netham.json_floats(doc, "times"))
+    # read as an (n, N, 2) number array, so a bool or a non-finite part is refused
+    pairs = netham.json_floats(
+        {"phases": [[_pair_from_json(z) for z in row] for row in netham.json_rows(doc, "phases")]},
+        "phases")
+    if pairs.ndim != 3:
+        raise ValueError("field 'phases' must hold at least one entry")
+    return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
+                       pairs[..., 0] + 1j * pairs[..., 1], netham.json_floats(doc, "times"))

@@ -6,7 +6,8 @@ coefficient vector r.  Block (k, l) holds the coefficients of
 sigma_alpha^(k) sigma_beta^(l); the sum runs over ordered pairs k != l,
 so an unordered coupling appears twice, once as J_kl and once as its
 transpose.  assemble() realizes the model as a dense Hermitian matrix
-on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide;
+on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
+scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.
 """
@@ -184,14 +185,6 @@ def complete_coupling_model(n: int, d: int, alpha: int, coeff: float = 1.0,
     if with_local:
         r[alpha::m] = coeff
     return PairHamiltonian(n, d, J, r)
-
-
-def eigvals_sym(M: np.ndarray) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, descending."""
-    M = np.asarray(M)
-    if np.abs(M - M.conj().T).max(initial=0.0) > 1e-9 * max(1.0, np.abs(M).max(initial=0.0)):
-        raise ValueError("matrix is not Hermitian")
-    return np.linalg.eigvalsh(M)[::-1]
 
 
 def model_to_json(h: PairHamiltonian) -> dict:

@@ -12,10 +12,9 @@ target model there.  Pauli pulses on qubits map every sigma to
 +-itself, so for them the average is J o F, F the Gram matrix of the
 pulse signs, one matrix product; other bases go one row of coupling
 blocks per node, in three matrix products.
-average_hamiltonian() and average_of_matrix() are the dense reference
-the engine is tested against; the latter also serves mixed node
-dimensions.  The synthesizers pick pulse matrices
-from orthogonal arrays:
+average_hamiltonian() realizes the average as a dense matrix; the d^n
+conjugation average it is tested against lives with the tests.  The
+synthesizers pick pulse matrices from orthogonal arrays:
 
 * decoupling: any strength-2 array with one row per node zeroes every
   coupling and every local term;
@@ -52,14 +51,8 @@ class PulseScheme:
     target_overhead: float = 1.0
 
     def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
+        self.times = check_times(self.times, self.N)
         self.pulses = np.asarray(self.pulses, dtype=int)
-        if self.times.shape != (self.N,):
-            raise ValueError("times must have length N")
-        if np.any(self.times <= 0):
-            raise ValueError("interval durations must be positive")
-        if abs(self.times.sum() - 1.0) > _TIME_TOL:
-            raise ValueError("interval durations must sum to 1")
         if self.pulses.shape != (self.n, self.N):
             raise ValueError("pulse matrix must be n x N")
         if len(self.bases) != self.n:
@@ -76,35 +69,24 @@ class PulseScheme:
         return [b.d for b in self.bases]
 
 
+def check_times(times, N: int) -> np.ndarray:
+    """N interval durations as floats, each positive, summing to 1; every
+    check fails on NaN."""
+    times = np.asarray(times, dtype=float)
+    if times.shape != (N,):
+        raise ValueError("times must have length N")
+    if not np.all(times > 0):
+        raise ValueError("interval durations must be positive")
+    if not abs(times.sum() - 1.0) <= _TIME_TOL:
+        raise ValueError("interval durations must sum to 1")
+    return times
+
+
 def check_overhead(overhead: float, name: str = "overhead"):
     """Refuse an overhead that is not finite and positive, NaN included: a
     zero overhead would certify a do-nothing scheme as decoupling."""
     if not 0 < overhead < math.inf:
         raise ValueError(f"{name} must be finite and positive, got {overhead!r}")
-
-
-def _interval_unitary(sch: PulseScheme, j: int) -> np.ndarray:
-    U = np.eye(1, dtype=complex)
-    for k in range(sch.n):
-        U = np.kron(U, sch.bases[k].element(int(sch.pulses[k, j])))
-    return U
-
-
-def average_of_matrix(H: np.ndarray, sch: PulseScheme) -> np.ndarray:
-    """sum_j times[j] U_j^dag H U_j for an explicit Hermitian H.
-
-    The dense reference: it works for mixed node dimensions and any
-    operator, at two d^n products per interval.
-    """
-    dim = int(np.prod(sch.dims))
-    H = np.asarray(H, dtype=complex)
-    if H.shape != (dim, dim):
-        raise ValueError(f"H must be {dim}x{dim} for this scheme")
-    acc = np.zeros_like(H)
-    for j in range(sch.N):
-        U = _interval_unitary(sch, j)
-        acc += sch.times[j] * (U.conj().T @ H @ U)
-    return acc
 
 
 def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
@@ -374,11 +356,8 @@ def _is_standard_basis(bases) -> bool:
 def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:
     """One node's custom basis: d^2 matrices of d x d [re, im] pairs."""
     d = netham.json_int({"d": d}, "d")
-    try:
-        pairs = np.array(elements, dtype=float)
-    except TypeError:                    # a dict or a list where a number belongs
-        pairs = None
-    if d < 1 or pairs is None or pairs.shape != (d * d, d, d, 2):
+    pairs = netham.json_floats({"basis": elements}, "basis")
+    if d < 1 or pairs.shape != (d * d, d, d, 2):
         raise ValueError(f"a basis of dimension {d} must hold {d * d} "
                          f"{d}x{d} matrices of [re, im] pairs")
     return error_basis.UnitaryErrorBasis(d, list(pairs.view(complex)[..., 0]))

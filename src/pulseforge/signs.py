@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, error_basis, gf, scheme
+from . import designs, error_basis, gf, netham, scheme
 
 # signs acquired by (sigma_x, sigma_y, sigma_z) under conjugation by
 # 1, sigma_x, sigma_y, sigma_z (in that symbol order)
@@ -148,5 +148,5 @@ def signs_to_json(st: SignTriple) -> dict:
 
 
 def signs_from_json(doc: dict) -> SignTriple:
-    return SignTriple(int(doc["n"]), int(doc["N"]),
-                      np.array(doc["Sx"]), np.array(doc["Sy"]), np.array(doc["Sz"]))
+    return SignTriple(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
+                      *(netham.json_int_rows(doc, key) for key in ("Sx", "Sy", "Sz")))

@@ -100,7 +100,7 @@ def test_criterion_5_harmonic_optimal_inversion():
                 net = harmonic.random_network(n, d, seed=10 * n + d)
                 ps = harmonic.fourier_inversion(n)
                 numeric, _ = harmonic.phase_average(net, ps)
-                H = harmonic.build_hc(net)
+                H = harmonic.coupling_hamiltonian(net.C, net.n, net.d)
                 err = np.linalg.norm((n - 1) * numeric + H)
                 assert err <= 1e-10 * np.linalg.norm(H)
 
@@ -112,7 +112,7 @@ def test_criterion_6_difference_scheme_decoupling():
     with announce(6, "D(5,5) decouples 5 oscillators; two-clique recoupling "
                      "keeps intra and kills inter couplings at zero overhead"):
         net = harmonic.random_network(5, 3, seed=1)
-        H = harmonic.build_hc(net)
+        H = harmonic.coupling_hamiltonian(net.C, net.n, net.d)
         ds = designs.cyclic_difference_scheme(5, 5)
         ps = harmonic.ds_decoupling(net, ds)
         numeric, _ = harmonic.phase_average(net, ps)

@@ -479,6 +479,10 @@ def test_malformed_model_fields_exit_2(capsys, tmp_path, bad):
 
 
 _MISSING = object()
+# the qubit Pauli basis as [re, im] pairs, its identity written with true and false
+_BOOL_IDENTITY_PAULI = [[[[True, False], [False, False]], [[False, False], [True, False]]]] + [
+    [[[float(z.real), float(z.imag)] for z in row] for row in e]
+    for e in error_basis.generalized_pauli_basis(2).elements[1:]]
 
 
 @pytest.mark.parametrize("kind,bad", [
@@ -490,7 +494,8 @@ _MISSING = object()
     ("basis", None), ("basis", {"basis": [[1]], "d": [2]}),
     ("basis", {"basis": [[[[[1, 0]]]], [{"re": 1}]], "d": [1, 2]}), ("target_overhead", None),
     ("target_overhead", 0), ("target_overhead", -1.0), ("target_overhead", float("nan")),
-    ("target_overhead", float("inf"))])
+    ("target_overhead", float("inf")), ("phases", [[], []]),
+    ("basis", {"basis": [_BOOL_IDENTITY_PAULI] * 2, "d": [2, 2]})])
 def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
     # a missing, null, non-list, ragged or ill-typed pulse or phase matrix,
     # basis or overhead, or an overhead that is not finite and positive, is
@@ -596,6 +601,10 @@ _WHOLE = object()
     ("verify", "model", "r", [False, *_INPUTS["model"]["r"][1:]], "field 'r'"),
     ("verify", "sch", "pulses", [[True, *row[1:]] for row in _INPUTS["sch"]["pulses"]],
      "field 'pulses'"),
+    ("verify_phases", "phases", "phases", [[{"re": float("nan"), "im": 0.0}], [{"re": 1.0, "im": 0.0}]],
+     "field 'phases'"),
+    ("verify_phases", "phases", "phases", [[{"re": True, "im": 0}], [{"re": 1.0, "im": 0.0}]],
+     "field 'phases'"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

@@ -4,28 +4,34 @@ from hypothesis import given, settings, strategies as st
 
 from pulseforge import bounds, designs, harmonic
 
+import oracle
+
 
 def _net(n, d, seed=0):
     return harmonic.random_network(n, d, seed)
 
 
-def test_build_hc_two_modes():
+def _hc(net):
+    return harmonic.coupling_hamiltonian(net.C, net.n, net.d)
+
+
+def test_coupling_hamiltonian_two_modes():
     C = np.array([[0.0, 1.0], [1.0, 0.0]])
     net = harmonic.OscillatorNetwork(2, 2, C)
-    H = harmonic.build_hc(net)
+    H = _hc(net)
     want = np.zeros((4, 4))
     want[1, 2] = want[2, 1] = 1.0       # |01><10| + |10><01|
     assert np.abs(H - want).max() < 1e-12
 
 
-def test_build_hc_basics():
+def test_coupling_hamiltonian_basics():
     net = harmonic.OscillatorNetwork(3, 2, np.zeros((3, 3)))
-    assert np.abs(harmonic.build_hc(net)).max() == 0.0
+    assert np.abs(_hc(net)).max() == 0.0
     net = _net(3, 3, seed=1)
-    H = harmonic.build_hc(net)
+    H = _hc(net)
     assert np.abs(H - H.conj().T).max() < 1e-12
     with pytest.raises(ValueError):
-        harmonic.build_hc(harmonic.OscillatorNetwork(13, 2, np.zeros((13, 13))))
+        _hc(harmonic.OscillatorNetwork(13, 2, np.zeros((13, 13))))
 
 
 def test_network_validation():
@@ -42,13 +48,18 @@ def test_phase_scheme_validation():
         harmonic.PhaseScheme(1, 2, np.array([[1.0, 0.5]]))
     with pytest.raises(ValueError):
         harmonic.PhaseScheme(1, 2, np.ones((1, 2)), np.array([0.5, 0.6]))
+    # NaN fails the duration and modulus checks, as PulseScheme's do
+    with pytest.raises(ValueError, match="must be positive"):
+        harmonic.PhaseScheme(1, 2, np.ones((1, 2)), np.array([np.nan, 0.5]))
+    with pytest.raises(ValueError, match="modulus 1"):
+        harmonic.PhaseScheme(1, 2, np.array([[1.0, np.nan]]))
 
 
 def test_phase_average_identical_rows_keep_h():
     net = _net(3, 2, seed=2)
     ps = harmonic.PhaseScheme(3, 4, np.tile(np.exp(2j * np.pi * np.arange(4) / 4), (3, 1)))
     avg, ceff = harmonic.phase_average(net, ps)
-    assert np.abs(avg - harmonic.build_hc(net)).max() < 1e-10
+    assert np.abs(avg - _hc(net)).max() < 1e-10
     assert np.abs(ceff - net.C).max() < 1e-12
 
 
@@ -89,7 +100,7 @@ def test_phase_average_matches_conjugation_loop(n, d, N, seed):
     net = _net(n, d, seed=int(rng.integers(2 ** 31)))
     times = rng.uniform(0.05, 1.0, N)
     ps = harmonic.PhaseScheme(n, N, np.exp(2j * np.pi * rng.random((n, N))), times / times.sum())
-    H = harmonic.build_hc(net)
+    H = _hc(net)
     levels = np.arange(d)
     want = np.zeros_like(H)
     for j in range(N):
@@ -101,15 +112,42 @@ def test_phase_average_matches_conjugation_loop(n, d, N, seed):
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(H).max())
 
 
-def test_phase_average_cross_check_catches_tampering(monkeypatch):
-    net = _net(3, 2, seed=11)
-    ps = harmonic.fourier_phase_scheme(3)
-    harmonic.phase_average(net, ps)
-    honest = harmonic.effective_coupling
-    monkeypatch.setattr(harmonic, "effective_coupling",
-                        lambda C, p: honest(C, p) + 1e-6 * (np.ones((3, 3)) - np.eye(3)))
-    with pytest.raises(RuntimeError):
-        harmonic.phase_average(net, ps)
+def _oracle_gap(net, ps):
+    """Frobenius distance of phase_average from the weight-matrix oracle,
+    relative to the network's dense Hamiltonian."""
+    got, _ = harmonic.phase_average(net, ps)
+    return np.linalg.norm(got - oracle.phase_average(net, ps)) / max(1.0, np.linalg.norm(_hc(net)))
+
+
+def test_phase_average_matches_oracle_weights_benchmark_cases():
+    net = _net(5, 4, seed=50)
+    assert _oracle_gap(net, harmonic.fourier_inversion(5)) <= 1e-10
+    net = _net(6, 3, seed=51)
+    ps = harmonic.ds_decoupling(net, designs.difference_scheme_for(6))
+    assert _oracle_gap(net, ps) <= 1e-10
+
+
+@settings(max_examples=30)
+@given(n=st.integers(1, 5), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_phase_average_matches_oracle_weights(n, d, N, seed):
+    rng = np.random.default_rng(seed)
+    net = _net(n, d, seed=int(rng.integers(2 ** 31)))
+    times = rng.uniform(0.05, 1.0, N)
+    ps = harmonic.PhaseScheme(n, N, np.exp(2j * np.pi * rng.random((n, N))), times / times.sum())
+    assert _oracle_gap(net, ps) <= 1e-10
+
+
+def test_phase_average_builds_one_dense_matrix(monkeypatch):
+    calls = []
+    build = harmonic.coupling_hamiltonian
+    monkeypatch.setattr(harmonic, "coupling_hamiltonian",
+                        lambda *a: calls.append(a) or build(*a))
+    net = _net(4, 3, seed=52)
+    ps = harmonic.fourier_inversion(4)
+    avg, ceff = harmonic.phase_average(net, ps)
+    assert len(calls) == 1
+    assert np.array_equal(avg, build(ceff, 4, 3))
 
 
 @settings(max_examples=40)
@@ -124,8 +162,8 @@ def test_verify_phase_scheme_matches_dense_residual(n, d, N, hermitian, seed):
     T += T.conj().T
     overhead = float(rng.uniform(0.1, 5.0))
     got = harmonic.verify_phase_scheme(net, ps, T, overhead)["residual"]
-    dense = overhead * harmonic.phase_average(net, ps)[0] - harmonic.coupling_hamiltonian(T, n, d)
-    want = np.linalg.norm(dense) / np.linalg.norm(harmonic.build_hc(net))
+    dense = overhead * oracle.phase_average(net, ps) - harmonic.coupling_hamiltonian(T, n, d)
+    want = np.linalg.norm(dense) / np.linalg.norm(_hc(net))
     assert abs(got - want) <= 1e-12 * max(1.0, want)
 
 
@@ -164,7 +202,7 @@ def test_clique_recoupling_single_clique():
     net = _net(3, 2, seed=7)
     ps = harmonic.clique_recoupling(net, [[0, 1, 2]])
     avg, ceff = harmonic.phase_average(net, ps)
-    assert np.abs(avg - harmonic.build_hc(net)).max() < 1e-10
+    assert np.abs(avg - _hc(net)).max() < 1e-10
     assert np.abs(ceff - net.C).max() < 1e-12
 
 
@@ -225,7 +263,7 @@ def test_fourier_inversion_gram_exact():
 def test_fourier_inversion_average(n):
     net = _net(n, 3, seed=20 + n)
     ps = harmonic.fourier_inversion(n)
-    H = harmonic.build_hc(net)
+    H = _hc(net)
     avg, ceff = harmonic.phase_average(net, ps)
     assert np.abs((n - 1) * avg + H).max() < 1e-10 * max(1.0, np.abs(H).max())
     assert np.abs((n - 1) * ceff + net.C).max() < 1e-10

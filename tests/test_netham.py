@@ -191,24 +191,6 @@ def test_model_validation():
         netham.assemble(netham.random_model(13, 2, 0))               # 2^13 > cap
 
 
-def test_eigvals_sym():
-    assert np.allclose(netham.eigvals_sym(np.diag([3.0, 1.0, 2.0])), [3, 2, 1])
-    h = netham.complete_coupling_model(3, 2, alpha=2, coeff=1.0)
-    spec = netham.eigvals_sym(h.J)
-    assert np.allclose(spec[0], 2.0)
-    assert np.allclose(spec[-2:], [-1.0, -1.0])
-    assert np.allclose(spec[1:-2], 0.0)        # 6 zeros from the unused components
-    assert abs(spec.sum()) < 1e-9
-    rng = np.random.default_rng(3)
-    M = rng.normal(size=(7, 7))
-    M = M + M.T
-    ev = netham.eigvals_sym(M)
-    assert np.all(np.diff(ev) <= 1e-12)
-    assert abs(ev.sum() - np.trace(M)) < 1e-9
-    with pytest.raises(ValueError):
-        netham.eigvals_sym(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
 def test_model_json_roundtrip():
     h = netham.random_model(3, 2, 9)
     back = netham.model_from_json(netham.model_to_json(h))

@@ -4,6 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from pulseforge import designs, error_basis, graphcolor, netham, scheme
 
+import oracle
+
 SZ = np.diag([1.0, -1.0]).astype(complex)
 
 
@@ -194,7 +196,7 @@ def test_mixed_decoupling():
         H += embed({k: rand_traceless(dims[k])})
     sch = scheme.mixed_decoupling_scheme(dims)
     assert sch.N == 4 * 9 * 4
-    assert np.abs(scheme.average_of_matrix(H, sch)).max() < 1e-10
+    assert np.abs(oracle.conjugation_average(H, sch)).max() < 1e-10
 
 
 def test_scheme_validation():
@@ -205,6 +207,9 @@ def test_scheme_validation():
         scheme.PulseScheme(1, 2, np.array([1.0, -0.0]), np.ones((1, 2), dtype=int), [basis])
     with pytest.raises(ValueError):
         scheme.PulseScheme(1, 2, np.array([0.5, 0.5]), np.array([[1, 5]]), [basis])
+    # a NaN duration fails the positivity check, as PhaseScheme's does
+    with pytest.raises(ValueError, match="must be positive"):
+        scheme.PulseScheme(1, 2, np.array([np.nan, 0.5]), np.ones((1, 2), dtype=int), [basis])
     h = netham.random_model(3, 2, 0)
     with pytest.raises(ValueError):
         scheme.average_hamiltonian(h, _identity_scheme(2, 2))
@@ -250,7 +255,7 @@ def test_average_model_matches_dense_oracle(n, d, N, custom, seed):
         sch = scheme.scheme_from_json(scheme.scheme_to_json(sch))
         assert len({id(b) for b in sch.bases}) == n    # one basis object per node
     H = netham.assemble(h)
-    want = scheme.average_of_matrix(H, sch)
+    want = oracle.conjugation_average(H, sch)
     avg = scheme.average_model(h, sch)
     assert np.array_equal(avg.J, avg.J.T)
     got = netham.assemble(avg)
@@ -271,7 +276,7 @@ def test_verify_scheme_matches_dense_residual(n, d, N, custom, c, overhead, seed
     sch = scheme.PulseScheme(n, N, times / times.sum(),
                              rng.integers(1, d * d + 1, size=(n, N)), [basis] * n)
     H = netham.assemble(h)
-    dense = overhead * scheme.average_of_matrix(H, sch) - netham.assemble(target)
+    dense = overhead * oracle.conjugation_average(H, sch) - netham.assemble(target)
     want = np.linalg.norm(dense) / np.linalg.norm(H)
     rep = scheme.verify_scheme(h, sch, target, overhead)
     assert rep["residual"] == pytest.approx(want, rel=1e-12, abs=1e-12)

@@ -164,6 +164,15 @@ def test_constructor_validation():
                          np.ones((1, 4), int), np.ones((1, 4), int))
 
 
+# a fractional or boolean size, or a non-integer sign, would be truncated to a valid one
+@pytest.mark.parametrize("key,bad", [("n", 1.9), ("n", True), ("N", None),
+                                     ("Sx", [[True, -1, 1, -1]]), ("Sy", [[1.2, -1, -1, 1]])])
+def test_json_rejects_malformed_fields(key, bad):
+    doc = {**signs.signs_to_json(signs.spread_signs(1)), key: bad}
+    with pytest.raises(ValueError, match=f"field '{key}'"):
+        signs.signs_from_json(doc)
+
+
 def test_json_roundtrip():
     st = signs.spread_signs(2)
     doc = signs.signs_to_json(st)
