@@ -27,7 +27,11 @@ from . import netham    # the size cap, models and loaders most commands use
 
 
 def _env_seed() -> int:
-    return int(os.environ.get("PULSEFORGE_SEED", "0"))
+    value = os.environ.get("PULSEFORGE_SEED", "0")
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"PULSEFORGE_SEED must be an integer, got {value!r}") from None
 
 
 def _digest(path: str) -> str:
@@ -295,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=_env_seed(),
+    common.add_argument("--seed", type=int,
                         help="seed for verification models and searches "
                              "(default: PULSEFORGE_SEED or 0)")
 
@@ -372,6 +376,8 @@ def main(argv=None) -> int:
         print(f"usage error: {msg}", file=sys.stderr)
         return 2
     try:
+        if args.seed is None:        # read only now, so a bad value cannot fail --seed 1
+            args.seed = _env_seed()
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
         print(f"error: {e}", file=sys.stderr)

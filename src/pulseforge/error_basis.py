@@ -7,11 +7,14 @@ Hermitian operator, which is the mechanism behind decoupling.
 
 Label l in [1, d^2] stands for (a, b) = divmod(l-1, d); this matches
 the label arithmetic of :func:`pulseforge.designs.normalize_oa`, so
-array normal forms and basis labels compose consistently.
+array normal forms and basis labels compose consistently.  The
+generalized Pauli basis of each d is built and checked once in a
+process and shared; its elements are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +75,11 @@ def generalized_pauli_basis(d: int) -> UnitaryErrorBasis:
     X|j> = |j+1 mod d>, Z|j> = e^{2 pi i j/d}|j>.  For d = 2 the
     elements are 1, Z, X, XZ, phase-equivalent to the Pauli basis.
     """
+    return _generalized_pauli(d)
+
+
+@functools.cache
+def _generalized_pauli(d: int) -> UnitaryErrorBasis:
     if not 2 <= d <= 8:
         raise ValueError(f"node dimension {d} out of supported range [2, 8]")
     w = np.exp(2j * np.pi / d)
@@ -80,6 +88,7 @@ def generalized_pauli_basis(d: int) -> UnitaryErrorBasis:
     a, b, j = np.ix_(range(d), range(d), range(d))
     E = np.zeros((d, d, d, d), dtype=complex)
     E[a, b, (j + a) % d, j] = zpow[b, j]
+    E.flags.writeable = False           # and so are the element views
     return UnitaryErrorBasis(d, list(E.reshape(d * d, d, d)))
 
 

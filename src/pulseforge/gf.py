@@ -7,7 +7,8 @@ element labeling.  An element is its integer encoding ``sum(c_i * p**i)``,
 where c_i multiplies x**i; the encoding doubles as the symbol label that
 design constructions use.  All arithmetic goes through the q x q
 addition and multiplication tables that :func:`tables` builds over these
-encodings.
+encodings.  Each field and its tables are built once in a process and
+shared; the tables are read-only.
 
 Orders are capped at 2^10, so a table never exceeds a million entries;
 everything this package builds needs q <= 313.
@@ -15,6 +16,7 @@ everything this package builds needs q <= 313.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,6 +116,11 @@ def field_new(p: int, k: int) -> FieldSpec:
     Candidates are monic degree-k polynomials ordered by their coefficient
     tuple written leading term first, so e.g. GF(4) always gets x^2+x+1.
     """
+    return _field(p, k)
+
+
+@functools.cache
+def _field(p: int, k: int) -> FieldSpec:
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 1:
@@ -142,6 +149,11 @@ def tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     add[a, b] and mul[a, b] encode the sum and the product of the
     elements encoded by a and b.
     """
+    return _tables(spec)
+
+
+@functools.cache
+def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     p, k, q = spec.p, spec.k, spec.order
     low = np.array(spec.modulus[:0:-1])       # x^k = -low(x) modulo the monic modulus
     digits = np.arange(q)[:, None] // p ** np.arange(k) % p
@@ -157,4 +169,5 @@ def tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     for i in range(k):
         add += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
         mul += (shifted[:, :, i] @ digits.T) % p * p ** i
+    add.flags.writeable = mul.flags.writeable = False
     return add, mul

@@ -9,11 +9,13 @@ transpose.  assemble() realizes the model as a dense Hermitian matrix
 on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
 scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
-which is how schemes are certified without it.
+which is how schemes are certified without it.  gell_mann_basis(d) is
+built once per d in a process and shared; its matrices are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -40,6 +42,12 @@ def gell_mann_basis(d: int) -> SuBasis:
 
     For d = 2 this is exactly (sigma_x, sigma_y, sigma_z).
     """
+    return _gell_mann(d)[0]
+
+
+@functools.cache
+def _gell_mann(d: int) -> tuple[SuBasis, np.ndarray]:
+    """The basis for d and its matrices stacked (m, d, d), both read-only."""
     if not 2 <= d <= 4:
         raise ValueError(f"node dimension {d} out of supported range [2, 4]")
     mats = []
@@ -60,7 +68,9 @@ def gell_mann_basis(d: int) -> SuBasis:
             m[t, t] = 1
         m[l, l] = -l
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
-    return SuBasis(d, tuple(mats))
+    stacked = np.array(mats)
+    stacked.flags.writeable = False     # and so are the matrices, its views
+    return SuBasis(d, tuple(stacked)), stacked
 
 
 @dataclass(eq=False)
@@ -127,12 +137,11 @@ def assemble(h: PairHamiltonian, basis: SuBasis | None = None) -> np.ndarray:
     with its axes reordered from (i, j, k, l) to (i, k, j, l), and one d x d
     operator per node are embedded, each through a view of the result.
     """
-    if basis is None:
-        basis = gell_mann_basis(h.d)
+    basis, sigma = _gell_mann(h.d) if basis is None else (basis, np.array(basis.sigma))
     if basis.d != h.d:
         raise ValueError("basis dimension does not match the model")
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
-    flat = np.array(basis.sigma).reshape(m, dd)
+    flat = sigma.reshape(m, dd)
     k, l = np.triu_indices(n, 1)
     # ordered-pair convention: J_kl and its transpose both contribute
     blocks = 2.0 * h.J.reshape(n, m, n, m)[k, :, l, :]

@@ -27,6 +27,7 @@ synthesizers pick pulse matrices from orthogonal arrays:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -117,6 +118,22 @@ def _pulse_signs(R: np.ndarray) -> np.ndarray | None:
     return signs
 
 
+def _adjoint(basis, sigma: np.ndarray) -> tuple:
+    """(R, _pulse_signs(R)) of one basis."""
+    R = _adjoint_matrices(basis, sigma)
+    return R, _pulse_signs(R)
+
+
+@functools.cache
+def _standard_adjoint(d: int) -> tuple:
+    """_adjoint of the generalized Pauli basis of d, built once and read-only."""
+    R, signs = _adjoint(error_basis.generalized_pauli_basis(d), netham._gell_mann(d)[1])
+    R.flags.writeable = False
+    if signs is not None:
+        signs.flags.writeable = False
+    return R, signs
+
+
 def _sign_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, signs: np.ndarray):
     """(J o F, r o X t) with F = X diag(t) X^T, for pulses that act by signs.
 
@@ -163,11 +180,12 @@ def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: np.ndarra
     J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
     Rl = R.transpose(0, 1, 3, 2).reshape(len(R), s * m, m)      # Rl[i][(b, c), e] = R[i, b, e, c]
     run = max(1, _RUN_ENTRIES // max(sch.N, s * m * m))
+    times = np.tile(sch.times, min(run, n))            # the weights of the longest run
     for k in range(n):
         for lo in range(k + 1, n, run):
             hi = min(lo + run, n)
             pair = labels[lo:hi] + (s * s * np.arange(hi - lo)[:, None] + s * labels[k])
-            w = np.bincount(pair.ravel(), np.tile(sch.times, hi - lo), (hi - lo) * s * s)
+            w = np.bincount(pair.ravel(), times[:pair.size], (hi - lo) * s * s)
             RJ = R[index[k]].reshape(s * m, m) @ H4[k, :, lo:hi].transpose(1, 0, 2)
             W = w.reshape(-1, s, s).swapaxes(1, 2) @ RJ.reshape(-1, s, m * m)   # (l, b, (i, c))
             blk = W.reshape(-1, s, m, m).swapaxes(1, 2).reshape(-1, m, s * m) @ Rl[index[lo:hi]]
@@ -184,7 +202,8 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     """Exact average of the model under the scheme, in coefficient space.
 
     Each pulse acts on su(d) through its adjoint matrix R, computed from
-    the basis unitaries.  When every R is a sign matrix (Pauli pulses on
+    the basis unitaries, once per d for the shared generalized Pauli
+    basis.  When every R is a sign matrix (Pauli pulses on
     qubits) the average is J o F and r o (X t), one matrix product
     (_sign_average); otherwise row by row of coupling blocks (_pair_average).
     Nothing of size d^n is built.
@@ -193,15 +212,15 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
         raise ValueError("node counts differ")
     if any(d != hmodel.d for d in sch.dims):
         raise ValueError("scheme bases do not match the node dimension")
-    sigma = np.array(netham.gell_mann_basis(hmodel.d).sigma)
+    sigma = netham._gell_mann(hmodel.d)[1]
     slot = {}                       # each distinct basis once, in order of first use
     index = np.array([slot.setdefault(id(b), len(slot)) for b in sch.bases])
-    R = np.array([_adjoint_matrices(b, sigma) for b in {id(b): b for b in sch.bases}.values()])
-    signs = [_pulse_signs(Ri) for Ri in R]
+    R, signs = zip(*[_standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
+                     else _adjoint(b, sigma) for b in {id(b): b for b in sch.bases}.values()])
     if all(sg is not None for sg in signs):
         J, r = _sign_average(hmodel, sch, np.array(signs)[index])
     else:
-        J, r = _pair_average(hmodel, sch, R, index)
+        J, r = _pair_average(hmodel, sch, np.array(R), index)
     return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
 
 
@@ -343,14 +362,16 @@ def scheme_to_json(sch: PulseScheme) -> dict:
 def _is_standard_basis(bases) -> bool:
     """True when every node has the generalized Pauli basis of one common d.
 
-    Each distinct basis object is compared once with one reference.
+    The shared basis is taken by identity; any other distinct basis
+    object is compared with it once, entry by entry.
     """
     distinct = list({id(b): b for b in bases}.values())
     if len({b.d for b in distinct}) != 1:
         return False
     ref = error_basis.generalized_pauli_basis(distinct[0].d)
-    return all(np.abs(x - y).max() < 1e-12
-               for b in distinct for x, y in zip(b.elements, ref.elements))
+    return all(b is ref or all(np.abs(x - y).max() < 1e-12
+                               for x, y in zip(b.elements, ref.elements))
+               for b in distinct)
 
 
 def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:

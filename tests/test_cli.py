@@ -256,6 +256,18 @@ def test_seed_env_fallback(capsys, monkeypatch):
     assert rep["options"]["seed"] == 17
 
 
+def test_bad_seed_env_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("PULSEFORGE_SEED", "abc")
+    assert cli.main(["decouple", "--n", "3", "--d", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: PULSEFORGE_SEED must be an integer, got 'abc'"]
+    # the variable is not read when --seed is given
+    code, rep = run(capsys, "decouple", "--n", "3", "--d", "2", "--seed", "1")
+    assert code == 0 and rep["options"]["seed"] == 1
+
+
 def test_deterministic_outputs(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "decouple", "--n", "3", "--d", "2", "--seed", "5",

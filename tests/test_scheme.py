@@ -263,6 +263,41 @@ def test_average_model_matches_dense_oracle(n, d, N, custom, seed):
     assert np.abs(scheme.average_hamiltonian(h, sch) - got).max() == 0.0
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_custom_bases_still_match_the_oracle(d):
+    # a rotated qubit basis, and d = 3 bases read back from a scheme file's
+    # basis list, one object per node, after the shared constants are built
+    rng = np.random.default_rng(d)
+    scheme.average_model(netham.random_model(3, d, 0), scheme.decoupling_scheme(3, d))
+    N = 7
+    times = rng.uniform(0.05, 1.0, N)
+    sch = scheme.PulseScheme(3, N, times / times.sum(), rng.integers(1, d * d + 1, size=(3, N)),
+                             [_conjugated_basis(d, rng)] * 3)
+    if d == 3:
+        sch = scheme.scheme_from_json(scheme.scheme_to_json(sch))
+        assert len({id(b) for b in sch.bases}) == 3
+    assert not scheme._is_standard_basis(sch.bases)
+    h = netham.random_model(3, d, 1)
+    H = netham.assemble(h)
+    got = scheme.average_hamiltonian(h, sch)
+    assert np.linalg.norm(got - oracle.conjugation_average(H, sch)) <= 1e-12 * np.linalg.norm(H)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_a_copy_of_the_standard_basis_averages_to_the_same_bits(d):
+    # a copy is not the shared basis, so its adjoint matrices are computed
+    # per call, by the same arithmetic
+    standard = error_basis.generalized_pauli_basis(d)
+    copy = error_basis.UnitaryErrorBasis(d, [e.copy() for e in standard.elements])
+    sch = scheme.inversion_scheme(3, d)
+    twin = scheme.PulseScheme(3, sch.N, sch.times, sch.pulses, [copy] * 3, sch.target_overhead)
+    assert scheme._is_standard_basis(twin.bases)
+    h = netham.random_model(3, d, 2)
+    a, b = scheme.average_model(h, sch), scheme.average_model(h, twin)
+    assert np.array_equal(a.J, b.J) and np.array_equal(a.r, b.r)
+    assert scheme.scheme_to_json(sch) == scheme.scheme_to_json(twin)
+
+
 @settings(max_examples=40)
 @given(n=st.integers(1, 4), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 12),
        custom=st.booleans(), c=st.floats(-2.0, 2.0), overhead=st.floats(0.1, 100.0),
