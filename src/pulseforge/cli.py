@@ -298,8 +298,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "synthesis, overhead bounds and exact verification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int,
+    seeded = argparse.ArgumentParser(add_help=False)     # verify and signs draw nothing at random
+    seeded.add_argument("--seed", type=int,
                         help="seed for verification models and searches "
                              "(default: PULSEFORGE_SEED or 0)")
 
@@ -307,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     writer.add_argument("--out", help="write the certified scheme here")
     writer.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("decouple", parents=[common, writer],
+    p = sub.add_parser("decouple", parents=[seeded, writer],
                        help="switch off all couplings and local terms")
     p.add_argument("--n", type=int, help="number of nodes")
     p.add_argument("--d", type=int, required=True, help="qudit dimension")
@@ -315,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
                                    "coloring reduction")
     p.set_defaults(func=cmd_decouple)
 
-    p = sub.add_parser("invert", parents=[common, writer],
+    p = sub.add_parser("invert", parents=[seeded, writer],
                        help="simulate the negated Hamiltonian")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int, help="qudit dimension; with --harmonic, "
@@ -324,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="oscillator network phase scheme instead of pulses")
     p.set_defaults(func=cmd_invert)
 
-    p = sub.add_parser("bound", parents=[common],
+    p = sub.add_parser("bound", parents=[seeded],
                        help="spectral lower bounds on time overhead")
     p.add_argument("--model", required=True, help="coupling model JSON")
     p.add_argument("--invert", action="store_true",
@@ -334,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound (default 1)")
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("verify", parents=[common],
+    p = sub.add_parser("verify",
                        help="check a scheme file against a model and target")
     p.add_argument("--model", required=True)
     p.add_argument("--scheme", required=True)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="time overhead factor (default: scheme's own)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("signs", parents=[common, writer],
+    p = sub.add_parser("signs", parents=[writer],
                        help="sign-matrix triples for qubit networks")
     p.add_argument("--m", type=int, help="line-partition order")
     p.add_argument("--from-oa", help="convert a four-symbol array JSON")
@@ -376,7 +376,8 @@ def main(argv=None) -> int:
         print(f"usage error: {msg}", file=sys.stderr)
         return 2
     try:
-        if args.seed is None:        # read only now, so a bad value cannot fail --seed 1
+        # read only now, so a bad value cannot fail --seed 1, and never by verify or signs
+        if "seed" in vars(args) and args.seed is None:
             args.seed = _env_seed()
         return args.func(args)
     except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:

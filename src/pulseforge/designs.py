@@ -47,9 +47,6 @@ class OrthogonalArray:
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > self.s):
             raise ValueError("entries must lie in [1, s]")
 
-    def row(self, k: int) -> np.ndarray:
-        return self.entries[k]
-
 
 @dataclass(eq=False)
 class DifferenceScheme:
@@ -117,20 +114,17 @@ def product_oa(n: int, s: int) -> OrthogonalArray:
     """Exponential fallback: columns enumerate all of [1,s]^n, N = s^n."""
     if n < 1 or s < 2:
         raise ValueError("need n >= 1 and s >= 2")
-    if s ** n > PRODUCT_SIZE_CAP:
-        raise ValueError(f"s^n = {s ** n} exceeds the {PRODUCT_SIZE_CAP} cap")
-    N = s ** n
-    entries = np.empty((n, N), dtype=int)
-    j = np.arange(N)
-    for k in range(n):
-        entries[k] = (j // s ** (n - 1 - k)) % s + 1
+    entries = mixed_product_array([s] * n)
+    N = entries.shape[1]
     return OrthogonalArray(n, N, s, N // s ** 2, entries)
 
 
 def mixed_product_array(sizes) -> np.ndarray:
     """All tuples over per-row alphabets [1, sizes[k]]; shape (n, prod sizes)."""
     sizes = list(sizes)
-    N = int(np.prod(sizes))
+    if any(size < 1 for size in sizes):
+        raise ValueError(f"alphabet sizes must be at least 1, got {sizes}")
+    N = math.prod(sizes)        # exact: an int64 product wraps, to 0 for [4] * 32
     if N > PRODUCT_SIZE_CAP:
         raise ValueError(f"product {N} exceeds the {PRODUCT_SIZE_CAP} cap")
     n = len(sizes)

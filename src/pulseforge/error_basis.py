@@ -3,7 +3,9 @@
 A basis for dimension d has d^2 unitaries, pairwise orthogonal under
 tr(A^dag B)/d, labeled by Z_d x Z_d with (0,0) mapped to the identity.
 Conjugation averaged over the whole basis kills every traceless
-Hermitian operator, which is the mechanism behind decoupling.
+Hermitian operator, which is the mechanism behind decoupling; the
+library averages in coupling-coefficient space (:mod:`pulseforge.scheme`),
+and the dense conjugation average is the tests' reference.
 
 Label l in [1, d^2] stands for (a, b) = divmod(l-1, d); this matches
 the label arithmetic of :func:`pulseforge.designs.normalize_oa`, so
@@ -25,9 +27,10 @@ TOL = 1e-12
 @dataclass(eq=False)
 class UnitaryErrorBasis:
     d: int
-    elements: list = field(repr=False)
+    elements: tuple = field(repr=False)
 
     def __post_init__(self):
+        self.elements = tuple(self.elements)    # no caller can swap an element in place
         check_error_basis(self)
 
     def label(self, l: int) -> tuple[int, int]:
@@ -89,61 +92,4 @@ def _generalized_pauli(d: int) -> UnitaryErrorBasis:
     E = np.zeros((d, d, d, d), dtype=complex)
     E[a, b, (j + a) % d, j] = zpow[b, j]
     E.flags.writeable = False           # and so are the element views
-    return UnitaryErrorBasis(d, list(E.reshape(d * d, d, d)))
-
-
-def annihilate(basis: UnitaryErrorBasis, a: np.ndarray) -> np.ndarray:
-    """Uniform conjugation average (1/d^2) sum_i E_i^dag a E_i.
-
-    Zero (to tolerance) for traceless Hermitian a; the trace part is
-    fixed, so the identity maps to itself.
-    """
-    a = np.asarray(a, dtype=complex)
-    if np.abs(a - a.conj().T).max() > 1e-10 * max(1.0, np.abs(a).max()):
-        raise ValueError("input must be Hermitian")
-    d = basis.d
-    out = np.zeros((d, d), dtype=complex)
-    for e in basis.elements:
-        out += e.conj().T @ a @ e
-    return out / (d * d)
-
-
-def _kills_all(subset, probes, d: int) -> bool:
-    for a in probes:
-        acc = np.zeros((d, d), dtype=complex)
-        for e in subset:
-            acc += e.conj().T @ a @ e
-        if np.abs(acc / len(subset)).max() > 1e-8:
-            return False
-    return True
-
-
-def minimality_check(d: int) -> bool:
-    """Confirm no uniform-weight sub-multiset shorter than d^2 annihilates su(d).
-
-    Exhaustive over proper subsets for d = 2; 100 seeded random size-8
-    subsets for d = 3.  True when every short subset fails and the full
-    basis succeeds.
-    """
-    from .netham import gell_mann_basis
-    import itertools
-
-    if d not in (2, 3):
-        raise ValueError("minimality spot check covers d in {2, 3}")
-    basis = generalized_pauli_basis(d)
-    probes = list(gell_mann_basis(d).sigma)
-    if not _kills_all(basis.elements, probes, d):
-        return False
-    if d == 2:
-        for size in range(1, 4):
-            for subset in itertools.combinations(basis.elements, size):
-                if _kills_all(subset, probes, d):
-                    return False
-        return True
-    rng = np.random.default_rng(0xC0FFEE)
-    for _ in range(100):
-        pick = rng.choice(9, size=8, replace=False)
-        subset = [basis.elements[i] for i in pick]
-        if _kills_all(subset, probes, d):
-            return False
-    return True
+    return UnitaryErrorBasis(d, E.reshape(d * d, d, d))

@@ -130,18 +130,16 @@ def embed_terms(n: int, d: int, terms) -> np.ndarray:
     return H
 
 
-def assemble(h: PairHamiltonian, basis: SuBasis | None = None) -> np.ndarray:
+def assemble(h: PairHamiltonian) -> np.ndarray:
     """Dense Hermitian realization of the model on (C^d)^{tensor n}.
 
-    One d^2 x d^2 operator per coupled pair, sigma_flat^T (2 J_kl) sigma_flat
-    with its axes reordered from (i, j, k, l) to (i, k, j, l), and one d x d
+    J and r are coordinates in the Gell-Mann basis of su(d).  One d^2 x d^2
+    operator per coupled pair, sigma_flat^T (2 J_kl) sigma_flat with its
+    axes reordered from (i, j, k, l) to (i, k, j, l), and one d x d
     operator per node are embedded, each through a view of the result.
     """
-    basis, sigma = _gell_mann(h.d) if basis is None else (basis, np.array(basis.sigma))
-    if basis.d != h.d:
-        raise ValueError("basis dimension does not match the model")
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
-    flat = sigma.reshape(m, dd)
+    flat = _gell_mann(d)[1].reshape(m, dd)
     k, l = np.triu_indices(n, 1)
     # ordered-pair convention: J_kl and its transpose both contribute
     blocks = 2.0 * h.J.reshape(n, m, n, m)[k, :, l, :]

@@ -368,7 +368,10 @@ def _is_standard_basis(bases) -> bool:
     distinct = list({id(b): b for b in bases}.values())
     if len({b.d for b in distinct}) != 1:
         return False
-    ref = error_basis.generalized_pauli_basis(distinct[0].d)
+    try:
+        ref = error_basis.generalized_pauli_basis(distinct[0].d)
+    except ValueError:          # a dimension with no standard basis
+        return False
     return all(b is ref or all(np.abs(x - y).max() < 1e-12
                                for x, y in zip(b.elements, ref.elements))
                for b in distinct)
@@ -381,7 +384,7 @@ def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:
     if d < 1 or pairs.shape != (d * d, d, d, 2):
         raise ValueError(f"a basis of dimension {d} must hold {d * d} "
                          f"{d}x{d} matrices of [re, im] pairs")
-    return error_basis.UnitaryErrorBasis(d, list(pairs.view(complex)[..., 0]))
+    return error_basis.UnitaryErrorBasis(d, pairs.view(complex)[..., 0])
 
 
 def scheme_from_json(doc: dict) -> PulseScheme:

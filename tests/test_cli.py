@@ -268,6 +268,22 @@ def test_bad_seed_env_is_an_input_error(capsys, monkeypatch):
     assert code == 0 and rep["options"]["seed"] == 1
 
 
+def test_commands_that_draw_nothing_at_random_take_no_seed(capsys, tmp_path, monkeypatch):
+    out = tmp_path / "sch.json"
+    run(capsys, "decouple", "--n", "3", "--d", "2", "--out", str(out))
+    mpath = write_model(tmp_path, netham.random_model(3, 2, seed=4))
+    verify = ["verify", "--model", mpath, "--scheme", str(out), "--target", "zero"]
+    for argv in (["signs", "--m", "2", "--seed", "1"], verify + ["--seed", "1"]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments: --seed 1" in captured.err
+    # nor do they read PULSEFORGE_SEED, so a malformed value cannot fail them
+    monkeypatch.setenv("PULSEFORGE_SEED", "abc")
+    for argv in (["signs", "--m", "2"], verify):
+        code, rep = run(capsys, *argv)
+        assert code == 0 and "seed" not in rep["options"]
+
+
 def test_deterministic_outputs(capsys, tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     run(capsys, "decouple", "--n", "3", "--d", "2", "--seed", "5",

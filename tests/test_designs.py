@@ -78,6 +78,15 @@ def test_product_oa():
     assert (designs.product_oa(3, 4).entries[:, 0] == 1).all()
 
 
+@pytest.mark.parametrize("n, s", [(1, 2), (1, 5), (2, 3), (3, 4), (2, 6), (4, 9), (5, 2)])
+def test_product_oa_columns_enumerate_tuples_in_order(n, s):
+    # column j is the j-th tuple of [1, s]^n in lexicographic order, the last row fastest
+    oa = designs.product_oa(n, s)
+    want = np.array(list(itertools.product(range(1, s + 1), repeat=n))).T
+    assert np.array_equal(oa.entries, want)
+    assert (oa.n, oa.N, oa.s, oa.lam) == (n, s ** n, s, s ** n // s ** 2)
+
+
 def test_smallest_oa_for():
     assert designs.smallest_oa_for(4, 9).N == 81
     oa = designs.smallest_oa_for(5, 4)
@@ -280,6 +289,14 @@ def test_construction_errors():
         designs.rao_hamming_oa(9, 7)
     with pytest.raises(ValueError):
         designs.product_oa(9, 9)
+    with pytest.raises(ValueError):
+        designs.product_oa(32, 4)
+    # 4^32 = 2^64 wraps to 0 in an int64 product, which passed the cap
+    with pytest.raises(ValueError, match="exceeds"):
+        designs.mixed_product_array([4] * 32)
+    for sizes in ([2, 0], [3, -1, 3]):
+        with pytest.raises(ValueError, match="at least 1"):
+            designs.mixed_product_array(sizes)
 
 
 def test_linear_array_entry_cap_refuses_before_building(monkeypatch):

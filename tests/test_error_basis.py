@@ -1,7 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
-from pulseforge import error_basis, netham
+import oracle
+from pulseforge import error_basis, netham, scheme
 
 
 def test_d2_elements():
@@ -54,22 +57,38 @@ def test_projective_group_compatibility():
                 assert abs(abs(overlap) - 1.0) < 1e-12
 
 
+def _average(basis, labels, a):
+    """Uniform conjugation average of a over the basis elements with these labels.
+
+    The dense oracle, on a one-node scheme pulsed by each label for an
+    equal time.
+    """
+    N = len(labels)
+    sch = scheme.PulseScheme(1, N, np.full(N, 1.0 / N), [list(labels)], [basis])
+    return oracle.conjugation_average(a, sch)
+
+
+def _kills_su(basis, labels) -> bool:
+    return all(np.abs(_average(basis, labels, s)).max() <= 1e-8
+               for s in netham.gell_mann_basis(basis.d).sigma)
+
+
 def test_annihilate_traceless():
     b2 = error_basis.generalized_pauli_basis(2)
-    assert np.abs(error_basis.annihilate(b2, np.diag([1.0, -1.0]))).max() < 1e-12
     b3 = error_basis.generalized_pauli_basis(3)
-    assert np.abs(error_basis.annihilate(b3, np.diag([1.0, 0.0, -1.0]))).max() < 1e-12
+    assert np.abs(_average(b2, range(1, 5), np.diag([1.0, -1.0]))).max() < 1e-12
+    assert np.abs(_average(b3, range(1, 10), np.diag([1.0, 0.0, -1.0]))).max() < 1e-12
     # the trace part is fixed
-    assert np.allclose(error_basis.annihilate(b2, np.eye(2)), np.eye(2))
-    with pytest.raises(ValueError):
-        error_basis.annihilate(b2, np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for d in (2, 3, 4):
+        b = error_basis.generalized_pauli_basis(d)
+        assert np.allclose(_average(b, range(1, d * d + 1), np.eye(d)), np.eye(d))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_annihilate_full_su_basis(d):
     b = error_basis.generalized_pauli_basis(d)
     for s in netham.gell_mann_basis(d).sigma:
-        assert np.abs(error_basis.annihilate(b, s)).max() < 1e-12
+        assert np.abs(_average(b, range(1, d * d + 1), s)).max() < 1e-12
 
 
 def test_conjugation_preserves_su():
@@ -85,10 +104,19 @@ def test_conjugation_preserves_su():
 
 
 def test_minimality():
-    assert error_basis.minimality_check(2)
-    assert error_basis.minimality_check(3)
-    with pytest.raises(ValueError):
-        error_basis.minimality_check(4)
+    # no uniform average over fewer than d^2 basis elements kills su(d):
+    # every proper subset for d = 2, 100 seeded size-8 subsets for d = 3
+    b2 = error_basis.generalized_pauli_basis(2)
+    assert _kills_su(b2, range(1, 5))
+    for size in range(1, 4):
+        for subset in itertools.combinations(range(1, 5), size):
+            assert not _kills_su(b2, subset), subset
+    b3 = error_basis.generalized_pauli_basis(3)
+    assert _kills_su(b3, range(1, 10))
+    rng = np.random.default_rng(0xC0FFEE)
+    for _ in range(100):
+        pick = rng.choice(9, size=8, replace=False)
+        assert not _kills_su(b3, pick + 1), pick
 
 
 def test_basis_validation():
@@ -100,7 +128,7 @@ def test_basis_validation():
            np.array([[0, -1j], [1j, 0]]), np.eye(2)]
     with pytest.raises(ValueError):
         error_basis.UnitaryErrorBasis(2, bad)                 # identity not first
-    good = error_basis.generalized_pauli_basis(2).elements
+    good = list(error_basis.generalized_pauli_basis(2).elements)
     for i, e, msg in ((2, 2 * good[2], "element 3 is not unitary"),
                       (1, np.full((2, 2), np.nan), "element 2 is not unitary"),
                       (3, np.eye(3), "element 4 is not 2x2")):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -199,6 +201,12 @@ def test_mixed_decoupling():
     assert np.abs(oracle.conjugation_average(H, sch)).max() < 1e-10
 
 
+def test_mixed_decoupling_refuses_an_oversized_product():
+    # 4^32 = 2^64 columns: an int64 product wraps to 0 and used to end in a ZeroDivisionError
+    with pytest.raises(ValueError, match="exceeds"):
+        scheme.mixed_decoupling_scheme([2] * 32)
+
+
 def test_scheme_validation():
     basis = error_basis.generalized_pauli_basis(2)
     with pytest.raises(ValueError):
@@ -281,6 +289,23 @@ def test_custom_bases_still_match_the_oracle(d):
     H = netham.assemble(h)
     got = scheme.average_hamiltonian(h, sch)
     assert np.linalg.norm(got - oracle.conjugation_average(H, sch)) <= 1e-12 * np.linalg.norm(H)
+
+
+def test_a_custom_basis_without_a_standard_one_is_written_out():
+    # there is no generalized Pauli basis for d = 9, so a shift/clock basis
+    # built here is a custom basis, stored element by element
+    d = 9
+    X = np.roll(np.eye(d), 1, axis=0)
+    Z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    elements = [np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, b)
+                for a in range(d) for b in range(d)]
+    basis = error_basis.UnitaryErrorBasis(d, elements)
+    sch = scheme.PulseScheme(1, 3, np.full(3, 1 / 3), [[1, 40, 81]], [basis])
+    doc = json.loads(json.dumps(scheme.scheme_to_json(sch)))
+    assert doc["d"] == [9] and len(doc["basis"][0]) == 81
+    back = scheme.scheme_from_json(doc)
+    assert np.array_equal(back.pulses, sch.pulses) and np.array_equal(back.times, sch.times)
+    assert all(np.array_equal(x, y) for x, y in zip(back.bases[0].elements, elements))
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])

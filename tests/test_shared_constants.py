@@ -62,6 +62,14 @@ def test_a_write_to_any_shared_array_raises():
             a += 0
 
 
+def test_no_element_of_a_shared_basis_can_be_replaced():
+    for d in range(2, 9):
+        b = error_basis.generalized_pauli_basis(d)
+        with pytest.raises(TypeError):
+            b.elements[1] = b.elements[2]
+        assert b.elements[1] is not b.elements[2]
+
+
 def _outputs(d: int) -> list:
     """average_model, average_hamiltonian and scheme_to_json of three schemes."""
     out = []
