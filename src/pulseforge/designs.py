@@ -24,6 +24,7 @@ from . import gf, netham
 
 OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
+_BAND_ENTRIES = 1 << 22     # one-hot or product entries per factor of a _pair_tables band
 
 
 @dataclass(eq=False)
@@ -91,23 +92,29 @@ def rao_hamming_oa(s: int, i: int) -> OrthogonalArray:
     the 1-based enumeration index of the inner product.  Column 0 is
     the zero vector, so the first column is all ones (identity label).
     """
+    return _rao_hamming_rows(s, i, None)
+
+
+def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
+    """The first n rows (all for None) of rao_hamming_oa(s, i); the cap counts them all."""
     if gf.is_prime_power(s) is None:
         raise ValueError(f"alphabet size {s} is not a prime power")
     if i < 2:
         raise ValueError("need i >= 2")
     N = s ** i
-    n = (N - 1) // (s - 1)
-    if n * N > OA_SIZE_CAP:
-        raise ValueError(f"n*N = {n * N} entries exceed the {OA_SIZE_CAP} cap")
-    add, mul = gf.tables(gf.field_for_order(s))
+    full = (N - 1) // (s - 1)
+    if full * N > OA_SIZE_CAP:
+        raise ValueError(f"n*N = {full * N} entries exceed the {OA_SIZE_CAP} cap")
+    # field elements in the narrowest dtype, so the (n, N) temporaries stay small
+    add, mul = (a.astype(np.min_scalar_type(s - 1)) for a in gf.tables(gf.field_for_order(s)))
     coords, rows = field_vectors(s, i)
-    assert rows.shape[1] == n
+    assert rows.shape[1] == full
+    rows = rows[:, :n]
 
     entries = mul[rows[0][:, None], coords[0]]
     for t in range(1, i):
         entries = add[entries, mul[rows[t][:, None], coords[t]]]
-    entries += 1
-    return OrthogonalArray(n, N, s, s ** (i - 2), entries)
+    return OrthogonalArray(rows.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
 
 
 def product_oa(n: int, s: int) -> OrthogonalArray:
@@ -140,8 +147,8 @@ def mixed_product_array(sizes) -> np.ndarray:
 def smallest_oa_for(n: int, s: int) -> OrthogonalArray:
     """Smallest array this package can build with at least n rows.
 
-    For prime-power s: the linear construction with the least i whose
-    row count covers n, excess rows dropped (row deletion preserves the
+    For prime-power s: the first n rows of the linear construction with
+    the least i whose row count covers n (row deletion preserves the
     defining property).  Otherwise the exponential product array.
     """
     if n < 2:
@@ -150,8 +157,7 @@ def smallest_oa_for(n: int, s: int) -> OrthogonalArray:
         i = 2
         while (s ** i - 1) // (s - 1) < n:
             i += 1
-        oa = rao_hamming_oa(s, i)
-        return OrthogonalArray(n, oa.N, oa.s, oa.lam, oa.entries[:n])
+        return _rao_hamming_rows(s, i, n)
     return product_oa(n, s)
 
 
@@ -201,21 +207,55 @@ def difference_scheme_for(n: int) -> DifferenceScheme:
 # ---------------------------------------------------------------------------
 # verification
 
+def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None):
+    """Yield (k, l, tables), k <= l: the label tables of the row bands from k and l.
+
+    tables[i, j, a, b] counts the columns of the (n, N) matrix of labels
+    1..s where row k + i holds a + 1 and row l + j holds b + 1, or sums
+    their weights; a band against itself holds row k + i's own counts on
+    its diagonal, tables[i, i, a, a].  Labels 2..s come from a one-hot Gram
+    product over column chunks, at most _BAND_ENTRIES entries a factor,
+    float32 for counts (exact up to 2^24 columns a chunk) and added up in
+    float64; label 1 is what they leave of the row totals.
+    """
+    n, N = labels.shape
+    rows = max(1, math.isqrt(_BAND_ENTRIES) // s)
+    cols = max(1, _BAND_ENTRIES // (rows * s))
+    dtype = np.float32 if weights is None else np.float64
+    total = N if weights is None else weights.sum()
+
+    def one_hot(k: int, c: int) -> np.ndarray:     # rows (k + i, a - 2), columns c..
+        hot = (labels[k:k + rows, None, c:c + cols] == np.arange(2, s + 1)[:, None]).astype(dtype)
+        return hot.reshape(-1, hot.shape[-1])
+
+    node = np.empty((n, s))
+    for l in range(0, n, rows):
+        for k in range(l, -1, -rows):       # a band against itself first: its node tables
+            K, L = min(rows, n - k), min(rows, n - l)
+            t = np.zeros((K, s, L, s))
+            for c in range(0, N, cols):
+                hot = one_hot(k, c)
+                left = hot if weights is None else hot * weights[c:c + cols]
+                right = hot if l == k else one_hot(l, c)    # hot @ hot.T is one symmetric product
+                t[:, 1:, :, 1:] += (left @ right.T).reshape(K, s - 1, L, s - 1)
+            if k == l:
+                node[l:l + L, 1:] = np.einsum("iaia->ia", t[:, 1:, :, 1:])
+                node[l:l + L, 0] = total - node[l:l + L, 1:].sum(axis=1)
+            t[:, 1:, :, 0] = node[k:k + K, 1:, None] - t[:, 1:, :, 1:].sum(axis=3)
+            t[:, 0] = node[l:l + L] - t[:, 1:].sum(axis=1)
+            yield k, l, t.transpose(0, 2, 1, 3)
+
+
 def verify_oa(oa: OrthogonalArray) -> dict:
-    """Exhaustive pair-count check; ok iff every count equals lam."""
-    violations = []
-    s = oa.s
-    for k in range(oa.n):
-        for l in range(k + 1, oa.n):
-            codes = (oa.entries[k] - 1) * s + (oa.entries[l] - 1)
-            counts = np.bincount(codes, minlength=s * s)
-            for c in np.flatnonzero(counts != oa.lam):
-                violations.append({
-                    "rows": (k, l),
-                    "pair": (int(c) // s + 1, int(c) % s + 1),
-                    "count": int(counts[c]),
-                    "expected": oa.lam,
-                })
+    """Exhaustive pair-count check; ok iff every count is lam (violations in row-pair order)."""
+    found = [np.empty((5, 0), dtype=int)]
+    for k, l, tables in _pair_tables(oa.entries, oa.s):
+        at = np.nonzero(tables != oa.lam)
+        pair = k + at[0] < l + at[1]         # a row against itself is no pair
+        found.append(np.array([k + at[0], l + at[1], *at[2:], tables[at]], dtype=int)[:, pair])
+    v = np.concatenate(found, axis=1)
+    violations = [{"rows": (k, l), "pair": (a + 1, b + 1), "count": c, "expected": oa.lam}
+                  for k, l, a, b, c in v[:, np.lexsort(v[3::-1])].T.tolist()]
     return {"ok": not violations, "violations": violations}
 
 

@@ -92,7 +92,8 @@ class PairHamiltonian:
         if self.r.shape != (mn,):
             raise ValueError(f"r must have length {mn}")
         scale = max(1.0, float(np.abs(self.J).max(initial=0.0)))
-        if np.abs(self.J - self.J.T).max(initial=0.0) > _SYM_TOL * scale:
+        asym = self.J - self.J.T
+        if np.abs(asym, out=asym).max(initial=0.0) > _SYM_TOL * scale:    # one (mn)^2 temporary
             raise ValueError("J must be symmetric")
         nodes = np.arange(self.n)
         if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):

@@ -8,10 +8,9 @@ error) in coefficient space: each pulse acts on su(d) through a real
 adjoint matrix, so average_model() maps the model's coupling blocks and
 local vectors to those of the averaged model without touching the
 d^n-dimensional space, and verify_scheme() compares the result with a
-target model there.  Pauli pulses on qubits map every sigma to
-+-itself, so for them the average is J o F, F the Gram matrix of the
-pulse signs, one matrix product; other bases go one row of coupling
-blocks per node, in three matrix products.
+target model there.  The average sees the pulses only through each
+node pair's table of label pairs, weighted by time, and one route applies
+those tables for every d and every basis.
 average_hamiltonian() realizes the average as a dense matrix; the d^n
 conjugation average it is tested against lives with the tests.  The
 synthesizers pick pulse matrices from orthogonal arrays:
@@ -39,7 +38,7 @@ RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SIGN_TOL = 1e-12
 _BAND_ROWS = 512      # rows per product or update of an (mn)^2 array
-_RUN_ENTRIES = 1 << 17  # weights or product entries per node run in _pair_average
+_APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of _pair_average
 
 
 @dataclass(eq=False)
@@ -97,130 +96,85 @@ def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
     matrices are real and orthogonal because E_l is unitary.  The
     row-major vec of E^dag X E is K vec(X), K = E^dag kron E^T, so with the
     K of every element built at once the traces are two products with the
-    flattened sigma (sigma_a is Hermitian).
+    flattened sigma (sigma_a is Hermitian).  Entries within _SIGN_TOL of an
+    integer are set to it, so Pauli pulses on qubits act by exact signs
+    and decouple to exact zeros.
     """
     E = np.array(basis.elements)
     Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
     K = (Ed[:, :, None, :, None] * Et[:, None, :, None, :]).reshape(len(E), Et[0].size, -1)
     flat = sigma.reshape(len(sigma), -1)
-    return (flat.conj() @ K @ flat.T).real / 2.0
-
-
-def _pulse_signs(R: np.ndarray) -> np.ndarray | None:
-    """Diagonals of the adjoint matrices when each is a sign matrix, else None.
-
-    Pauli pulses map every sigma_a to +-sigma_a; the check is numeric, to
-    _SIGN_TOL, so a rotated qubit basis or any d >= 3 basis gives None.
-    """
-    signs = np.sign(np.einsum("laa->la", R))
-    if np.abs(R - signs[:, :, None] * np.eye(R.shape[1])).max() > _SIGN_TOL:
-        return None
-    return signs
-
-
-def _adjoint(basis, sigma: np.ndarray) -> tuple:
-    """(R, _pulse_signs(R)) of one basis."""
-    R = _adjoint_matrices(basis, sigma)
-    return R, _pulse_signs(R)
+    R = (flat.conj() @ K @ flat.T).real / 2.0
+    whole = np.round(R)
+    return np.where(np.abs(R - whole) <= _SIGN_TOL, whole, R)
 
 
 @functools.cache
-def _standard_adjoint(d: int) -> tuple:
-    """_adjoint of the generalized Pauli basis of d, built once and read-only."""
-    R, signs = _adjoint(error_basis.generalized_pauli_basis(d), netham._gell_mann(d)[1])
+def _standard_adjoint(d: int) -> np.ndarray:
+    """_adjoint_matrices of the generalized Pauli basis of d, built once and read-only."""
+    R = _adjoint_matrices(error_basis.generalized_pauli_basis(d), netham._gell_mann(d)[1])
     R.flags.writeable = False
-    if signs is not None:
-        signs.flags.writeable = False
-    return R, signs
+    return R
 
 
-def _sign_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, signs: np.ndarray):
-    """(J o F, r o X t) with F = X diag(t) X^T, for pulses that act by signs.
+def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: np.ndarray):
+    """(J, r) of the average; R[k, a] is the adjoint matrix of label a + 1 on node k.
 
-    X[(k, a), j] = signs[k, label, a] is the sign of sigma_a under node
-    k's pulse in interval j.  F is filled by row bands of its upper
-    triangle and mirrored, so it is exactly symmetric and no second
-    (mn)^2 array is made; its diagonal blocks are set to exact zeros.
-    """
-    n, m, t = hmodel.n, hmodel.m, sch.times
-    D = n * m
-    X = signs[np.arange(n)[:, None, None], (sch.pulses - 1)[:, None, :],
-              np.arange(m)[:, None]].reshape(D, sch.N)
-    r = hmodel.r * (X @ t)
-    F = np.empty((D, D))
-    band = m * max(1, _BAND_ROWS // m)
-    for i in range(0, D, band):
-        j = min(i + band, D)
-        G = (X[i:j] * t) @ X[i:].T
-        sq = G[:, :j - i]
-        sq[...] = np.triu(sq) + np.triu(sq, 1).T
-        F[i:j, i:] = G
-        F[i:, i:j] = G.T
-    nodes = np.arange(n)
-    F.reshape(n, m, n, m)[nodes, :, nodes, :] = 0.0
-    F *= hmodel.J
-    return F, r
-
-
-def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: np.ndarray,
-                  index: np.ndarray):
-    """(J, r) of the average, one row of coupling blocks per node: the general route.
-
-    R[index[k], a] is the adjoint matrix of label a + 1 on node k.  Grouped
-    by the label pair (a, b) of nodes k and l, block J_kl becomes
-    sum_ab w_ab R_ka J_kl R_lb^T.  Row k is taken in runs of nodes l > k,
-    at most _RUN_ENTRIES weights or products per node: one bincount gives
-    their weights, three products their blocks (R_k against the row, the
-    weights contracted over a, the stacked R_l over (b, c)), and the mirror
-    blocks are the transposes.
+    The tables w come a band of node pairs at a time from designs._pair_tables,
+    at most _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
+    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b.  A step of
+    one table builds each row's Y once and its Z in one product.
     """
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
-    labels = sch.pulses - 1
-    J = np.zeros_like(hmodel.J)
+    Ra = R.reshape(n, s, m * m)
+    Rx = R.transpose(0, 2, 3, 1).reshape(n, m, m * s)     # Rx[k][c, (e, b)] = R[k, b, c, e]
+    equal = bool((sch.times == sch.times[0]).all())
+    total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
+    J, r = np.zeros_like(hmodel.J), np.empty_like(hmodel.r)
     J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
-    Rl = R.transpose(0, 1, 3, 2).reshape(len(R), s * m, m)      # Rl[i][(b, c), e] = R[i, b, e, c]
-    run = max(1, _RUN_ENTRIES // max(sch.N, s * m * m))
-    times = np.tile(sch.times, min(run, n))            # the weights of the longest run
-    for k in range(n):
-        for lo in range(k + 1, n, run):
-            hi = min(lo + run, n)
-            pair = labels[lo:hi] + (s * s * np.arange(hi - lo)[:, None] + s * labels[k])
-            w = np.bincount(pair.ravel(), times[:pair.size], (hi - lo) * s * s)
-            RJ = R[index[k]].reshape(s * m, m) @ H4[k, :, lo:hi].transpose(1, 0, 2)
-            W = w.reshape(-1, s, s).swapaxes(1, 2) @ RJ.reshape(-1, s, m * m)   # (l, b, (i, c))
-            blk = W.reshape(-1, s, m, m).swapaxes(1, 2).reshape(-1, m, s * m) @ Rl[index[lo:hi]]
-            J4[k, :, lo:hi] = blk.transpose(1, 0, 2)
-            J4[lo:hi, :, k] = blk.transpose(0, 2, 1)
-    w = np.bincount((labels + s * np.arange(n)[:, None]).ravel(), np.tile(sch.times, n), n * s)
-    Rbar = np.empty((n, m * m))
-    for i, Ri in enumerate(R):          # sum_a w_ka R_ka for the nodes k of basis i
-        Rbar[index == i] = w.reshape(n, s)[index == i] @ Ri.reshape(s, m * m)
-    return J, (Rbar.reshape(n, m, m) @ hmodel.r.reshape(n, m, 1)).reshape(n * m)
+    for k, l, tables in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
+        K, L = tables.shape[:2]
+        if k == l:                  # the band's own rows: their node tables
+            Rbar = (np.einsum("iiaa->ia", tables)[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
+            r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
+        step = max(1, _APPLY_ENTRIES // (L * s * m * m))
+        for i in range(0, K, step):
+            i2, j = min(i + step, K), max(0, k + i - l)   # band rows i..i2 have pairs from j on
+            rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
+            lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
+            w = tables[i:i2, j:]
+            HJ = H4[rows, :, cols].transpose(0, 2, 3, 1)         # (k, l, e, f): J_kl[f, e]
+            if (w[~lower] == w[0, -1]).all():   # one table: each row's Y once, one product for Z
+                w, HJ = w[:, -1:], HJ.reshape(i2 - i, 1, -1, m)
+            Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, s) @ Ra[rows]).reshape(i2 - i, -1, s, m, m)
+            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, s * m)
+            blk = Rx[cols] @ Z.reshape(i2 - i, L - j, m * s, m)     # (k, l, c, i): block_kl^T
+            blk /= total
+            blk[lower] = 0.0        # l <= k: no pair
+            J4[rows, :, cols] += blk.transpose(0, 3, 1, 2)
+            J4[cols, :, rows] += blk.transpose(1, 2, 0, 3)
+    return J, r
 
 
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
     """Exact average of the model under the scheme, in coefficient space.
 
-    Each pulse acts on su(d) through its adjoint matrix R, computed from
-    the basis unitaries, once per d for the shared generalized Pauli
-    basis.  When every R is a sign matrix (Pauli pulses on
-    qubits) the average is J o F and r o (X t), one matrix product
-    (_sign_average); otherwise row by row of coupling blocks (_pair_average).
-    Nothing of size d^n is built.
+    Each pulse acts on su(d) through its adjoint matrix R, built once per
+    basis.  The pulses enter only through the time w_ab that nodes k and
+    l spend with labels a and b: block J_kl becomes
+    sum_ab w_ab R_ka J_kl R_lb^T and r_k becomes sum_a w_a R_ka r_k, for
+    every d and every basis, a custom one per node included, divided by
+    the total time last (_pair_average).  Nothing of size d^n is built.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
     if any(d != hmodel.d for d in sch.dims):
         raise ValueError("scheme bases do not match the node dimension")
     sigma = netham._gell_mann(hmodel.d)[1]
-    slot = {}                       # each distinct basis once, in order of first use
-    index = np.array([slot.setdefault(id(b), len(slot)) for b in sch.bases])
-    R, signs = zip(*[_standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
-                     else _adjoint(b, sigma) for b in {id(b): b for b in sch.bases}.values()])
-    if all(sg is not None for sg in signs):
-        J, r = _sign_average(hmodel, sch, np.array(signs)[index])
-    else:
-        J, r = _pair_average(hmodel, sch, np.array(R), index)
+    adjoint = {id(b): b for b in sch.bases}        # each distinct basis once
+    adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
+               else _adjoint_matrices(b, sigma) for key, b in adjoint.items()}
+    J, r = _pair_average(hmodel, sch, np.array([adjoint[id(b)] for b in sch.bases]))
     return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
 
 
@@ -249,6 +203,8 @@ def decoupling_scheme(n: int, d: int) -> PulseScheme:
 def mixed_decoupling_scheme(dims) -> PulseScheme:
     """Decoupling for per-node dimensions via the product array."""
     dims = list(dims)
+    if not dims:
+        raise ValueError("need at least one node dimension")
     entries = designs.mixed_product_array([d * d for d in dims])
     bases = [error_basis.generalized_pauli_basis(d) for d in dims]
     N = entries.shape[1]

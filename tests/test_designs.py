@@ -102,6 +102,20 @@ def test_smallest_oa_for():
         designs.smallest_oa_for(1, 4)
 
 
+@pytest.mark.parametrize("s", [2, 3, 4, 5, 7, 8, 9])
+def test_smallest_oa_builds_the_first_rows_of_the_linear_array(s):
+    for i in (2, 3):
+        full = designs.rao_hamming_oa(s, i)
+        for n in sorted({1, 2, (full.n + 1) // 2, full.n - 1, full.n}):
+            part = designs._rao_hamming_rows(s, i, n)
+            assert np.array_equal(part.entries, full.entries[:n])
+            assert (part.n, part.N, part.s, part.lam) == (n, full.N, s, full.lam)
+            if n >= 2 and n > (s ** (i - 1) - 1) // (s - 1):   # i is the least that covers n
+                oa = designs.smallest_oa_for(n, s)
+                assert np.array_equal(oa.entries, full.entries[:n])
+                assert (oa.n, oa.N, oa.s, oa.lam) == (n, full.N, s, full.lam)
+
+
 def test_row_deletion_preserves_validity():
     oa = designs.rao_hamming_oa(3, 2)
     for drop in range(oa.n):
@@ -208,6 +222,40 @@ def test_verify_oa_catches_mutation():
     assert any(v["rows"] == (0, 1) for v in report["violations"])
     v = report["violations"][0]
     assert {"rows", "pair", "count", "expected"} <= set(v)
+
+
+def _verify_oa_loop(oa):
+    """verify_oa's report one row pair at a time: the reference for its pair tables."""
+    violations = []
+    s = oa.s
+    for k in range(oa.n):
+        for l in range(k + 1, oa.n):
+            codes = (oa.entries[k] - 1) * s + (oa.entries[l] - 1)
+            counts = np.bincount(codes, minlength=s * s)
+            for c in np.flatnonzero(counts != oa.lam):
+                violations.append({"rows": (k, l), "pair": (int(c) // s + 1, int(c) % s + 1),
+                                   "count": int(counts[c]), "expected": oa.lam})
+    return {"ok": not violations, "violations": violations}
+
+
+@pytest.mark.parametrize("s", [3, 4])
+@pytest.mark.parametrize("rows", [None, 1, 2])
+def test_verify_oa_matches_the_pair_loop_on_every_single_entry_change(s, rows, monkeypatch):
+    # rows: one band for the whole array, or bands of 1 or 2 rows and 2s-column chunks
+    if rows:
+        monkeypatch.setattr(designs, "_BAND_ENTRIES", (rows * s) ** 2)
+    oa = designs.rao_hamming_oa(s, 2)
+    assert designs.verify_oa(oa) == _verify_oa_loop(oa) == {"ok": True, "violations": []}
+    for k, j in itertools.product(range(oa.n), range(oa.N)):
+        for label in range(1, s + 1):
+            if label == oa.entries[k, j]:
+                continue
+            bad = oa.entries.copy()
+            bad[k, j] = label
+            bad = designs.OrthogonalArray(oa.n, oa.N, s, oa.lam, bad)
+            report = designs.verify_oa(bad)
+            assert not report["ok"]
+            assert report == _verify_oa_loop(bad), (k, j, label)
 
 
 def test_verify_oa_single_row_vacuous():

@@ -207,6 +207,12 @@ def test_mixed_decoupling_refuses_an_oversized_product():
         scheme.mixed_decoupling_scheme([2] * 32)
 
 
+def test_mixed_decoupling_refuses_no_nodes():
+    # the empty product is 1: an empty dimension list made a scheme of n = 0, N = 1
+    with pytest.raises(ValueError, match="at least one node"):
+        scheme.mixed_decoupling_scheme([])
+
+
 def test_scheme_validation():
     basis = error_basis.generalized_pauli_basis(2)
     with pytest.raises(ValueError):
@@ -410,12 +416,13 @@ def _adjoint_stack(sch, d):
 
 
 def _loop_average(h, sch):
-    """The general route, run whatever the pulses' adjoint matrices are."""
-    return scheme._pair_average(h, sch, *_adjoint_stack(sch, h.d))
+    """The pair-loop reference, fed the adjoint matrices of the scheme's own bases."""
+    R, index = _adjoint_stack(sch, h.d)
+    return _pair_loop_reference(h, sch, R[index])
 
 
 def _pair_loop_reference(h, sch, R):
-    """(J, r) of the average one node pair at a time: the reference for _pair_average.
+    """(J, r) of the average one node pair at a time: the reference for average_model.
 
     Intervals are grouped by the label pair of each node pair, and block
     J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T, taken as two tensordots.
@@ -439,25 +446,28 @@ def _pair_loop_reference(h, sch, R):
 
 @settings(max_examples=60)
 @given(n=st.integers(1, 7), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 20),
-       run=st.integers(1, 8), seed=st.integers(0, 2 ** 32 - 1))
-def test_row_batched_average_matches_pair_loop(n, d, N, run, seed):
-    # nodes share one standard basis or have their own conjugated one; rows
-    # are taken in runs of `run` nodes
+       run=st.integers(1, 8), apply=st.sampled_from([1, 1 << 20]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed):
+    # nodes share one standard basis or have their own conjugated one; pair
+    # tables come in bands of `run` nodes and column chunks of run * d^2
+    # intervals, and blocks are applied one row at a time or a band at once
     rng = np.random.default_rng(seed)
     h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
-    times = rng.uniform(0.05, 1.0, N)
+    # equal times give float32 counts as tables, unequal ones float64 weights
+    times = rng.uniform(0.05, 1.0, N) if rng.random() < 0.5 else np.ones(N)
     standard = error_basis.generalized_pauli_basis(d)
     bases = [_conjugated_basis(d, rng) if rng.random() < 0.5 else standard for _ in range(n)]
     sch = scheme.PulseScheme(n, N, times / times.sum(),
                              rng.integers(1, d * d + 1, size=(n, N)), bases)
-    R, index = _adjoint_stack(sch, d)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheme, "_RUN_ENTRIES", run * max(N, (d ** 4) * (d * d - 1) ** 2))
-        J, r = scheme._pair_average(h, sch, R, index)
-    J_ref, r_ref = _pair_loop_reference(h, sch, R[index])
-    assert np.array_equal(J, J.T)
-    assert np.abs(J - J_ref).max(initial=0.0) <= 1e-12
-    assert np.abs(r - r_ref).max() <= 1e-12
+        mp.setattr(designs, "_BAND_ENTRIES", (run * d * d) ** 2)
+        mp.setattr(scheme, "_APPLY_ENTRIES", apply)
+        avg = scheme.average_model(h, sch)
+    J_ref, r_ref = _loop_average(h, sch)
+    assert np.array_equal(avg.J, avg.J.T)
+    assert np.abs(avg.J - J_ref).max(initial=0.0) <= 1e-12
+    assert np.abs(avg.r - r_ref).max() <= 1e-12
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
@@ -503,37 +513,26 @@ def test_sign_route_matches_pair_loop(n, kind, seed):
     assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
 
 
-def _route_spy(monkeypatch):
-    loops = []
-    pair_average = scheme._pair_average
-    monkeypatch.setattr(scheme, "_pair_average",
-                        lambda *a: loops.append(1) or pair_average(*a))
-    return loops
-
-
-def test_only_pauli_qubit_pulses_take_the_sign_route(monkeypatch):
-    loops = _route_spy(monkeypatch)
+def test_every_basis_matches_the_pair_loop():
+    # Pauli qubit pulses, a rotated qubit basis (non-diagonal adjoint
+    # matrices), mixed per-node bases and d >= 3 bases all take one route
     rng = np.random.default_rng(3)
-    for n, d in ((3, 2), (4, 2)):
-        for sch in (scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d)):
-            scheme.average_model(netham.random_model(n, d, 1), sch)
-    assert not loops
-    # a rotated qubit basis has non-diagonal adjoint matrices, and no d >= 3 basis acts by signs
+    schemes = [make(n, 2) for n in (3, 4)
+               for make in (scheme.decoupling_scheme, scheme.inversion_scheme)]
     rotated = _conjugated_basis(2, rng)
-    schemes = [scheme.PulseScheme(3, 4, np.full(4, 0.25), rng.integers(1, 5, size=(3, 4)),
-                                  [rotated] * 3),
-               scheme.PulseScheme(2, 4, np.full(4, 0.25), rng.integers(1, 5, size=(2, 4)),
-                                  [error_basis.generalized_pauli_basis(2), rotated])]
+    schemes += [scheme.PulseScheme(3, 4, np.full(4, 0.25), rng.integers(1, 5, size=(3, 4)),
+                                   [rotated] * 3),
+                scheme.PulseScheme(2, 4, np.full(4, 0.25), rng.integers(1, 5, size=(2, 4)),
+                                   [error_basis.generalized_pauli_basis(2), rotated])]
     for n, d in ((3, 3), (2, 4)):
         schemes += [scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d),
                     scheme.selective_scheme(n, d, keep=[0])]
     for i, sch in enumerate(schemes):
         h = netham.random_model(sch.n, sch.dims[0], i)
-        loops.clear()
         avg = scheme.average_model(h, sch)
-        assert loops == [1]
         J, r = _loop_average(h, sch)
-        assert np.array_equal(avg.J, J) and np.array_equal(avg.r, r)
+        assert np.array_equal(avg.J, avg.J.T)
+        assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 5, 6, 21, 40])

@@ -1,7 +1,7 @@
 """Per-dimension constants: built once per process, shared and read-only.
 
 The error and su(d) bases, the GF(q) specs and tables, and the standard
-basis's adjoint matrices and sign table are memoised behind the public
+basis's adjoint matrices are memoised behind the public
 functions; custom bases are used as given.
 """
 
@@ -47,7 +47,7 @@ def _shared_arrays():
     for d in (2, 3, 4):
         yield from netham.gell_mann_basis(d).sigma
         yield netham._gell_mann(d)[1]
-        yield from (a for a in scheme._standard_adjoint(d) if a is not None)
+        yield scheme._standard_adjoint(d)
     for q in (2, 4, 9, 16, 251):
         yield from gf.tables(gf.field_for_order(q))
 
