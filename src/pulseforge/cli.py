@@ -58,32 +58,28 @@ def _json_pieces(doc, default=None):
 
     With an indent the stdlib encodes in pure Python.  Here containers are
     laid out in Python, and each one that holds no container goes through
-    one call of the C encoder that json.dumps uses without an indent, its
-    item separator carrying the newline and indent.  Keys must be str, and
-    `default` must map an object to a scalar.
+    one call of an encoder without an indent, which json takes in C when
+    it can, its item separator carrying the newline and indent.  Keys must
+    be str, and `default` must map an object to a scalar.
     """
-    default = default or json.JSONEncoder().default     # TypeError, as json.dumps raises
-    levels = []     # per depth: C encoder for the items one level in, and their line start
+    levels = []     # per depth: encoder for the items one level in, and their line start
 
     def level(depth: int):
         while len(levels) <= depth:
             inner = "\n" + "  " * (len(levels) + 1)
-            # markers, default, string encoder, indent, key and item separators,
-            # sort_keys, skipkeys, allow_nan: json.dumps's own settings
-            levels.append((json.encoder.c_make_encoder(
-                {}, default, json.encoder.encode_basestring_ascii, None, ": ", "," + inner,
-                True, False, True), inner))
+            levels.append((json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True,
+                                            default=default).encode, inner))
         return levels[depth]
 
     def flat(obj, depth: int) -> str | None:
         """The text of obj at this depth when it holds no container, else None."""
         encode, inner = level(depth)
         if not (isinstance(obj, (dict, list, tuple)) and obj):
-            return "".join(encode(obj, 0))         # a scalar, [] or {}
+            return encode(obj)         # a scalar, [] or {}
         types = set(map(type, obj.values() if isinstance(obj, dict) else obj))
         if any(issubclass(t, (dict, list, tuple)) for t in types):
             return None
-        text = "".join(encode(obj, 0))
+        text = encode(obj)
         return text[0] + inner + text[1:-1] + inner[:-2] + text[-1]
 
     def pieces(obj, depth: int):

@@ -42,7 +42,7 @@ class OrthogonalArray:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=int)
+        self.entries = netham._whole_numbers(self.entries, "entries")
         if self.entries.shape != (self.n, self.N):
             raise ValueError("entry matrix shape does not match (n, N)")
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > self.s):
@@ -59,7 +59,7 @@ class DifferenceScheme:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=int)
+        self.entries = netham._whole_numbers(self.entries, "entries")
         if self.entries.shape != (self.n, self.N):
             raise ValueError("entry matrix shape does not match (n, N)")
         if self.u < 1 or self.N % self.u:

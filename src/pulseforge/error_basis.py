@@ -33,16 +33,6 @@ class UnitaryErrorBasis:
         self.elements = tuple(self.elements)    # no caller can swap an element in place
         check_error_basis(self)
 
-    def label(self, l: int) -> tuple[int, int]:
-        """(a, b) pair for the 1-based element label."""
-        return divmod(l - 1, self.d)
-
-    def element(self, l: int) -> np.ndarray:
-        return self.elements[l - 1]
-
-    def __len__(self):
-        return len(self.elements)
-
 
 def check_error_basis(basis: UnitaryErrorBasis):
     """Raise unless unitarity, trace-orthogonality and the identity label hold.

@@ -15,12 +15,11 @@ inexact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, error_basis, netham, scheme
+from . import designs, netham, scheme
 
 EXACT_VERTEX_LIMIT = 12
 EXACT_EDGE_LIMIT = 10
@@ -59,10 +58,6 @@ class InteractionGraph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-
-def complete_graph(n: int) -> InteractionGraph:
-    return InteractionGraph(n, {(u, v) for u in range(n) for v in range(u + 1, n)})
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +120,7 @@ def colored_decoupling_scheme(g: InteractionGraph, d: int) -> scheme.PulseScheme
     rep = vertex_coloring(g)
     chi = rep["count"]
     oa = designs.smallest_oa_for(max(2, chi), d * d)
-    basis = error_basis.generalized_pauli_basis(d)
-    pulses = np.empty((g.n, oa.N), dtype=int)
-    for v in range(g.n):
-        pulses[v] = oa.entries[rep["colors"][v]]
-    return scheme.PulseScheme(g.n, oa.N, np.full(oa.N, 1.0 / oa.N), pulses,
-                              [basis] * g.n)
+    return scheme._pauli_scheme(oa.entries[[rep["colors"][v] for v in range(g.n)]], d)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +305,5 @@ def graph_from_json(doc: dict) -> InteractionGraph:
         u, v = (netham.json_int({"vertex": x}, "vertex") for x in item[:2])
         edges.add((u, v))
         if len(item) > 2:
-            w = item[2]
-            if isinstance(w, bool) or not isinstance(w, (int, float)) or not math.isfinite(w):
-                raise ValueError(f"edge weight must be a finite number, got {w!r}")
-            weights[(u, v)] = float(w)
+            weights[(u, v)] = netham.json_float({"edge weight": item[2]}, "edge weight")
     return InteractionGraph(netham.json_int(doc, "n"), edges, weights or None)

@@ -99,11 +99,6 @@ def coupling_hamiltonian(C: np.ndarray, n: int, d: int) -> np.ndarray:
     return netham.embed_terms(n, d, terms)
 
 
-def gram(ps: PhaseScheme) -> np.ndarray:
-    """Unweighted Gram matrix: entry (k,l) = <m_k|m_l>."""
-    return ps.phases.conj() @ ps.phases.T
-
-
 def effective_coupling(net_C: np.ndarray, ps: PhaseScheme) -> np.ndarray:
     """Couplings after averaging: c_kl picks up sum_j t_j m_kj conj(m_lj)."""
     factors = (ps.phases * ps.times) @ ps.phases.conj().T

@@ -10,7 +10,8 @@ on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
 scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.  gell_mann_basis(d) is
-built once per d in a process and shared; its matrices are read-only.
+one read-only (d^2-1, d, d) array, built once per d in a process and
+shared.
 """
 
 from __future__ import annotations
@@ -25,29 +26,18 @@ HILBERT_CAP = 4096
 _SYM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class SuBasis:
-    """Traceless Hermitian basis of su(d) with tr(sigma_a sigma_b) = 2 delta_ab."""
-
-    d: int
-    sigma: tuple
-
-    @property
-    def m(self) -> int:
-        return self.d * self.d - 1
-
-
-def gell_mann_basis(d: int) -> SuBasis:
-    """Generalized Gell-Mann matrices: symmetric, antisymmetric, then diagonal.
+def gell_mann_basis(d: int) -> np.ndarray:
+    """Generalized Gell-Mann matrices stacked (d^2-1, d, d): symmetric,
+    antisymmetric, then diagonal; a traceless Hermitian basis of su(d) with
+    tr(sigma_a sigma_b) = 2 delta_ab.
 
     For d = 2 this is exactly (sigma_x, sigma_y, sigma_z).
     """
-    return _gell_mann(d)[0]
+    return _gell_mann(d)
 
 
 @functools.cache
-def _gell_mann(d: int) -> tuple[SuBasis, np.ndarray]:
-    """The basis for d and its matrices stacked (m, d, d), both read-only."""
+def _gell_mann(d: int) -> np.ndarray:
     if not 2 <= d <= 4:
         raise ValueError(f"node dimension {d} out of supported range [2, 4]")
     mats = []
@@ -70,7 +60,7 @@ def _gell_mann(d: int) -> tuple[SuBasis, np.ndarray]:
         mats.append(np.sqrt(2.0 / (l * (l + 1))) * m)
     stacked = np.array(mats)
     stacked.flags.writeable = False     # and so are the matrices, its views
-    return SuBasis(d, tuple(stacked)), stacked
+    return stacked
 
 
 @dataclass(eq=False)
@@ -102,10 +92,6 @@ class PairHamiltonian:
     @property
     def m(self) -> int:
         return self.d * self.d - 1
-
-    def block(self, k: int, l: int) -> np.ndarray:
-        m = self.m
-        return self.J[k * m:(k + 1) * m, l * m:(l + 1) * m]
 
 
 def embed_terms(n: int, d: int, terms) -> np.ndarray:
@@ -140,7 +126,7 @@ def assemble(h: PairHamiltonian) -> np.ndarray:
     operator per node are embedded, each through a view of the result.
     """
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
-    flat = _gell_mann(d)[1].reshape(m, dd)
+    flat = _gell_mann(d).reshape(m, dd)
     k, l = np.triu_indices(n, 1)
     # ordered-pair convention: J_kl and its transpose both contribute
     blocks = 2.0 * h.J.reshape(n, m, n, m)[k, :, l, :]
@@ -178,23 +164,6 @@ def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
     return PairHamiltonian(n, d, J, r)
 
 
-def complete_coupling_model(n: int, d: int, alpha: int, coeff: float = 1.0,
-                            with_local: bool = False) -> PairHamiltonian:
-    """All-to-all network coupling component alpha to itself on every pair."""
-    m = d * d - 1
-    if not 0 <= alpha < m:
-        raise ValueError("alpha out of range")
-    J = np.zeros((m * n, m * n))
-    for k in range(n):
-        for l in range(n):
-            if k != l:
-                J[k * m + alpha, l * m + alpha] = coeff
-    r = np.zeros(m * n)
-    if with_local:
-        r[alpha::m] = coeff
-    return PairHamiltonian(n, d, J, r)
-
-
 def model_to_json(h: PairHamiltonian) -> dict:
     return {"n": h.n, "d": h.d, "J": h.J.tolist(), "r": h.r.tolist()}
 
@@ -229,19 +198,27 @@ def _holds_bool(value, ndim: int) -> bool:
     return any(bool in set(map(type, row)) for row in rows)
 
 
+def _whole_numbers(values, name: str) -> np.ndarray:
+    """values as an int array; ValueError naming `name` when an entry is a
+    bool or not a whole number.
+
+    Whole-number floats are accepted, as json_int accepts them; a plain
+    cast to int would truncate 1.7 to a valid label.  Only a nested list
+    is scanned for bools, which numpy would read as 0 or 1 beside numbers.
+    """
+    array = np.asarray(values)
+    if array.dtype.kind == "f" and np.all((array == np.round(array)) & (np.abs(array) < 2 ** 53)):
+        array = array.astype(int)
+    if array.dtype.kind not in "iu" or (
+            not isinstance(values, np.ndarray) and array.ndim and _holds_bool(values, array.ndim)):
+        raise ValueError(f"{name} must hold integers")
+    return array.astype(int, copy=False)
+
+
 def json_int_rows(doc: dict, key: str) -> np.ndarray:
     """Integer matrix field of a loaded JSON document; ValueError as for
     json_rows, or when an entry is not a whole number."""
-    rows = np.array(json_rows(doc, key))
-    if rows.ndim == 2 and _holds_bool(doc[key], 2):
-        raise ValueError(f"field {key!r} must hold integers")
-    # whole-number floats are accepted as json_int accepts them; a plain
-    # cast to int would truncate 1.7 to a valid label
-    if rows.dtype.kind == "f" and np.all((rows == np.round(rows)) & (np.abs(rows) < 2 ** 53)):
-        rows = rows.astype(int)
-    if rows.dtype.kind != "i":
-        raise ValueError(f"field {key!r} must hold integers")
-    return rows
+    return _whole_numbers(json_rows(doc, key), f"field {key!r}")
 
 
 def json_floats(doc: dict, key: str) -> np.ndarray:
@@ -258,6 +235,15 @@ def json_floats(doc: dict, key: str) -> np.ndarray:
             or (values.ndim and _holds_bool(doc[key], values.ndim))):
         raise ValueError(f"field {key!r} must hold finite numbers")
     return values.astype(float, copy=False)
+
+
+def json_float(doc: dict, key: str) -> float:
+    """Number field of a loaded JSON document; ValueError as for json_floats,
+    or when it is not a single number."""
+    value = json_floats(doc, key)
+    if value.ndim:
+        raise ValueError(f"field {key!r} must be a finite number")
+    return float(value)
 
 
 def model_from_json(doc: dict) -> PairHamiltonian:

@@ -13,7 +13,8 @@ node pair's table of label pairs, weighted by time, and one route applies
 those tables for every d and every basis.
 average_hamiltonian() realizes the average as a dense matrix; the d^n
 conjugation average it is tested against lives with the tests.  The
-synthesizers pick pulse matrices from orthogonal arrays:
+synthesizers pick pulse matrices from orthogonal arrays and run them on
+the shared generalized Pauli basis for equal times (_pauli_scheme):
 
 * decoupling: any strength-2 array with one row per node zeroes every
   coupling and every local term;
@@ -52,7 +53,7 @@ class PulseScheme:
 
     def __post_init__(self):
         self.times = check_times(self.times, self.N)
-        self.pulses = np.asarray(self.pulses, dtype=int)
+        self.pulses = netham._whole_numbers(self.pulses, "pulses")
         if self.pulses.shape != (self.n, self.N):
             raise ValueError("pulse matrix must be n x N")
         if len(self.bases) != self.n:
@@ -89,8 +90,9 @@ def check_overhead(overhead: float, name: str = "overhead"):
         raise ValueError(f"{name} must be finite and positive, got {overhead!r}")
 
 
-def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
-    """R[l-1][a, b] = tr(sigma_a E_l^dag sigma_b E_l) / 2 for every label l.
+def _adjoint_matrices(basis) -> np.ndarray:
+    """R[l-1][a, b] = tr(sigma_a E_l^dag sigma_b E_l) / 2 for every label l,
+    sigma the Gell-Mann matrices of the basis's d.
 
     Conjugation by E_l maps sigma_b to sum_a R[l-1][a, b] sigma_a; the
     matrices are real and orthogonal because E_l is unitary.  The
@@ -100,7 +102,7 @@ def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
     integer are set to it, so Pauli pulses on qubits act by exact signs
     and decouple to exact zeros.
     """
-    E = np.array(basis.elements)
+    E, sigma = np.array(basis.elements), netham._gell_mann(basis.d)
     Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
     K = (Ed[:, :, None, :, None] * Et[:, None, :, None, :]).reshape(len(E), Et[0].size, -1)
     flat = sigma.reshape(len(sigma), -1)
@@ -112,7 +114,7 @@ def _adjoint_matrices(basis, sigma: np.ndarray) -> np.ndarray:
 @functools.cache
 def _standard_adjoint(d: int) -> np.ndarray:
     """_adjoint_matrices of the generalized Pauli basis of d, built once and read-only."""
-    R = _adjoint_matrices(error_basis.generalized_pauli_basis(d), netham._gell_mann(d)[1])
+    R = _adjoint_matrices(error_basis.generalized_pauli_basis(d))
     R.flags.writeable = False
     return R
 
@@ -170,10 +172,9 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
         raise ValueError("node counts differ")
     if any(d != hmodel.d for d in sch.dims):
         raise ValueError("scheme bases do not match the node dimension")
-    sigma = netham._gell_mann(hmodel.d)[1]
     adjoint = {id(b): b for b in sch.bases}        # each distinct basis once
     adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
-               else _adjoint_matrices(b, sigma) for key, b in adjoint.items()}
+               else _adjoint_matrices(b) for key, b in adjoint.items()}
     J, r = _pair_average(hmodel, sch, np.array([adjoint[id(b)] for b in sch.bases]))
     return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
 
@@ -185,8 +186,12 @@ def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.
     return netham.assemble(average_model(hmodel, sch))
 
 
-def _uniform(N: int) -> np.ndarray:
-    return np.full(N, 1.0 / N)
+def _pauli_scheme(pulses: np.ndarray, d: int, overhead: float = 1.0) -> PulseScheme:
+    """The scheme of an n x N pulse matrix on the shared generalized Pauli
+    basis of d, every interval of equal time."""
+    n, N = pulses.shape
+    return PulseScheme(n, N, np.full(N, 1.0 / N), pulses,
+                       [error_basis.generalized_pauli_basis(d)] * n, overhead)
 
 
 def decoupling_scheme(n: int, d: int) -> PulseScheme:
@@ -195,9 +200,7 @@ def decoupling_scheme(n: int, d: int) -> PulseScheme:
     Efficient (linear-size) arrays exist whenever d is a prime power;
     other dimensions fall back to the exponential product array.
     """
-    oa = designs.smallest_oa_for(n, d * d)
-    basis = error_basis.generalized_pauli_basis(d)
-    return PulseScheme(n, oa.N, _uniform(oa.N), oa.entries, [basis] * n)
+    return _pauli_scheme(designs.smallest_oa_for(n, d * d).entries, d)
 
 
 def mixed_decoupling_scheme(dims) -> PulseScheme:
@@ -208,7 +211,7 @@ def mixed_decoupling_scheme(dims) -> PulseScheme:
     entries = designs.mixed_product_array([d * d for d in dims])
     bases = [error_basis.generalized_pauli_basis(d) for d in dims]
     N = entries.shape[1]
-    return PulseScheme(len(dims), N, _uniform(N), entries, bases)
+    return PulseScheme(len(dims), N, np.full(N, 1.0 / N), entries, bases)
 
 
 def selective_scheme(n: int, d: int, keep) -> PulseScheme:
@@ -224,18 +227,15 @@ def selective_scheme(n: int, d: int, keep) -> PulseScheme:
         raise ValueError("keep must name 1 or 2 nodes")
     if any(not 0 <= k < n for k in keep):
         raise ValueError("keep indices out of range")
-    basis = error_basis.generalized_pauli_basis(d)
     others = [k for k in range(n) if k not in keep]
     if not others:
-        return PulseScheme(n, 1, np.array([1.0]), np.ones((n, 1), dtype=int),
-                           [basis] * n)
+        return _pauli_scheme(np.ones((n, 1), dtype=int), d)
     # rows of a strength>=2 array are individually balanced, which is what
     # kills local terms and the kept-vs-rest couplings
     oa = designs.smallest_oa_for(max(2, len(others)), d * d)
     pulses = np.ones((n, oa.N), dtype=int)
-    for row, node in enumerate(others):
-        pulses[node] = oa.entries[row]
-    return PulseScheme(n, oa.N, _uniform(oa.N), pulses, [basis] * n)
+    pulses[others] = oa.entries[:len(others)]
+    return _pauli_scheme(pulses, d)
 
 
 def inversion_scheme(n: int, d: int) -> PulseScheme:
@@ -245,15 +245,10 @@ def inversion_scheme(n: int, d: int) -> PulseScheme:
     identity column leaves -H across the remaining N-1 columns, hence
     time overhead exactly N-1.
     """
-    oa = designs.smallest_oa_for(n, d * d)
-    oa = designs.normalize_oa(oa)
+    oa = designs.normalize_oa(designs.smallest_oa_for(n, d * d))
     if not (oa.entries[:, 0] == 1).all():
         raise RuntimeError("normal form lost the identity column")
-    pulses = oa.entries[:, 1:]
-    N = oa.N - 1
-    basis = error_basis.generalized_pauli_basis(d)
-    return PulseScheme(n, N, _uniform(N), pulses, [basis] * n,
-                       target_overhead=float(N))
+    return _pauli_scheme(oa.entries[:, 1:], d, float(oa.N - 1))
 
 
 def residual_report(num: float, scale: float) -> dict:
@@ -353,10 +348,7 @@ def scheme_from_json(doc: dict) -> PulseScheme:
             raise ValueError("field 'basis' must be 'generalized_pauli' or one basis per "
                              "entry of a list 'd'")
         bases = [_basis_from_json(dd, els) for dd, els in zip(dims, mats)]
-    overhead = doc.get("target_overhead", 1.0)
-    if isinstance(overhead, bool) or not isinstance(overhead, (int, float)):
-        raise ValueError(f"field 'target_overhead' must be a number, got {overhead!r}")
+    overhead = netham.json_float(doc, "target_overhead") if "target_overhead" in doc else 1.0
     return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
                        netham.json_floats(doc, "times"),
-                       netham.json_int_rows(doc, "pulses"),
-                       bases, float(overhead))
+                       netham.json_int_rows(doc, "pulses"), bases, overhead)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, error_basis, gf, netham, scheme
+from . import designs, gf, netham, scheme
 
 # signs acquired by (sigma_x, sigma_y, sigma_z) under conjugation by
 # 1, sigma_x, sigma_y, sigma_z (in that symbol order)
@@ -53,7 +53,7 @@ class SignTriple:
 
     def __post_init__(self):
         for name in ("Sx", "Sy", "Sz"):
-            M = np.asarray(getattr(self, name), dtype=int)
+            M = netham._whole_numbers(getattr(self, name), name)
             if M.shape != (self.n, self.N):
                 raise ValueError(f"{name} must be n x N")
             if not np.all(np.abs(M) == 1):
@@ -137,9 +137,7 @@ def signs_to_pulse_scheme(st: SignTriple) -> scheme.PulseScheme:
         k, j = bad[0]
         pat = (int(st.Sx[k, j]), int(st.Sy[k, j]), int(st.Sz[k, j]))
         raise ValueError(f"invalid sign pattern {pat} at row {k}, column {j}")
-    basis = error_basis.generalized_pauli_basis(2)
-    return scheme.PulseScheme(st.n, st.N, np.full(st.N, 1.0 / st.N), pulses,
-                              [basis] * st.n)
+    return scheme._pauli_scheme(pulses, 2)
 
 
 def signs_to_json(st: SignTriple) -> dict:

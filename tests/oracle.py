@@ -3,18 +3,36 @@
 Each works on the d^n-dimensional matrices directly, by a route that
 shares no averaging code with the library: conjugation by the interval
 unitaries for pulse schemes, an elementwise weight matrix for phase
-schemes, and full spectra for majorization.
+schemes, and full spectra for majorization.  The all-to-all model that
+several tests certify against closed forms is built here too.
 """
 
 import numpy as np
 
-from pulseforge import bounds, harmonic
+from pulseforge import bounds, harmonic, netham
+
+
+def complete_coupling_model(n: int, d: int, alpha: int, coeff: float = 1.0,
+                            with_local: bool = False) -> netham.PairHamiltonian:
+    """All-to-all network coupling component alpha to itself on every pair."""
+    m = d * d - 1
+    if not 0 <= alpha < m:
+        raise ValueError("alpha out of range")
+    J = np.zeros((m * n, m * n))
+    for k in range(n):
+        for l in range(n):
+            if k != l:
+                J[k * m + alpha, l * m + alpha] = coeff
+    r = np.zeros(m * n)
+    if with_local:
+        r[alpha::m] = coeff
+    return netham.PairHamiltonian(n, d, J, r)
 
 
 def _interval_unitary(sch, j: int) -> np.ndarray:
     U = np.eye(1, dtype=complex)
     for k in range(sch.n):
-        U = np.kron(U, sch.bases[k].element(int(sch.pulses[k, j])))
+        U = np.kron(U, sch.bases[k].elements[sch.pulses[k, j] - 1])
     return U
 
 

@@ -12,6 +12,8 @@ import numpy as np
 from pulseforge import (bounds, designs, error_basis, graphcolor, harmonic,
                         netham, scheme, signs)
 
+import oracle
+
 
 @contextlib.contextmanager
 def announce(num: int, desc: str):
@@ -77,12 +79,12 @@ def test_criterion_4_majorization_bounds():
     with announce(4, "tau_min = n-1 on complete zz networks, inversion "
                      "bound (n-1)/1, and bound ordering on random J"):
         for n in (3, 4, 5, 6):
-            J = netham.complete_coupling_model(n, 2, alpha=2).J
+            J = oracle.complete_coupling_model(n, 2, alpha=2).J
             assert abs(bounds.tau_min(-J, J) - (n - 1)) <= 1e-9
 
         for n in (3, 4):
             for alpha in (0, 1, 2):
-                J = netham.complete_coupling_model(n, 2, alpha).J
+                J = oracle.complete_coupling_model(n, 2, alpha).J
                 assert abs(bounds.inversion_lower_bound(J) - (n - 1)) <= 1e-9
 
         for seed in range(50):

@@ -10,7 +10,7 @@ import oracle
 
 
 def _complete_zz_J(n):
-    return netham.complete_coupling_model(n, 2, alpha=2, coeff=1.0).J
+    return oracle.complete_coupling_model(n, 2, alpha=2, coeff=1.0).J
 
 
 def test_majorizes_basics():
@@ -114,12 +114,12 @@ def test_rescaled_search_zz():
 
 @pytest.mark.parametrize("n,alpha", [(3, 0), (4, 1), (5, 2), (6, 2)])
 def test_inversion_lower_bound_complete(n, alpha):
-    J = netham.complete_coupling_model(n, 2, alpha=alpha, coeff=1.0).J
+    J = oracle.complete_coupling_model(n, 2, alpha=alpha, coeff=1.0).J
     assert abs(bounds.inversion_lower_bound(J) - (n - 1)) < 1e-9
 
 
 def test_inversion_lower_bound_two_nodes():
-    J = netham.complete_coupling_model(2, 2, alpha=2, coeff=0.7).J
+    J = oracle.complete_coupling_model(2, 2, alpha=2, coeff=0.7).J
     assert abs(bounds.inversion_lower_bound(J) - 1.0) < 1e-9
     with pytest.raises(ValueError):
         bounds.inversion_lower_bound(np.zeros((4, 4)))

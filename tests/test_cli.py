@@ -10,6 +10,8 @@ from hypothesis import given, strategies as st
 
 from pulseforge import bounds, cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
 
+import oracle
+
 
 def run(capsys, *argv):
     code = cli.main(list(argv))
@@ -118,7 +120,7 @@ def test_invert_needs_d_or_harmonic(capsys):
 
 
 def test_bound_complete_zz(capsys, tmp_path):
-    model = netham.complete_coupling_model(4, 2, alpha=2)
+    model = oracle.complete_coupling_model(4, 2, alpha=2)
     path = write_model(tmp_path, model)
     code, rep = run(capsys, "bound", "--model", path, "--invert")
     assert code == 0
@@ -131,7 +133,7 @@ def test_bound_complete_zz(capsys, tmp_path):
 
 
 def test_bound_rescale_search(capsys, tmp_path):
-    model = netham.complete_coupling_model(4, 2, alpha=2)
+    model = oracle.complete_coupling_model(4, 2, alpha=2)
     path = write_model(tmp_path, model)
     code, rep = run(capsys, "bound", "--model", path, "--invert",
                     "--rescale-search", "20")
@@ -144,7 +146,7 @@ def test_bound_rescale_search(capsys, tmp_path):
 def test_rescale_search_counts_exactly(capsys, tmp_path, monkeypatch):
     # K random trials; the all-ones start reuses tau_min's value, and the
     # flag's absence means one trial
-    path = write_model(tmp_path, netham.complete_coupling_model(4, 2, alpha=2))
+    path = write_model(tmp_path, oracle.complete_coupling_model(4, 2, alpha=2))
     calls = []
     rescaled = bounds.tau_min_rescaled
     monkeypatch.setattr(bounds, "tau_min_rescaled",
@@ -523,7 +525,8 @@ _BOOL_IDENTITY_PAULI = [[[[True, False], [False, False]], [[False, False], [True
     ("basis", {"basis": [[[[[1, 0]]]], [{"re": 1}]], "d": [1, 2]}), ("target_overhead", None),
     ("target_overhead", 0), ("target_overhead", -1.0), ("target_overhead", float("nan")),
     ("target_overhead", float("inf")), ("phases", [[], []]),
-    ("basis", {"basis": [_BOOL_IDENTITY_PAULI] * 2, "d": [2, 2]})])
+    ("basis", {"basis": [_BOOL_IDENTITY_PAULI] * 2, "d": [2, 2]}),
+    ("target_overhead", True), ("target_overhead", [2.0])])
 def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
     # a missing, null, non-list, ragged or ill-typed pulse or phase matrix,
     # basis or overhead, or an overhead that is not finite and positive, is
@@ -633,6 +636,8 @@ _WHOLE = object()
      "field 'phases'"),
     ("verify_phases", "phases", "phases", [[{"re": True, "im": 0}], [{"re": 1.0, "im": 0.0}]],
      "field 'phases'"),
+    ("graph", "graph", "edges", [[0, 1, float("nan")]], "edge weight"),
+    ("graph", "graph", "edges", [[0, 1, True]], "edge weight"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

@@ -328,6 +328,23 @@ def test_mixed_product_array():
     assert cols == {(a, b) for a in (1, 2) for b in (1, 2, 3)}
 
 
+@pytest.mark.parametrize("bad", [[[1.5, 2.2, 3.9, 4.0]], [[True, 2, 3, 4]]])
+def test_oa_refuses_fractional_and_bool_entries(bad):
+    # a cast to int stored [1.5, 2.2, 3.9, 4.0] as the valid row [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="entries must hold integers"):
+        designs.OrthogonalArray(1, 4, 4, 0, bad)
+    oa = designs.OrthogonalArray(1, 4, 4, 0, [[1.0, 2.0, 3.0, 4.0]])
+    assert oa.entries.dtype == int and oa.entries.tolist() == [[1, 2, 3, 4]]
+
+
+@pytest.mark.parametrize("bad", [[[0.5, 1, 2]], [[False, 1, 2]]])
+def test_difference_scheme_refuses_fractional_and_bool_entries(bad):
+    with pytest.raises(ValueError, match="entries must hold integers"):
+        designs.DifferenceScheme(1, 3, 3, bad)
+    ds = designs.DifferenceScheme(1, 3, 3, [[0.0, 1.0, 2.0]])
+    assert ds.entries.dtype == int and ds.entries.tolist() == [[0, 1, 2]]
+
+
 def test_construction_errors():
     with pytest.raises(ValueError):
         designs.rao_hamming_oa(6, 2)

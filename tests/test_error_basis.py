@@ -9,12 +9,11 @@ from pulseforge import error_basis, netham, scheme
 
 def test_d2_elements():
     b = error_basis.generalized_pauli_basis(2)
-    assert len(b) == 4
-    assert np.allclose(b.element(1), np.eye(2))
-    assert np.allclose(b.element(2), np.diag([1, -1]))            # Z
-    assert np.allclose(b.element(3), [[0, 1], [1, 0]])            # X
-    assert np.allclose(b.element(4), [[0, -1], [1, 0]])           # XZ
-    assert b.label(1) == (0, 0) and b.label(4) == (1, 1)
+    assert len(b.elements) == 4
+    assert np.allclose(b.elements[0], np.eye(2))
+    assert np.allclose(b.elements[1], np.diag([1, -1]))           # Z
+    assert np.allclose(b.elements[2], [[0, 1], [1, 0]])           # X
+    assert np.allclose(b.elements[3], [[0, -1], [1, 0]])          # XZ
 
 
 @pytest.mark.parametrize("d", range(2, 9))
@@ -25,7 +24,7 @@ def test_weyl_elements_match_matrix_powers(d):
     Z = np.diag(w ** np.arange(d))
     b = error_basis.generalized_pauli_basis(d)
     for l, e in enumerate(b.elements, start=1):
-        a, c = b.label(l)
+        a, c = divmod(l - 1, d)
         want = np.linalg.matrix_power(X, a) @ np.linalg.matrix_power(Z, c)
         assert np.abs(e - want).max() <= 1e-15, (a, c)
 
@@ -50,9 +49,9 @@ def test_projective_group_compatibility():
         for l1 in range(1, d * d + 1):
             for l2 in range(1, d * d + 1):
                 # labels multiply as their (a, b) pairs add, componentwise mod d
-                (a1, b1), (a2, b2) = b.label(l1), b.label(l2)
-                prod = b.element(l1) @ b.element(l2)
-                target = b.element((a1 + a2) % d * d + (b1 + b2) % d + 1)
+                (a1, b1), (a2, b2) = divmod(l1 - 1, d), divmod(l2 - 1, d)
+                prod = b.elements[l1 - 1] @ b.elements[l2 - 1]
+                target = b.elements[(a1 + a2) % d * d + (b1 + b2) % d]
                 overlap = np.trace(target.conj().T @ prod) / d
                 assert abs(abs(overlap) - 1.0) < 1e-12
 
@@ -70,7 +69,7 @@ def _average(basis, labels, a):
 
 def _kills_su(basis, labels) -> bool:
     return all(np.abs(_average(basis, labels, s)).max() <= 1e-8
-               for s in netham.gell_mann_basis(basis.d).sigma)
+               for s in netham.gell_mann_basis(basis.d))
 
 
 def test_annihilate_traceless():
@@ -87,7 +86,7 @@ def test_annihilate_traceless():
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_annihilate_full_su_basis(d):
     b = error_basis.generalized_pauli_basis(d)
-    for s in netham.gell_mann_basis(d).sigma:
+    for s in netham.gell_mann_basis(d):
         assert np.abs(_average(b, range(1, d * d + 1), s)).max() < 1e-12
 
 

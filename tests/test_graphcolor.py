@@ -26,9 +26,13 @@ def _path(n):
     return graphcolor.InteractionGraph(n, {(i, i + 1) for i in range(n - 1)})
 
 
+def _complete(n):
+    return graphcolor.InteractionGraph(n, {(u, v) for u in range(n) for v in range(u + 1, n)})
+
+
 def test_vertex_coloring_complete():
     for n in (3, 4, 5, 6):
-        g = graphcolor.complete_graph(n)
+        g = _complete(n)
         rep = graphcolor.vertex_coloring(g)
         assert rep["count"] == n and rep["exact"]
         assert _proper_vertex(g, rep["colors"])
@@ -55,10 +59,10 @@ def test_vertex_coloring_greedy_path():
 def _supported_model(g, d, seed):
     h = netham.random_model(g.n, d, seed)
     m = h.m
-    J = np.zeros_like(h.J)
+    J, J4 = np.zeros_like(h.J), h.J.reshape(g.n, m, g.n, m)
     for u, v in g.edges:
-        J[u * m:(u + 1) * m, v * m:(v + 1) * m] = h.block(u, v)
-        J[v * m:(v + 1) * m, u * m:(u + 1) * m] = h.block(v, u)
+        J[u * m:(u + 1) * m, v * m:(v + 1) * m] = J4[u, :, v]
+        J[v * m:(v + 1) * m, u * m:(u + 1) * m] = J4[v, :, u]
     return netham.PairHamiltonian(g.n, d, J, h.r)
 
 
@@ -81,7 +85,7 @@ def test_colored_decoupling_star():
 
 
 def test_colored_decoupling_complete_is_plain():
-    g = graphcolor.complete_graph(3)
+    g = _complete(3)
     sch = graphcolor.colored_decoupling_scheme(g, 2)
     plain = scheme.decoupling_scheme(3, 2)
     assert sch.N == plain.N
@@ -97,11 +101,11 @@ def test_colored_decoupling_edgeless():
 
 
 def test_edge_coloring_small():
-    rep = graphcolor.edge_coloring(graphcolor.complete_graph(4))
+    rep = graphcolor.edge_coloring(_complete(4))
     assert rep["count"] == 3 and rep["exact"]
     g1 = graphcolor.InteractionGraph(2, {(0, 1)})
     assert graphcolor.edge_coloring(g1)["count"] == 1
-    rep = graphcolor.edge_coloring(graphcolor.complete_graph(3))
+    rep = graphcolor.edge_coloring(_complete(3))
     assert rep["count"] == 3    # odd complete graph is class two
     assert graphcolor.edge_coloring(graphcolor.InteractionGraph(3, set()))["count"] == 0
 
@@ -137,8 +141,8 @@ def test_edge_coloring_random(seed):
 
 def test_misra_gries_direct():
     # force the constructive path on instances small enough to cross-check
-    for maker, bound in [(lambda: graphcolor.complete_graph(4), 4),
-                         (lambda: graphcolor.complete_graph(5), 5),
+    for maker, bound in [(lambda: _complete(4), 4),
+                         (lambda: _complete(5), 5),
                          (lambda: _path(6), 3)]:
         g = maker()
         deg = [0] * g.n

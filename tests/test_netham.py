@@ -6,27 +6,29 @@ from hypothesis import given, settings, strategies as st
 
 from pulseforge import netham
 
+import oracle
+
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]])
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def test_gell_mann_d2_is_pauli():
-    b = netham.gell_mann_basis(2)
-    assert b.m == 3
-    assert np.allclose(b.sigma[0], SX)
-    assert np.allclose(b.sigma[1], SY)
-    assert np.allclose(b.sigma[2], SZ)
+    sigma = netham.gell_mann_basis(2)
+    assert sigma.shape == (3, 2, 2)
+    assert np.allclose(sigma[0], SX)
+    assert np.allclose(sigma[1], SY)
+    assert np.allclose(sigma[2], SZ)
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_gell_mann_gram(d):
-    b = netham.gell_mann_basis(d)
-    assert len(b.sigma) == d * d - 1
-    for a, sa in enumerate(b.sigma):
+    sigma = netham.gell_mann_basis(d)
+    assert sigma.shape == (d * d - 1, d, d)
+    for a, sa in enumerate(sigma):
         assert abs(np.trace(sa)) < 1e-12
         assert np.abs(sa - sa.conj().T).max() < 1e-12
-        for bb, sb in enumerate(b.sigma):
+        for bb, sb in enumerate(sigma):
             want = 2.0 if a == bb else 0.0
             assert abs(np.trace(sa @ sb) - want) < 1e-12
 
@@ -44,7 +46,7 @@ def test_assemble_single_zz_pair():
 
 
 def test_assemble_complete_zz_three_nodes():
-    h = netham.complete_coupling_model(3, 2, alpha=2, coeff=0.5)
+    h = oracle.complete_coupling_model(3, 2, alpha=2, coeff=0.5)
     got = netham.assemble(h)
     eye = np.eye(2)
     want = (np.kron(np.kron(SZ, SZ), eye)
@@ -82,9 +84,10 @@ def _kron_chain_assemble(h, sigma):
     dim = h.d ** h.n
     H = np.zeros((dim, dim), dtype=complex)
     m = h.m
+    J4 = h.J.reshape(h.n, m, h.n, m)
     for k in range(h.n):
         for l in range(k + 1, h.n):
-            blk = h.block(k, l)
+            blk = J4[k, :, l]
             for a, b in zip(*np.nonzero(blk)):
                 H += 2.0 * blk[a, b] * embed({k: sigma[a], l: sigma[b]})
         for a in range(m):
@@ -113,7 +116,7 @@ def _sparse_model(n, d, rng):
 def test_assemble_matches_kron_chain(n, d, seed):
     rng = np.random.default_rng(seed)
     h = _sparse_model(n, d, rng)
-    want = _kron_chain_assemble(h, netham.gell_mann_basis(d).sigma)
+    want = _kron_chain_assemble(h, netham.gell_mann_basis(d))
     got = netham.assemble(h)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
 

@@ -63,7 +63,7 @@ def test_decoupling_sweep(n, d):
 
 
 def test_selective_keep_two():
-    h = netham.complete_coupling_model(3, 2, alpha=2, coeff=0.5, with_local=True)
+    h = oracle.complete_coupling_model(3, 2, alpha=2, coeff=0.5, with_local=True)
     sch = scheme.selective_scheme(3, 2, keep={0, 1})
     avg = scheme.average_hamiltonian(h, sch)
     eye = np.eye(2)
@@ -74,7 +74,7 @@ def test_selective_keep_two():
 
 
 def test_selective_keep_one():
-    h = netham.complete_coupling_model(3, 2, alpha=2, coeff=0.5, with_local=True)
+    h = oracle.complete_coupling_model(3, 2, alpha=2, coeff=0.5, with_local=True)
     sch = scheme.selective_scheme(3, 2, keep={0})
     avg = scheme.average_hamiltonian(h, sch)
     want = 0.5 * np.kron(SZ, np.eye(4))
@@ -98,8 +98,9 @@ def test_selective_random_models():
         ks = sorted(keep)
         if len(ks) == 2:
             a, b = ks
-            J[a * m:(a + 1) * m, b * m:(b + 1) * m] = h.block(a, b)
-            J[b * m:(b + 1) * m, a * m:(a + 1) * m] = h.block(b, a)
+            J4 = h.J.reshape(h.n, m, h.n, m)
+            J[a * m:(a + 1) * m, b * m:(b + 1) * m] = J4[a, :, b]
+            J[b * m:(b + 1) * m, a * m:(a + 1) * m] = J4[b, :, a]
         r = np.zeros_like(h.r)
         for k in ks:
             r[k * m:(k + 1) * m] = h.r[k * m:(k + 1) * m]
@@ -211,6 +212,16 @@ def test_mixed_decoupling_refuses_no_nodes():
     # the empty product is 1: an empty dimension list made a scheme of n = 0, N = 1
     with pytest.raises(ValueError, match="at least one node"):
         scheme.mixed_decoupling_scheme([])
+
+
+@pytest.mark.parametrize("pulses", [[[1.7, 4.9]], [[True, 2]], [[1, 2.5]], np.array([[True, False]])])
+def test_scheme_refuses_fractional_and_bool_labels(pulses):
+    # a cast to int stored 1.7 and 4.9 as the valid labels 1 and 4
+    basis = error_basis.generalized_pauli_basis(2)
+    with pytest.raises(ValueError, match="pulses must hold integers"):
+        scheme.PulseScheme(1, 2, [0.5, 0.5], pulses, [basis])
+    sch = scheme.PulseScheme(1, 2, [0.5, 0.5], [[1.0, 4.0]], [basis])
+    assert sch.pulses.dtype == int and sch.pulses.tolist() == [[1, 4]]
 
 
 def test_scheme_validation():
@@ -407,17 +418,16 @@ def test_zero_model_passes_only_against_zero_target():
     assert rep["ok"] is False and rep["residual"] == np.inf
 
 
-def _adjoint_stack(sch, d):
+def _adjoint_stack(sch):
     """Adjoint matrices of each distinct basis and every node's index into them."""
-    sigma = np.array(netham.gell_mann_basis(d).sigma)
     distinct = list({id(b): b for b in sch.bases}.values())
     index = np.array([[id(x) for x in distinct].index(id(b)) for b in sch.bases])
-    return np.array([scheme._adjoint_matrices(b, sigma) for b in distinct]), index
+    return np.array([scheme._adjoint_matrices(b) for b in distinct]), index
 
 
 def _loop_average(h, sch):
     """The pair-loop reference, fed the adjoint matrices of the scheme's own bases."""
-    R, index = _adjoint_stack(sch, h.d)
+    R, index = _adjoint_stack(sch)
     return _pair_loop_reference(h, sch, R[index])
 
 
@@ -429,7 +439,7 @@ def _pair_loop_reference(h, sch, R):
     """
     n, m, s = h.n, h.m, h.d * h.d
     labels = sch.pulses - 1
-    J = np.zeros_like(h.J)
+    J, J4 = np.zeros_like(h.J), h.J.reshape(n, m, n, m)
     r = np.empty_like(h.r)
     for k in range(n):
         w = np.bincount(labels[k], weights=sch.times, minlength=s)
@@ -437,7 +447,7 @@ def _pair_loop_reference(h, sch, R):
         for l in range(k + 1, n):
             w = np.bincount(labels[k] * s + labels[l], weights=sch.times,
                             minlength=s * s).reshape(s, s)
-            left = np.tensordot(w, R[k] @ h.block(k, l), (0, 0))
+            left = np.tensordot(w, R[k] @ J4[k, :, l], (0, 0))
             blk = np.tensordot(left, R[l], ([0, 2], [0, 2]))
             J[k * m:(k + 1) * m, l * m:(l + 1) * m] = blk
             J[l * m:(l + 1) * m, k * m:(k + 1) * m] = blk.T
@@ -472,10 +482,10 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_adjoint_matrices_match_trace_loop(d):
-    sigma = np.array(netham.gell_mann_basis(d).sigma)
+    sigma = netham.gell_mann_basis(d)
     rng = np.random.default_rng(d)
     for basis in (error_basis.generalized_pauli_basis(d), _conjugated_basis(d, rng)):
-        R = scheme._adjoint_matrices(basis, sigma)
+        R = scheme._adjoint_matrices(basis)
         want = np.array([[[np.trace(sa @ E.conj().T @ sb @ E).real / 2 for sb in sigma]
                           for sa in sigma] for E in basis.elements])
         assert np.abs(R - want).max() <= 1e-14

@@ -22,7 +22,7 @@ def test_repeated_calls_return_the_same_object():
         assert error_basis.generalized_pauli_basis(d) is error_basis.generalized_pauli_basis(d)
     for d in (2, 3, 4):
         assert netham.gell_mann_basis(d) is netham.gell_mann_basis(d)
-        assert netham._gell_mann(d)[0] is netham.gell_mann_basis(d)
+        assert netham._gell_mann(d) is netham.gell_mann_basis(d)
         assert scheme._standard_adjoint(d) is scheme._standard_adjoint(d)
     for p, k in ((2, 1), (2, 2), (3, 2), (2, 3), (7, 1)):
         spec = gf.field_new(p, k)
@@ -45,8 +45,8 @@ def _shared_arrays():
     for d in range(2, 9):
         yield from error_basis.generalized_pauli_basis(d).elements
     for d in (2, 3, 4):
-        yield from netham.gell_mann_basis(d).sigma
-        yield netham._gell_mann(d)[1]
+        yield from netham.gell_mann_basis(d)
+        yield netham.gell_mann_basis(d)
         yield scheme._standard_adjoint(d)
     for q in (2, 4, 9, 16, 251):
         yield from gf.tables(gf.field_for_order(q))

@@ -164,6 +164,15 @@ def test_constructor_validation():
                          np.ones((1, 4), int), np.ones((1, 4), int))
 
 
+@pytest.mark.parametrize("bad", [[[1.5, -1]], [[True, -1]]])
+def test_constructor_refuses_fractional_and_bool_signs(bad):
+    # a cast to int read 1.5 as the valid sign 1
+    with pytest.raises(ValueError, match="Sx must hold integers"):
+        signs.SignTriple(1, 2, bad, [[1, 1]], [[1, -1]])
+    st = signs.SignTriple(1, 2, [[1.0, -1.0]], [[1, 1]], [[1, -1]])
+    assert st.Sx.dtype == int and st.Sx.tolist() == [[1, -1]]
+
+
 # a fractional or boolean size, or a non-integer sign, would be truncated to a valid one
 @pytest.mark.parametrize("key,bad", [("n", 1.9), ("n", True), ("N", None),
                                      ("Sx", [[True, -1, 1, -1]]), ("Sy", [[1.2, -1, -1, 1]])])
