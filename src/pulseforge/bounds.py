@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import netham
+
 TOL = 1e-9
 SEARCH_SEED = 0xC0FFEE
 
@@ -29,13 +31,8 @@ def majorizes(x, y, tol: float = TOL) -> bool:
 
 
 def _check_traceless_symmetric(M, name: str):
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValueError(f"{name} must be square")
-    scale = max(1.0, np.abs(M).max(initial=0.0))
-    if np.abs(M - M.T).max(initial=0.0) > 1e-10 * scale:
-        raise ValueError(f"{name} must be symmetric")
-    if abs(np.trace(M)) > 1e-8 * scale:
+    M = netham._check_symmetric(M, name, 1e-10)
+    if abs(np.trace(M)) > 1e-8 * max(1.0, np.abs(M).max(initial=0.0)):
         raise ValueError(f"{name} must be traceless")
     return M
 
@@ -82,11 +79,7 @@ def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 def tau_min_rescaled(Jtilde, J, S) -> float:
     """tau_min after multiplying coupling block (k,l) of both sides by S[k,l]."""
-    S = np.asarray(S, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError("S must be square")
-    if np.abs(S - S.T).max(initial=0.0) > 1e-12:
-        raise ValueError("S must be symmetric")
+    S = netham._check_symmetric(S, "S")
     Jtilde = np.asarray(Jtilde, dtype=float)
     J = np.asarray(J, dtype=float)
     if Jtilde.shape != J.shape:

@@ -136,13 +136,15 @@ class _Run:
         return 0 if ok else 1
 
 
-def _check_coefficients(n: int, d: int):
-    """Refuse d < 2 and a (d^2-1) n coefficient matrix above the cap before anything is built."""
+def _check_coefficients(n: int, d: int, pulses: bool = False):
+    """Refuse, before any build, d < 2, (d^2-1) n above the cap and pulses on a d without su(d)."""
     # d = 1 or 0 makes the product 0 or negative, which passes the cap at any n
     if d < 2:
         raise ValueError(f"d must be at least 2, got {d}")
     if (d * d - 1) * n > netham.HILBERT_CAP:
         raise ValueError(f"coefficient dimension ({d}^2-1)*{n} exceeds {netham.HILBERT_CAP}")
+    if pulses:
+        netham.gell_mann_basis(d)       # its range check refuses d > 4
 
 
 def _load_like(path: str, model, load):
@@ -159,8 +161,8 @@ def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
     edges = np.zeros((g.n, 1, g.n, 1))
     for u, v in g.edges:
         edges[u, 0, v, 0] = edges[v, 0, u, 0] = 1.0
-    J = (model.J.reshape(g.n, model.m, g.n, model.m) * edges).reshape(model.J.shape)
-    return netham.PairHamiltonian(g.n, d, J, model.r)
+    model.J.reshape(g.n, model.m, g.n, model.m)[...] *= edges    # in place, through a view
+    return model
 
 
 def _write_scheme(sch, path: str, fmt: str, to_json):
@@ -179,7 +181,7 @@ def cmd_decouple(args) -> int:
     if args.graph:
         from . import graphcolor
         g = graphcolor.graph_from_json(_load_json(args.graph))
-    _check_coefficients(g.n if g else args.n, args.d)
+    _check_coefficients(g.n if g else args.n, args.d, pulses=True)
     if g:
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
         model = _graph_supported_model(g, args.d, args.seed)
@@ -198,7 +200,7 @@ def cmd_decouple(args) -> int:
 def cmd_invert(args) -> int:
     run = _Run(args, [])
     d = 3 if args.d is None else args.d     # only --harmonic may omit --d
-    _check_coefficients(args.n, d)
+    _check_coefficients(args.n, d, pulses=not args.harmonic)
     if args.harmonic:
         from . import harmonic
         if args.format == "csv":
@@ -242,7 +244,8 @@ def cmd_verify(args) -> int:
     factor = {"zero": 0.0, "invert": -1.0}.get(args.target)
     run = _Run(args, [args.model, args.scheme] + ([args.target] if factor is None else []))
     sdoc, mdoc = _load_json(args.scheme), _load_json(args.model)
-    _check_coefficients(netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d"))
+    _check_coefficients(netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d"),
+                        pulses="phases" not in sdoc)
     if "phases" in sdoc:
         from . import harmonic
         net = harmonic.network_from_json(mdoc)

@@ -258,10 +258,8 @@ def edge_coloring(g: InteractionGraph) -> dict:
 
 def threshold_decomposition(T: np.ndarray) -> list:
     """Level sets of |T|: one entry per threshold gap with its edge coloring."""
-    T = np.asarray(T, dtype=float)
+    T = netham._check_symmetric(T, "T")
     n = T.shape[0]
-    if T.shape != (n, n) or np.abs(T - T.T).max(initial=0.0) > 1e-12:
-        raise ValueError("T must be symmetric")
     mags = sorted({abs(T[u, v]) for u in range(n) for v in range(u + 1, n)
                    if abs(T[u, v]) > 0})
     levels = []

@@ -37,11 +37,9 @@ class OscillatorNetwork:
     C: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.C = np.asarray(self.C, dtype=float)
-        if self.C.shape != (self.n, self.n):
+        if np.shape(self.C) != (self.n, self.n):
             raise ValueError("C must be n x n")
-        if np.abs(self.C - self.C.T).max(initial=0.0) > 1e-12:
-            raise ValueError("C must be symmetric")
+        self.C = netham._check_symmetric(self.C, "C")
         if np.any(np.diag(self.C) != 0.0):
             raise ValueError("C must have zero diagonal")
         if self.d < 2:
@@ -239,12 +237,6 @@ def flip_rows(ps: PhaseScheme, nodes) -> PhaseScheme:
     return PhaseScheme(ps.n, ps.N, phases, ps.times)
 
 
-def _zero_diagonal(T: np.ndarray) -> np.ndarray:
-    T = np.array(T, dtype=float)
-    np.fill_diagonal(T, 0.0)
-    return T
-
-
 def gram_synthesis_report(T: np.ndarray) -> dict:
     """Bounds and (when possible) a schedule for reshaping C into T*C.
 
@@ -255,10 +247,9 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
     graph yields one matching per step; general fractional targets get
     bounds-only output.
     """
-    T = _zero_diagonal(T)
+    T = netham._check_symmetric(T, "T").copy()
+    np.fill_diagonal(T, 0.0)            # C has none, so T's diagonal plays no part
     n = T.shape[0]
-    if np.abs(T - T.T).max(initial=0.0) > 1e-12:
-        raise ValueError("T must be symmetric")
     if np.abs(T).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("entries of T must lie in [-1, 1]")
     lam_min = float(np.linalg.eigvalsh(T)[0])

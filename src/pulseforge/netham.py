@@ -11,7 +11,7 @@ scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.  gell_mann_basis(d) is
 one read-only (d^2-1, d, d) array, built once per d in a process and
-shared.
+shared.  _check_symmetric() is the one check of a real symmetric input.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 HILBERT_CAP = 4096
-_SYM_TOL = 1e-12
 
 
 def gell_mann_basis(d: int) -> np.ndarray:
@@ -63,6 +62,21 @@ def _gell_mann(d: int) -> np.ndarray:
     return stacked
 
 
+def _check_symmetric(M, name: str, tol: float = 1e-12) -> np.ndarray:
+    """M as a float array; ValueError naming M when it is not square, not finite (read
+    from max|M|, which NaN and inf carry) or max|M - M^T| > tol * max(1, max|M|)."""
+    M = np.asarray(M, dtype=float)
+    if M.ndim != 2 or M.shape[0] != M.shape[1]:
+        raise ValueError(f"{name} must be square")
+    top = float(np.abs(M).max(initial=0.0))
+    if not np.isfinite(top):
+        raise ValueError(f"{name} must hold finite numbers")
+    asym = M - M.T
+    if not np.abs(asym, out=asym).max(initial=0.0) <= tol * max(1.0, top):  # one temporary
+        raise ValueError(f"{name} must be symmetric")
+    return M
+
+
 @dataclass(eq=False)
 class PairHamiltonian:
     """n-node model: symmetric J with zero diagonal blocks, local vector r."""
@@ -75,16 +89,12 @@ class PairHamiltonian:
     def __post_init__(self):
         m = self.d * self.d - 1
         mn = m * self.n
-        self.J = np.asarray(self.J, dtype=float)
         self.r = np.asarray(self.r, dtype=float)
-        if self.J.shape != (mn, mn):
+        if np.shape(self.J) != (mn, mn):
             raise ValueError(f"J must be {mn}x{mn}")
         if self.r.shape != (mn,):
             raise ValueError(f"r must have length {mn}")
-        scale = max(1.0, float(np.abs(self.J).max(initial=0.0)))
-        asym = self.J - self.J.T
-        if np.abs(asym, out=asym).max(initial=0.0) > _SYM_TOL * scale:    # one (mn)^2 temporary
-            raise ValueError("J must be symmetric")
+        self.J = _check_symmetric(self.J, "J")
         nodes = np.arange(self.n)
         if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):
             raise ValueError("diagonal blocks of J must be zero")
@@ -144,9 +154,13 @@ def frobenius_norm(h: PairHamiltonian) -> float:
     orthogonal, so ||H||_F^2 = d^(n-2) (16 sum_{k<l} ||J_kl||^2 + 2d ||r||^2);
     each unordered pair sits in J twice.
     """
-    J2 = float(np.sum(h.J * h.J))
-    r2 = float(np.sum(h.r * h.r))
-    return float(np.sqrt(8.0 * J2 + 2.0 * h.d * r2) * np.sqrt(float(h.d)) ** (h.n - 2))
+    return _frobenius(h.J, h.r, h.n, h.d)
+
+
+def _frobenius(J: np.ndarray, r: np.ndarray, n: int, d: int) -> float:
+    J2 = float(np.sum(J * J))
+    r2 = float(np.sum(r * r))
+    return float(np.sqrt(8.0 * J2 + 2.0 * d * r2) * np.sqrt(float(d)) ** (n - 2))
 
 
 def random_model(n: int, d: int, seed: int) -> PairHamiltonian:

@@ -38,7 +38,6 @@ from . import designs, error_basis, netham
 RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SIGN_TOL = 1e-12
-_BAND_ROWS = 512      # rows per product or update of an (mn)^2 array
 _APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of _pair_average
 
 
@@ -119,14 +118,22 @@ def _standard_adjoint(d: int) -> np.ndarray:
     return R
 
 
-def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme, R: np.ndarray):
-    """(J, r) of the average; R[k, a] is the adjoint matrix of label a + 1 on node k.
+def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme):
+    """(J, r) of average_model, unchecked; R[k, a] is the adjoint of label a + 1 on node k.
 
     The tables w come a band of node pairs at a time from designs._pair_tables,
     at most _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
     Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b.  A step of
     one table builds each row's Y once and its Z in one product.
     """
+    if hmodel.n != sch.n:
+        raise ValueError("node counts differ")
+    if any(d != hmodel.d for d in sch.dims):
+        raise ValueError("scheme bases do not match the node dimension")
+    adjoint = {id(b): b for b in sch.bases}        # each distinct basis once
+    adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
+               else _adjoint_matrices(b) for key, b in adjoint.items()}
+    R = np.array([adjoint[id(b)] for b in sch.bases])
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
     Ra = R.reshape(n, s, m * m)
     Rx = R.transpose(0, 2, 3, 1).reshape(n, m, m * s)     # Rx[k][c, (e, b)] = R[k, b, c, e]
@@ -168,15 +175,7 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     every d and every basis, a custom one per node included, divided by
     the total time last (_pair_average).  Nothing of size d^n is built.
     """
-    if hmodel.n != sch.n:
-        raise ValueError("node counts differ")
-    if any(d != hmodel.d for d in sch.dims):
-        raise ValueError("scheme bases do not match the node dimension")
-    adjoint = {id(b): b for b in sch.bases}        # each distinct basis once
-    adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
-               else _adjoint_matrices(b) for key, b in adjoint.items()}
-    J, r = _pair_average(hmodel, sch, np.array([adjoint[id(b)] for b in sch.bases]))
-    return netham.PairHamiltonian(hmodel.n, hmodel.d, J, r)
+    return netham.PairHamiltonian(hmodel.n, hmodel.d, *_pair_average(hmodel, sch))
 
 
 def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
@@ -276,14 +275,15 @@ def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
         raise ValueError("target and model differ in n or d")
     overhead = sch.target_overhead if overhead is None else overhead
     check_overhead(overhead)
-    diff = average_model(hmodel, sch)
-    diff.J *= overhead
-    diff.r *= overhead
-    if c:                               # by row bands, so no second (mn)^2 array is made
-        for i in range(0, diff.J.shape[0], _BAND_ROWS):
-            diff.J[i:i + _BAND_ROWS] -= c * sub.J[i:i + _BAND_ROWS]
-        diff.r -= c * sub.r
-    return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
+    J, r = _pair_average(hmodel, sch)
+    J *= overhead
+    r *= overhead
+    if c:
+        for row, want in zip(J, sub.J):     # a row at a time, so no second (mn)^2 array is made
+            row -= c * want
+        r -= c * sub.r
+    return residual_report(netham._frobenius(J, r, hmodel.n, hmodel.d),
+                           netham.frobenius_norm(hmodel))
 
 
 # ---------------------------------------------------------------------------

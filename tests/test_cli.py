@@ -340,6 +340,59 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
         assert ("exceeds 4096" if argv in too_big else "at least 2") in err, (argv, err)
 
 
+def test_unsupported_qudit_d_refused_before_any_build(capsys, tmp_path, monkeypatch):
+    # the pulse engine has su(d) bases up to d = 4, and d = 5 passes the size
+    # cap up to n = 170; no array or model may be built before the refusal
+    mpath = tmp_path / "model.json"
+    mpath.write_text(json.dumps({"n": 170, "d": 5, "J": [], "r": []}))
+    spath = tmp_path / "sch.json"
+    spath.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))))
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graphcolor.graph_to_json(graphcolor.InteractionGraph(3, {(0, 1)}))))
+
+    def refuse(*args):
+        raise AssertionError("built before the d check")
+    for module, name in ((designs, "smallest_oa_for"), (netham, "random_model"),
+                         (netham, "model_from_json")):
+        monkeypatch.setattr(module, name, refuse)
+    for argv in (["decouple", "--n", "170", "--d", "5"],
+                 ["decouple", "--d", "5", "--graph", str(gpath)],
+                 ["invert", "--n", "100", "--d", "5"],
+                 ["verify", "--model", str(mpath), "--scheme", str(spath), "--target", "zero"]):
+        assert cli.main(argv) == 2, argv
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: node dimension 5 out of supported range [2, 4]\n", err
+    # oscillator levels have no su(d) basis to check
+    code, rep = run(capsys, "invert", "--harmonic", "--n", "170", "--d", "5")
+    assert code == 0 and rep["ok"]
+
+
+@pytest.mark.parametrize("argv", [["decouple", "--n", "5", "--d", "3"],
+                                  ["decouple", "--d", "2", "--graph", "GRAPH"],
+                                  ["invert", "--n", "4", "--d", "2"],
+                                  ["verify", "--model", "MODEL", "--scheme", "SCHEME",
+                                   "--target", "invert"]])
+def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, argv):
+    # the model is checked where it is built or read; neither the --graph mask
+    # nor the average checks an (mn)^2 coupling matrix again
+    files = {"GRAPH": tmp_path / "graph.json", "MODEL": tmp_path / "model.json",
+             "SCHEME": tmp_path / "sch.json"}
+    g = graphcolor.InteractionGraph(6, {(k, k + 3) for k in range(3)} | {(0, 4), (1, 5)})
+    files["GRAPH"].write_text(json.dumps(graphcolor.graph_to_json(g)))
+    files["MODEL"].write_text(json.dumps(netham.model_to_json(netham.random_model(3, 2, 4))))
+    files["SCHEME"].write_text(json.dumps(scheme.scheme_to_json(scheme.inversion_scheme(3, 2))))
+    checked = []
+    post_init = netham.PairHamiltonian.__post_init__
+
+    def counted(self):
+        checked.append(self.n)
+        post_init(self)
+    monkeypatch.setattr(netham.PairHamiltonian, "__post_init__", counted)
+    code, rep = run(capsys, *[str(files.get(a, a)) for a in argv])
+    assert code == 0 and rep["ok"]
+    assert len(checked) == 1, checked
+
+
 def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):
     # above the old d^n <= 4096 cap, with the dense embedding switched off
     def refuse(*args):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import netham
+from pulseforge import bounds, graphcolor, harmonic, netham
 
 import oracle
 
@@ -171,6 +171,49 @@ def test_model_validation():
         netham.PairHamiltonian(2, 2, np.zeros((5, 5)), np.zeros(6))
     with pytest.raises(ValueError):
         netham.assemble(netham.random_model(13, 2, 0))               # 2^13 > cap
+
+
+def _symmetric_entry_points():
+    """(name of the matrix, call on it, a valid matrix) for each library entry
+    point that takes a real symmetric matrix."""
+    C = harmonic.random_network(4, 3, 1).C
+    return [
+        ("J", lambda M: netham.PairHamiltonian(2, 2, M, np.zeros(6)),
+         netham.random_model(2, 2, 0).J),
+        ("C", lambda M: harmonic.OscillatorNetwork(4, 3, M), C),
+        ("J", lambda M: bounds.tau_min(C, M), C),
+        ("Jtilde", lambda M: bounds.tau_min(M, C), C),
+        ("S", lambda M: bounds.tau_min_rescaled(C, C, M), np.ones((2, 2))),
+        ("T", graphcolor.weighted_chromatic_index, C),
+        ("T", harmonic.gram_synthesis_report, C),
+    ]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_symmetric_inputs_refuse_non_finite_entries(bad):
+    # planted on both sides of the diagonal, so the matrix stays symmetric;
+    # the corner entry lies outside the diagonal blocks of the two-node model
+    for name, call, M in _symmetric_entry_points():
+        call(M)
+        M = M.copy()
+        M[0, -1] = M[-1, 0] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold finite numbers"):
+            call(M)
+
+
+@pytest.mark.parametrize("rel, ok", [(1e-13, True), (1e-9, False)])
+def test_symmetry_verdict_is_scale_free(rel, ok):
+    C = harmonic.random_network(5, 2, 3).C
+    C /= np.abs(C).max()
+    C[0, 1] += rel              # the relative asymmetry, as largest entry is 1
+    for scale in (1.0, 1e6):
+        for call in (lambda M: harmonic.OscillatorNetwork(5, 2, M),
+                     graphcolor.weighted_chromatic_index):
+            if ok:
+                call(scale * C)
+            else:
+                with pytest.raises(ValueError, match="^[CT] must be symmetric"):
+                    call(scale * C)
 
 
 def test_model_json_roundtrip():

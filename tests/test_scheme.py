@@ -372,10 +372,11 @@ def test_verify_scheme_refuses_bad_overhead():
 
 @pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (180, 2)])
 def test_number_target_equals_scaled_model(n, d):
-    # c stands for c * model; 180 qubits span more than one row band
+    # c stands for c * model, which verify_scheme never builds; overhead / c
+    # overflows for a subnormal c, so the average must not be divided by c
     h = netham.random_model(n, d, 8)
     for sch in (scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d)):
-        for c in (-1.0, 0.0, 0.5):
+        for c in (-1.0, 0.0, 0.5, 1e-310):
             assert scheme.verify_scheme(h, sch, c) == scheme.verify_scheme(h, sch, _scaled(h, c))
     assert scheme.verify_scheme(h, sch, 0.0) == scheme.verify_scheme(h, sch, None)
 
