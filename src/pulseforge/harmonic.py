@@ -121,6 +121,8 @@ def verify_phase_scheme(net: OscillatorNetwork, ps: PhaseScheme, target: np.ndar
         raise ValueError("scheme and network disagree on n")
     if np.shape(target) != (net.n, net.n):
         raise ValueError(f"target coupling matrix must be {net.n} x {net.n}")
+    if not np.isfinite(target).all():
+        raise ValueError("target coupling matrix must hold finite numbers")
     if np.any(np.diag(target) != 0):
         raise ValueError("target coupling matrix must have zero diagonal")
     scheme.check_overhead(overhead)

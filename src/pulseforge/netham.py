@@ -12,6 +12,8 @@ frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.  gell_mann_basis(d) is
 one read-only (d^2-1, d, d) array, built once per d in a process and
 shared.  _check_symmetric() is the one check of a real symmetric input.
+Every model passed in or read is checked, r included; random_model() and
+scheme.average_model() build theirs unchecked (PairHamiltonian._built()).
 """
 
 from __future__ import annotations
@@ -87,17 +89,25 @@ class PairHamiltonian:
     r: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        m = self.d * self.d - 1
-        mn = m * self.n
+        m, mn = self.m, self.m * self.n
         self.r = np.asarray(self.r, dtype=float)
         if np.shape(self.J) != (mn, mn):
             raise ValueError(f"J must be {mn}x{mn}")
         if self.r.shape != (mn,):
             raise ValueError(f"r must have length {mn}")
+        if not np.isfinite(self.r).all():
+            raise ValueError("r must hold finite numbers")
         self.J = _check_symmetric(self.J, "J")
         nodes = np.arange(self.n)
         if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):
             raise ValueError("diagonal blocks of J must be zero")
+
+    @classmethod
+    def _built(cls, n: int, d: int, J: np.ndarray, r: np.ndarray) -> PairHamiltonian:
+        """A model built finite, symmetric, zero on the diagonal blocks; not checked."""
+        h = object.__new__(cls)
+        h.n, h.d, h.J, h.r = n, d, J, r
+        return h
 
     @property
     def m(self) -> int:
@@ -152,15 +162,10 @@ def frobenius_norm(h: PairHamiltonian) -> float:
 
     Products of traceless basis elements on distinct nodes are
     orthogonal, so ||H||_F^2 = d^(n-2) (16 sum_{k<l} ||J_kl||^2 + 2d ||r||^2);
-    each unordered pair sits in J twice.
+    each unordered pair sits in J twice.  np.vdot makes no (mn)^2 temporary.
     """
-    return _frobenius(h.J, h.r, h.n, h.d)
-
-
-def _frobenius(J: np.ndarray, r: np.ndarray, n: int, d: int) -> float:
-    J2 = float(np.sum(J * J))
-    r2 = float(np.sum(r * r))
-    return float(np.sqrt(8.0 * J2 + 2.0 * d * r2) * np.sqrt(float(d)) ** (n - 2))
+    J2, r2 = float(np.vdot(h.J, h.J)), float(np.vdot(h.r, h.r))
+    return float(np.sqrt(8.0 * J2 + 2.0 * h.d * r2) * np.sqrt(float(h.d)) ** (h.n - 2))
 
 
 def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
@@ -175,7 +180,7 @@ def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
     J4[k, :, l, :] = blocks
     J4[l, :, k, :] = blocks.transpose(0, 2, 1)
     r = rng.uniform(-1.0, 1.0, size=m * n)
-    return PairHamiltonian(n, d, J, r)
+    return PairHamiltonian._built(n, d, J, r)     # finite, mirrored, diagonal blocks never set
 
 
 def model_to_json(h: PairHamiltonian) -> dict:

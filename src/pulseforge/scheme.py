@@ -6,11 +6,11 @@ basis.  The engine computes the algebraic average
 sum_j times[j] U_j^dag H U_j exactly (fast-control limit, no Trotter
 error) in coefficient space: each pulse acts on su(d) through a real
 adjoint matrix, so average_model() maps the model's coupling blocks and
-local vectors to those of the averaged model without touching the
-d^n-dimensional space, and verify_scheme() compares the result with a
-target model there.  The average sees the pulses only through each
-node pair's table of label pairs, weighted by time, and one route applies
-those tables for every d and every basis.
+local vectors to those of the averaged model, built symmetric and not
+checked again, without touching the d^n-dimensional space, and
+verify_scheme() compares the result with a target model there.  The
+average sees the pulses only through each node pair's time-weighted
+table of label pairs, applied by one route for every d and every basis.
 average_hamiltonian() realizes the average as a dense matrix; the d^n
 conjugation average it is tested against lives with the tests.  The
 synthesizers pick pulse matrices from orthogonal arrays and run them on
@@ -37,8 +37,8 @@ from . import designs, error_basis, netham
 
 RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
-_SIGN_TOL = 1e-12
-_APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of _pair_average
+_SNAP_TOL = 1e-12        # adjoint entries this close to an integer are set to it
+_APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of average_model
 
 
 @dataclass(eq=False)
@@ -97,7 +97,7 @@ def _adjoint_matrices(basis) -> np.ndarray:
     matrices are real and orthogonal because E_l is unitary.  The
     row-major vec of E^dag X E is K vec(X), K = E^dag kron E^T, so with the
     K of every element built at once the traces are two products with the
-    flattened sigma (sigma_a is Hermitian).  Entries within _SIGN_TOL of an
+    flattened sigma (sigma_a is Hermitian).  Entries within _SNAP_TOL of an
     integer are set to it, so Pauli pulses on qubits act by exact signs
     and decouple to exact zeros.
     """
@@ -107,7 +107,7 @@ def _adjoint_matrices(basis) -> np.ndarray:
     flat = sigma.reshape(len(sigma), -1)
     R = (flat.conj() @ K @ flat.T).real / 2.0
     whole = np.round(R)
-    return np.where(np.abs(R - whole) <= _SIGN_TOL, whole, R)
+    return np.where(np.abs(R - whole) <= _SNAP_TOL, whole, R)
 
 
 @functools.cache
@@ -118,13 +118,21 @@ def _standard_adjoint(d: int) -> np.ndarray:
     return R
 
 
-def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme):
-    """(J, r) of average_model, unchecked; R[k, a] is the adjoint of label a + 1 on node k.
+def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
+    """Exact average of the model under the scheme, in coefficient space.
 
-    The tables w come a band of node pairs at a time from designs._pair_tables,
-    at most _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
-    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b.  A step of
-    one table builds each row's Y once and its Z in one product.
+    Each pulse acts on su(d) through its adjoint matrix R, built once per
+    basis; R[k, a] is the adjoint of label a + 1 on node k.  The pulses
+    enter only through the time w_ab that nodes k and l spend with labels
+    a and b: block J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T and r_k
+    becomes sum_a w_a R_ka r_k, for every d and every basis, a custom one
+    per node included, divided by the total time last.  The tables w come
+    a band of node pairs at a time from designs._pair_tables, at most
+    _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
+    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b; a step of
+    one table builds each row's Y once and its Z in one product.  Blocks
+    land mirrored and l <= k ones are zeroed, so the average is exactly
+    symmetric with zero diagonal blocks.  Nothing of size d^n is built.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -162,20 +170,7 @@ def _pair_average(hmodel: netham.PairHamiltonian, sch: PulseScheme):
             blk[lower] = 0.0        # l <= k: no pair
             J4[rows, :, cols] += blk.transpose(0, 3, 1, 2)
             J4[cols, :, rows] += blk.transpose(1, 2, 0, 3)
-    return J, r
-
-
-def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
-    """Exact average of the model under the scheme, in coefficient space.
-
-    Each pulse acts on su(d) through its adjoint matrix R, built once per
-    basis.  The pulses enter only through the time w_ab that nodes k and
-    l spend with labels a and b: block J_kl becomes
-    sum_ab w_ab R_ka J_kl R_lb^T and r_k becomes sum_a w_a R_ka r_k, for
-    every d and every basis, a custom one per node included, divided by
-    the total time last (_pair_average).  Nothing of size d^n is built.
-    """
-    return netham.PairHamiltonian(hmodel.n, hmodel.d, *_pair_average(hmodel, sch))
+    return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
 
 
 def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
@@ -275,15 +270,13 @@ def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
         raise ValueError("target and model differ in n or d")
     overhead = sch.target_overhead if overhead is None else overhead
     check_overhead(overhead)
-    J, r = _pair_average(hmodel, sch)
-    J *= overhead
-    r *= overhead
+    diff = average_model(hmodel, sch)       # scaled and shifted in place into the difference
+    diff.J *= overhead
+    diff.r = overhead * diff.r - (c or 0.0) * sub.r     # None is the zero model
     if c:
-        for row, want in zip(J, sub.J):     # a row at a time, so no second (mn)^2 array is made
+        for row, want in zip(diff.J, sub.J):    # a row at a time: no second (mn)^2 array
             row -= c * want
-        r -= c * sub.r
-    return residual_report(netham._frobenius(J, r, hmodel.n, hmodel.d),
-                           netham.frobenius_norm(hmodel))
+    return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
 
 
 # ---------------------------------------------------------------------------

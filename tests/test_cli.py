@@ -373,8 +373,8 @@ def test_unsupported_qudit_d_refused_before_any_build(capsys, tmp_path, monkeypa
                                   ["verify", "--model", "MODEL", "--scheme", "SCHEME",
                                    "--target", "invert"]])
 def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, argv):
-    # the model is checked where it is built or read; neither the --graph mask
-    # nor the average checks an (mn)^2 coupling matrix again
+    # a model is checked where it is read; the models the library draws, the
+    # --graph mask and the average check no (mn)^2 coupling matrix at all
     files = {"GRAPH": tmp_path / "graph.json", "MODEL": tmp_path / "model.json",
              "SCHEME": tmp_path / "sch.json"}
     g = graphcolor.InteractionGraph(6, {(k, k + 3) for k in range(3)} | {(0, 4), (1, 5)})
@@ -390,7 +390,7 @@ def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, 
     monkeypatch.setattr(netham.PairHamiltonian, "__post_init__", counted)
     code, rep = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 0 and rep["ok"]
-    assert len(checked) == 1, checked
+    assert len(checked) == (argv[0] == "verify"), checked
 
 
 def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):

@@ -182,6 +182,18 @@ def test_verify_phase_scheme_refuses_mismatches():
             harmonic.verify_phase_scheme(net, ps, -net.C, overhead)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_verify_phase_scheme_refuses_non_finite_target(bad):
+    # one entry off the diagonal, so the shape and diagonal checks pass
+    net = harmonic.random_network(3, 2, 0)
+    ps = harmonic.fourier_inversion(3)
+    target = -net.C
+    assert harmonic.verify_phase_scheme(net, ps, target, 2.0)["ok"]
+    target[0, 1] = bad
+    with pytest.raises(ValueError, match="^target coupling matrix must hold finite numbers"):
+        harmonic.verify_phase_scheme(net, ps, target, 2.0)
+
+
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_fourier_fallback_decouples_any_n(n):
     net = _net(n, 2, seed=n)

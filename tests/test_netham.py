@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import bounds, graphcolor, harmonic, netham
+from pulseforge import bounds, graphcolor, harmonic, netham, scheme
 
 import oracle
 
@@ -146,7 +146,7 @@ def test_random_model_invariants_and_determinism():
     m = h1.m
     for k in range(4):
         assert np.all(h1.J[k * m:(k + 1) * m, k * m:(k + 1) * m] == 0)
-    assert np.allclose(h1.J, h1.J.T)
+    assert np.array_equal(h1.J, h1.J.T)     # exactly, as the model skips the check
 
 
 
@@ -199,6 +199,36 @@ def test_symmetric_inputs_refuse_non_finite_entries(bad):
         M[0, -1] = M[-1, 0] = bad
         with pytest.raises(ValueError, match=f"^{name} must hold finite numbers"):
             call(M)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_local_vector_refuses_non_finite_entries(bad):
+    r = np.zeros(6)
+    netham.PairHamiltonian(2, 2, np.zeros((6, 6)), r)
+    r[2] = bad
+    with pytest.raises(ValueError, match="^r must hold finite numbers"):
+        netham.PairHamiltonian(2, 2, np.zeros((6, 6)), r)
+
+
+def test_only_models_from_outside_are_checked(monkeypatch):
+    # random_model and average_model build symmetric models with zero diagonal
+    # blocks and skip the check; the public constructor and the loader run it
+    names = []
+    check = netham._check_symmetric
+
+    def counted(M, name, *args):
+        names.append(name)
+        return check(M, name, *args)
+    monkeypatch.setattr(netham, "_check_symmetric", counted)
+    h = netham.random_model(5, 3, 2)
+    for sch in (scheme.decoupling_scheme(5, 3), scheme.inversion_scheme(5, 3)):
+        scheme.average_model(h, sch)
+        scheme.verify_scheme(h, sch, -1.0)
+    assert names == []
+    netham.PairHamiltonian(h.n, h.d, h.J, h.r)
+    assert names == ["J"]
+    netham.model_from_json(netham.model_to_json(h))
+    assert names == ["J", "J"]
 
 
 @pytest.mark.parametrize("rel, ok", [(1e-13, True), (1e-9, False)])

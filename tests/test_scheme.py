@@ -476,7 +476,11 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed):
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
         avg = scheme.average_model(h, sch)
     J_ref, r_ref = _loop_average(h, sch)
+    # exactly what the unchecked model promises: symmetric, zero diagonal blocks, finite
     assert np.array_equal(avg.J, avg.J.T)
+    nodes = np.arange(n)
+    assert not avg.J.reshape(n, h.m, n, h.m)[nodes, :, nodes, :].any()
+    assert np.isfinite(avg.J).all() and np.isfinite(avg.r).all()
     assert np.abs(avg.J - J_ref).max(initial=0.0) <= 1e-12
     assert np.abs(avg.r - r_ref).max() <= 1e-12
 
