@@ -89,6 +89,15 @@ def tau_min_rescaled(Jtilde, J, S) -> float:
     return tau_min(_rescale_blocks(Jtilde, S), _rescale_blocks(J, S))
 
 
+def _check_blocks_traceless(n: int, **mats):
+    # a +-1 rescaling flips whole diagonal blocks: every S keeps M traceless iff each block is
+    for name, M in mats.items():
+        M = np.asarray(M, dtype=float)
+        traces = np.einsum("kaka->k", M.reshape(n, len(M) // n, n, len(M) // n))
+        if np.abs(traces).max() > 1e-8 * max(1.0, M.max(initial=0.0), -M.min(initial=0.0)):
+            raise ValueError(f"the rescaled search needs traceless diagonal blocks in {name}")
+
+
 def rescaled_search(Jtilde, J, n: int, trials: int = 100,
                     seed: int = SEARCH_SEED, start: float | None = None
                     ) -> tuple[float, np.ndarray]:
@@ -97,8 +106,10 @@ def rescaled_search(Jtilde, J, n: int, trials: int = 100,
     The all-ones S is always tried first, so the result is never worse
     than the plain tau_min; a caller that has tau_min(Jtilde, J) passes
     it as `start`, which is that trial's value (rescaling by 1.0 is
-    exact).  Returns (bound, argmax S).
+    exact).  Each diagonal block of Jtilde and J must be traceless, so
+    that every S keeps both traceless.  Returns (bound, argmax S).
     """
+    _check_blocks_traceless(n, Jtilde=Jtilde, J=J)
     rng = np.random.default_rng(seed)
     best_S = np.ones((n, n))
     best = tau_min_rescaled(Jtilde, J, best_S) if start is None else start
@@ -131,6 +142,7 @@ def inversion_lower_bound(J) -> float:
 def bound_report(Jtilde, J, n: int, trials: int = 100,
                  seed: int = SEARCH_SEED) -> dict:
     """All bounds in one report; these floors are necessary, not achievable."""
+    _check_blocks_traceless(n, Jtilde=Jtilde, J=J)     # before any spectrum
     # one spectrum of J serves tau_min, the all-ones trial and the inversion bound
     plain, y = _tau_min_and_spectrum(Jtilde, J)
     rescaled, S = rescaled_search(Jtilde, J, n, trials=trials, seed=seed, start=plain)

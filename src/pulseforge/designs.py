@@ -185,12 +185,11 @@ def cyclic_difference_scheme(u: int, n: int) -> DifferenceScheme:
     """Rows k = 0..n-1 of the Z_u multiplication table: entry k*j mod u.
 
     Rows k and l are balanced iff k-l is invertible mod u, so n may be
-    at most u for prime u and at most the smallest prime factor of u
-    otherwise.
+    at most the smallest prime factor of u (u itself when u is prime).
     """
     if u < 2:
         raise ValueError("need u >= 2")
-    limit = u if gf.is_prime(u) else min(p for p in range(2, u + 1) if u % p == 0)
+    limit = gf._smallest_factor(u)
     if not 1 <= n <= limit:
         raise ValueError(f"row count {n} unsupported for u = {u} (max {limit})")
     j = np.arange(u)

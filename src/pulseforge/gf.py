@@ -8,7 +8,9 @@ where c_i multiplies x**i; the encoding doubles as the symbol label that
 design constructions use.  All arithmetic goes through the q x q
 addition and multiplication tables that :func:`tables` builds over these
 encodings.  Each field and its tables are built once in a process and
-shared; the tables are read-only.
+shared; the tables are read-only.  One trial division, :func:`_smallest_factor`,
+tells whether n is prime or a prime power and bounds the rows of a cyclic
+difference scheme.
 
 Orders are capped at 2^10, so a table never exceeds a million entries;
 everything this package builds needs q <= 313.
@@ -24,19 +26,18 @@ import numpy as np
 MAX_ORDER = 1 << 10
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _smallest_factor(n: int) -> int:
+    """Least prime factor of n >= 2: n itself exactly when n is prime."""
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            return f
+        f += 1
+    return n
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and _smallest_factor(n) == n
 
 
 def next_prime(n: int) -> int:
@@ -51,16 +52,11 @@ def is_prime_power(n: int) -> tuple[int, int] | None:
     """Return (p, k) with n == p**k, or None when n is not a prime power."""
     if n < 2:
         return None
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            m, k = n, 0
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-        p += 1
-    return (n, 1)
+    p, k = _smallest_factor(n), 0
+    while n % p == 0:
+        n //= p
+        k += 1
+    return (p, k) if n == 1 else None
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,10 @@ into matchings executed one step at a time; their weighted version
 W_T integrates the chromatic index over the coupling-strength levels
 of a target matrix T.
 
-Exact searches run for small instances (<= 12 vertices resp. <= 10
-edges, which covers every worked example); larger inputs use greedy
-vertex coloring and a constructive Delta+1 edge coloring, flagged as
-inexact.
+One exact search colors the vertices of small graphs (<= 12 vertices;
+<= 10 edges for an edge coloring, the vertex coloring of the line graph),
+which covers every worked example; larger inputs get greedy vertex and
+Misra-Gries Delta+1 edge colorings, flagged as inexact.
 """
 
 from __future__ import annotations
@@ -36,6 +36,8 @@ class InteractionGraph:
     weights: dict | None = None
 
     def __post_init__(self):
+        if self.n < 1:
+            raise ValueError(f"a graph needs at least one vertex, got n = {self.n}")
         canon = set()
         for u, v in self.edges:
             if u == v:
@@ -101,12 +103,9 @@ def _greedy_vertex_coloring(n, adj):
 
 def vertex_coloring(g: InteractionGraph) -> dict:
     """Proper coloring report: {"colors", "count", "exact"}."""
-    adj = g.adjacency()
-    if g.n <= EXACT_VERTEX_LIMIT:
-        colors, k = _exact_vertex_coloring(g.n, adj)
-        return {"colors": colors, "count": k, "exact": True}
-    colors, k = _greedy_vertex_coloring(g.n, adj)
-    return {"colors": colors, "count": k, "exact": False}
+    exact = g.n <= EXACT_VERTEX_LIMIT
+    colors, k = (_exact_vertex_coloring if exact else _greedy_vertex_coloring)(g.n, g.adjacency())
+    return {"colors": colors, "count": k, "exact": exact}
 
 
 def colored_decoupling_scheme(g: InteractionGraph, d: int) -> scheme.PulseScheme:
@@ -125,34 +124,6 @@ def colored_decoupling_scheme(g: InteractionGraph, d: int) -> scheme.PulseScheme
 
 # ---------------------------------------------------------------------------
 # edge coloring
-
-def _exact_edge_coloring(edges, deg):
-    delta = max(deg)
-    order = sorted(edges, key=lambda e: -(deg[e[0]] + deg[e[1]]))
-    for k in (delta, delta + 1):
-        assign = {}
-        used = {}
-
-        def dfs(i):
-            if i == len(order):
-                return True
-            u, v = order[i]
-            for c in range(k):
-                if c not in used.get(u, set()) and c not in used.get(v, set()):
-                    assign[(u, v)] = c
-                    used.setdefault(u, set()).add(c)
-                    used.setdefault(v, set()).add(c)
-                    if dfs(i + 1):
-                        return True
-                    used[u].discard(c)
-                    used[v].discard(c)
-                    del assign[(u, v)]
-            return False
-
-        if dfs(0):
-            return assign, k
-    raise RuntimeError("edge coloring search failed")  # Delta+1 always works
-
 
 def _misra_gries(n, edges, deg):
     # constructive Delta+1 coloring via fans and alternating-path flips
@@ -241,14 +212,14 @@ def edge_coloring(g: InteractionGraph) -> dict:
     """
     if not g.edges:
         return {"colors": {}, "count": 0, "exact": True}
-    deg = [0] * g.n
-    for u, v in g.edges:
-        deg[u] += 1
-        deg[v] += 1
     edges = sorted(g.edges)
     if len(edges) <= EXACT_EDGE_LIMIT:
-        colors, k = _exact_edge_coloring(edges, deg)
-        return {"colors": colors, "count": k, "exact": True}
+        # the line graph: one vertex per edge, adjacent when two edges share an endpoint
+        line = [{j for j, f in enumerate(edges) if j != i and set(e) & set(f)}
+                for i, e in enumerate(edges)]
+        colors, k = _exact_vertex_coloring(len(edges), line)
+        return {"colors": {e: colors[i] for i, e in enumerate(edges)}, "count": k, "exact": True}
+    deg = np.bincount(np.ravel(edges), minlength=g.n).tolist()
     colors, k = _misra_gries(g.n, edges, deg)
     return {"colors": colors, "count": k, "exact": False}
 

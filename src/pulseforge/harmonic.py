@@ -37,8 +37,8 @@ class OscillatorNetwork:
     C: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if np.shape(self.C) != (self.n, self.n):
-            raise ValueError("C must be n x n")
+        if self.n < 1 or np.shape(self.C) != (self.n, self.n):
+            raise ValueError(f"C must be n x n with n >= 1, got n = {self.n}")
         self.C = netham._check_symmetric(self.C, "C")
         if np.any(np.diag(self.C) != 0.0):
             raise ValueError("C must have zero diagonal")
@@ -165,30 +165,24 @@ def clique_recoupling(net: OscillatorNetwork, partition,
     couplings across cliques see orthogonal rows and vanish.  Runs at
     zero time overhead.
     """
-    seen = set()
-    for clique in partition:
+    clique_of = {}
+    for c, clique in enumerate(partition):
         for v in clique:
-            if v in seen:
+            if v in clique_of:
                 raise ValueError(f"node {v} appears in two cliques")
             if not 0 <= v < net.n:
                 raise ValueError(f"node {v} out of range")
-            seen.add(v)
-    if seen != set(range(net.n)):
+            clique_of[v] = c
+    if set(clique_of) != set(range(net.n)):
         raise ValueError("partition must cover all nodes")
     nc = len(partition)
     if ds is not None:
         if ds.n < nc:
             raise ValueError(f"need {nc} difference-scheme rows, got {ds.n}")
         rows = np.exp(2j * np.pi * ds.entries[:nc] / ds.u)
-        N = ds.N
     else:
-        fs = fourier_phase_scheme(nc) if nc > 1 else PhaseScheme(1, 1, np.ones((1, 1)))
-        rows, N = fs.phases, fs.N
-    phases = np.empty((net.n, N), dtype=complex)
-    for c, clique in enumerate(partition):
-        for v in clique:
-            phases[v] = rows[c]
-    return PhaseScheme(net.n, N, phases)
+        rows = fourier_phase_scheme(nc).phases
+    return PhaseScheme(net.n, rows.shape[1], rows[[clique_of[v] for v in range(net.n)]])
 
 
 def fourier_inversion(n: int) -> PhaseScheme:
@@ -252,6 +246,8 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
     T = netham._check_symmetric(T, "T").copy()
     np.fill_diagonal(T, 0.0)            # C has none, so T's diagonal plays no part
     n = T.shape[0]
+    if n < 1:
+        raise ValueError("T must have at least one node")
     if np.abs(T).max(initial=0.0) > 1.0 + 1e-12:
         raise ValueError("entries of T must lie in [-1, 1]")
     lam_min = float(np.linalg.eigvalsh(T)[0])
@@ -288,7 +284,7 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
         cliques += [[v] for v in range(n) if v not in used]
         flip = sorted(e[0] for e in matched if T[e[0], e[1]] < 0)
         schedule.append({"duration": 1.0, "cliques": cliques, "flip": flip})
-    report["upper"] = graphcolor.weighted_chromatic_index(T)
+    report["upper"] = float(coloring["count"])          # the schedule's total duration
     report["schedule"] = schedule
     report["constructive"] = True
     if not coloring["exact"]:

@@ -252,3 +252,27 @@ def test_seeded_search_argmax_pinned_to_reference():
     best, S = _ref_search(-J, J, 6, 40, 5)
     assert np.array_equal(np.array(rep["S_argmax"]), S)
     assert _close(rep["rescaled_max"], best)
+
+
+def _block_traced_J():
+    # traceless, but its two 2 x 2 diagonal blocks have traces 1 and -1
+    J = np.zeros((4, 4))
+    J[0, 0], J[2, 2] = 1.0, -1.0
+    J[0, 2] = J[2, 0] = 0.5
+    return J
+
+
+def test_rescaled_search_refuses_diagonal_blocks_with_a_trace(monkeypatch):
+    # an S with S_kk = -1 would flip one block and leave the rescaled J with a
+    # trace, so the search is refused up front, before any spectrum is taken
+    J = _block_traced_J()
+    assert bounds.tau_min(-J, J) == 1.0
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(1) or eigvalsh(M))
+    for search in (lambda: bounds.bound_report(-J, J, 2),
+                   lambda: bounds.rescaled_search(-J, J, 2),
+                   lambda: bounds.rescaled_search(np.zeros((4, 4)), J, 2, trials=0)):
+        with pytest.raises(ValueError, match="traceless diagonal blocks"):
+            search()
+    assert calls == []

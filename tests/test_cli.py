@@ -691,6 +691,8 @@ _WHOLE = object()
      "field 'phases'"),
     ("graph", "graph", "edges", [[0, 1, float("nan")]], "edge weight"),
     ("graph", "graph", "edges", [[0, 1, True]], "edge weight"),
+    ("graph", "graph", _WHOLE, {"n": 0, "edges": []}, "at least one vertex, got n = 0"),
+    ("graph", "graph", "n", -3, "at least one vertex, got n = -3"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

@@ -286,6 +286,19 @@ def test_cyclic_difference_scheme_composite_u():
         designs.cyclic_difference_scheme(9, 4)
 
 
+def test_cyclic_difference_scheme_row_limit_is_the_smallest_prime_factor():
+    # the limit as stated before the shared factor search: u if prime, else
+    # its smallest prime factor found by scanning 2..u
+    for u in range(2, 401):
+        prime = all(u % p for p in range(2, u))
+        limit = u if prime else min(p for p in range(2, u + 1) if u % p == 0)
+        assert designs.cyclic_difference_scheme(u, limit).n == limit
+        for n in (0, limit + 1):
+            with pytest.raises(ValueError, match=rf"^row count {n} unsupported for u = {u} "
+                                                 rf"\(max {limit}\)$"):
+                designs.cyclic_difference_scheme(u, n)
+
+
 def test_difference_scheme_for():
     ds = designs.difference_scheme_for(6)
     assert ds.u == 7 and ds.n == 6

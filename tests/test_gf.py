@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -28,6 +29,24 @@ def test_prime_power_detection():
     assert gf.is_prime_power(1) is None
     assert gf.is_prime_power(12) is None
     assert gf.is_prime_power(100) is None
+
+
+def test_primes_and_prime_powers_match_a_sieve():
+    limit = 5000
+    sieve = np.ones(limit, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    powers = {}
+    for p in np.flatnonzero(sieve).tolist():
+        q, k = p, 1
+        while q < limit:
+            powers[q] = (p, k)
+            q, k = q * p, k + 1
+    for n in range(-3, limit):
+        assert gf.is_prime(n) == (n >= 0 and bool(sieve[n])), n
+        assert gf.is_prime_power(n) == powers.get(n), n
 
 
 def test_gf4_modulus_is_the_unique_irreducible_quadratic():

@@ -139,6 +139,66 @@ def test_edge_coloring_random(seed):
     assert rep["count"] <= max(deg) + 1
 
 
+def _exact_edge_coloring_loop(edges, deg):
+    """The former dedicated exact edge search: the reference for the line-graph route."""
+    delta = max(deg)
+    order = sorted(edges, key=lambda e: -(deg[e[0]] + deg[e[1]]))
+    for k in (delta, delta + 1):
+        assign = {}
+        used = {}
+
+        def dfs(i):
+            if i == len(order):
+                return True
+            u, v = order[i]
+            for c in range(k):
+                if c not in used.get(u, set()) and c not in used.get(v, set()):
+                    assign[(u, v)] = c
+                    used.setdefault(u, set()).add(c)
+                    used.setdefault(v, set()).add(c)
+                    if dfs(i + 1):
+                        return True
+                    used[u].discard(c)
+                    used[v].discard(c)
+                    del assign[(u, v)]
+            return False
+
+        if dfs(0):
+            return assign, k
+    raise RuntimeError("edge coloring search failed")  # Delta+1 always works
+
+
+def _check_against_edge_loop(g):
+    rep = graphcolor.edge_coloring(g)
+    assert _proper_edge(g, rep["colors"]) and rep["exact"]
+    assert set(rep["colors"].values()) == set(range(rep["count"]))
+    if g.edges:
+        deg = [sum(v in e for e in g.edges) for v in range(g.n)]
+        colors, k = _exact_edge_coloring_loop(sorted(g.edges), deg)
+        assert _proper_edge(g, colors)
+        assert rep["count"] == k
+    else:
+        assert rep["count"] == 0
+
+
+def test_exact_edge_coloring_matches_the_edge_search_on_every_subgraph_of_k5():
+    all_edges = sorted(_complete(5).edges)
+    for mask in range(1 << len(all_edges)):
+        edges = {e for i, e in enumerate(all_edges) if mask >> i & 1}
+        _check_against_edge_loop(graphcolor.InteractionGraph(5, edges))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_edge_coloring_matches_the_edge_search_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(100):
+        n = int(rng.integers(2, 13))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        size = int(rng.integers(1, min(graphcolor.EXACT_EDGE_LIMIT, len(pairs)) + 1))
+        edges = {pairs[i] for i in rng.choice(len(pairs), size, replace=False)}
+        _check_against_edge_loop(graphcolor.InteractionGraph(n, edges))
+
+
 def test_misra_gries_direct():
     # force the constructive path on instances small enough to cross-check
     for maker, bound in [(lambda: _complete(4), 4),
@@ -207,6 +267,9 @@ def test_graph_validation_and_json():
         graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 2): 1.0})
     with pytest.raises(ValueError):
         graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 1): -2.0})
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            graphcolor.InteractionGraph(n, set())
     g = graphcolor.InteractionGraph(4, {(0, 1), (2, 3)}, {(0, 1): 0.5})
     doc = graphcolor.graph_to_json(g)
     back = graphcolor.graph_from_json(doc)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import bounds, designs, harmonic
+from pulseforge import bounds, designs, graphcolor, harmonic
 
 import oracle
 
@@ -41,6 +41,8 @@ def test_network_validation():
         harmonic.OscillatorNetwork(2, 2, np.eye(2))
     with pytest.raises(ValueError):
         harmonic.OscillatorNetwork(2, 1, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="n >= 1"):
+        harmonic.OscillatorNetwork(0, 2, np.zeros((0, 0)))
 
 
 def test_phase_scheme_validation():
@@ -246,6 +248,23 @@ def test_clique_recoupling_singletons_decouple():
     assert np.abs(avg).max() < 1e-10
 
 
+@pytest.mark.parametrize("partition,ds", [
+    ([[0, 1, 2, 3]], None),
+    ([[2], [0, 3], [1]], None),
+    ([[0], [1], [2], [3]], None),
+    ([[3, 1], [0, 2]], designs.cyclic_difference_scheme(5, 3)),
+])
+def test_clique_recoupling_broadcasts_one_row_per_clique(partition, ds):
+    net = _net(4, 2, seed=12)
+    rows = (harmonic.fourier_phase_scheme(len(partition)).phases if ds is None
+            else np.exp(2j * np.pi * ds.entries[:len(partition)] / ds.u))
+    ps = harmonic.clique_recoupling(net, partition, ds)
+    assert (ps.n, ps.N) == (4, rows.shape[1])
+    for c, clique in enumerate(partition):
+        for v in clique:
+            assert np.array_equal(ps.phases[v], rows[c])
+
+
 def test_clique_recoupling_validation():
     net = _net(3, 2)
     with pytest.raises(ValueError):
@@ -337,6 +356,43 @@ def test_gram_synthesis_fractional_and_errors():
         harmonic.gram_synthesis_report(bad)
     with pytest.raises(ValueError):
         harmonic.gram_synthesis_report(np.triu(np.ones((3, 3)), 1))
+
+
+def _random_signed_target(rng, n):
+    T = rng.choice([-1.0, 0.0, 1.0], size=(n, n))
+    T = np.triu(T, 1)
+    return T + T.T
+
+
+def test_gram_synthesis_upper_is_the_schedule_duration():
+    # up to 36 edges, so both the exact search and Misra-Gries schedule
+    rng = np.random.default_rng(40)
+    for trial in range(60):
+        n = int(rng.integers(2, 10))
+        T = _random_signed_target(rng, n)
+        rep = harmonic.gram_synthesis_report(T)
+        net = _net(n, 2, seed=trial)
+        out = harmonic.compose_schedule(net, rep["schedule"])
+        assert rep["upper"] == graphcolor.weighted_chromatic_index(T) == out["overhead"]
+        assert np.abs(out["coupling"] - T * net.C).max() < 1e-10
+
+
+def test_gram_synthesis_colors_the_support_once(monkeypatch):
+    calls = []
+    edge_coloring = graphcolor.edge_coloring
+    monkeypatch.setattr(graphcolor, "edge_coloring", lambda g: calls.append(g) or edge_coloring(g))
+    rng = np.random.default_rng(41)
+    for n in range(2, 9):
+        T = _random_signed_target(rng, n)
+        T[0, 1] = T[1, 0] = 1.0          # a nonempty support, so there is a schedule
+        calls.clear()
+        rep = harmonic.gram_synthesis_report(T)
+        assert len(calls) == 1 and len(rep["schedule"]) == rep["upper"]
+
+
+def test_gram_synthesis_refuses_an_empty_target():
+    with pytest.raises(ValueError, match="at least one node"):
+        harmonic.gram_synthesis_report(np.zeros((0, 0)))
 
 
 def test_flip_rows():
