@@ -6,6 +6,10 @@ where tau is the total time overhead.  Reading that back gives a
 certified lower bound: the smallest tau for which majorization can
 hold at all.  These are necessary conditions only; nothing here claims
 a scheme achieving the bound exists.
+
+Each public call checks its inputs once, as they enter (_check_traceless(),
+through _checked() for a pair); the bounds and every trial of a rescaled
+search then run unchecked, in _tau().
 """
 
 from __future__ import annotations
@@ -30,31 +34,49 @@ def majorizes(x, y, tol: float = TOL) -> bool:
     return abs(cx[-1] - cy[-1]) <= tol
 
 
-def _check_traceless_symmetric(M, name: str):
+def _check_traceless(M, name: str, n: int = 1) -> np.ndarray:
+    """M as a float array, symmetric and traceless in each of its n diagonal blocks:
+    a rescaling by S multiplies block k by S[k, k], so only then does every S keep it traceless."""
     M = netham._check_symmetric(M, name, 1e-10)
-    if abs(np.trace(M)) > 1e-8 * max(1.0, np.abs(M).max(initial=0.0)):
-        raise ValueError(f"{name} must be traceless")
+    if n < 1 or len(M) % n:
+        raise ValueError(f"{n} blocks do not divide the size {len(M)} of {name}")
+    traces = np.einsum("kaka->k", M.reshape(n, len(M) // n, n, len(M) // n))
+    if np.abs(traces).max(initial=0.0) > 1e-8 * max(1.0, np.abs(M).max(initial=0.0)):
+        raise ValueError(f"{name} must be traceless" if n == 1 else
+                         f"a block rescaling needs traceless diagonal blocks in {name}")
     return M
 
 
-def _tau_min_and_spectrum(Jtilde, J) -> tuple[float, np.ndarray]:
-    """tau_min(Jtilde, J) and the descending spectrum of J it used."""
-    J = _check_traceless_symmetric(J, "J")
+def _checked(Jtilde, J, n: int = 1) -> tuple[np.ndarray | None, np.ndarray]:
+    """The one check of a bound's inputs: (Jtilde, J), Jtilde None when it is exactly -J."""
+    J = _check_traceless(J, "J", n)
     Jtilde = np.asarray(Jtilde, dtype=float)
+    if np.array_equal(Jtilde, -J):      # exactly as symmetric and traceless as J
+        return None, J
+    Jtilde = _check_traceless(Jtilde, "Jtilde", n)
+    if Jtilde.shape != J.shape:
+        raise ValueError("matrices must have equal shape")
+    return Jtilde, J
+
+
+def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
+    # entry (k*m + a, l*m + b) times S[k, l]; negation commutes with it exactly
+    n, m = len(S), len(M) // len(S)
+    return (M.reshape(n, m, n, m) * S[:, None, :, None]).reshape(M.shape)
+
+
+def _tau(Jtilde, J: np.ndarray, S=None) -> tuple[float, np.ndarray]:
+    """tau_min of inputs from _checked(), both rescaled by S when it is
+    given, and the descending spectrum of J it used; checks nothing."""
+    if S is not None:
+        J = _rescale_blocks(J, S)
+        Jtilde = None if Jtilde is None else _rescale_blocks(Jtilde, S)
     y = np.linalg.eigvalsh(J)[::-1]
-    # -J is exactly as symmetric and traceless as J, so only another target is checked
-    if np.array_equal(Jtilde, -J):
-        x = -y[::-1]
-    else:
-        Jtilde = _check_traceless_symmetric(Jtilde, "Jtilde")
-        if Jtilde.shape != J.shape:
-            raise ValueError("matrices must have equal shape")
-        x = np.linalg.eigvalsh(Jtilde)[::-1]
+    x = -y[::-1] if Jtilde is None else np.linalg.eigvalsh(Jtilde)[::-1]
     cx, cy = np.cumsum(x)[:-1], np.cumsum(y)[:-1]
-    degenerate = cy <= TOL
-    if np.any(cx[degenerate] > TOL):
+    live = cy > TOL
+    if np.any(cx[~live] > TOL):
         return float("inf"), y
-    live = ~degenerate
     return float((cx[live] / cy[live]).max(initial=0.0)), y
 
 
@@ -67,59 +89,34 @@ def tau_min(Jtilde, J) -> float:
     and the result is inf.  For Jtilde = -J the one spectrum of J
     serves both sides: the descending spectrum of -J is -y[::-1].
     """
-    return _tau_min_and_spectrum(Jtilde, J)[0]
-
-
-def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
-    # entry (k*m + a, l*m + b) times S[k, l]; negation commutes with it exactly
-    n = S.shape[0]
-    m = M.shape[0] // n
-    return (M.reshape(n, m, n, m) * S[:, None, :, None]).reshape(M.shape)
+    return _tau(*_checked(Jtilde, J))[0]
 
 
 def tau_min_rescaled(Jtilde, J, S) -> float:
-    """tau_min after multiplying coupling block (k,l) of both sides by S[k,l]."""
+    """tau_min after multiplying coupling block (k,l) of both sides by S[k,l];
+    each diagonal block of Jtilde and J must be traceless."""
     S = netham._check_symmetric(S, "S")
-    Jtilde = np.asarray(Jtilde, dtype=float)
-    J = np.asarray(J, dtype=float)
-    if Jtilde.shape != J.shape:
-        raise ValueError("matrices must have equal shape")
-    if J.shape[0] % S.shape[0]:
-        raise ValueError("S size must divide the matrix size")
-    return tau_min(_rescale_blocks(Jtilde, S), _rescale_blocks(J, S))
+    return _tau(*_checked(Jtilde, J, len(S)), S)[0]
 
 
-def _check_blocks_traceless(n: int, **mats):
-    # a +-1 rescaling flips whole diagonal blocks: every S keeps M traceless iff each block is
-    for name, M in mats.items():
-        M = np.asarray(M, dtype=float)
-        traces = np.einsum("kaka->k", M.reshape(n, len(M) // n, n, len(M) // n))
-        if np.abs(traces).max() > 1e-8 * max(1.0, M.max(initial=0.0), -M.min(initial=0.0)):
-            raise ValueError(f"the rescaled search needs traceless diagonal blocks in {name}")
-
-
-def rescaled_search(Jtilde, J, n: int, trials: int = 100,
-                    seed: int = SEARCH_SEED, start: float | None = None
-                    ) -> tuple[float, np.ndarray]:
-    """Best rescaled bound over random symmetric +-1 matrices S.
-
-    The all-ones S is always tried first, so the result is never worse
-    than the plain tau_min; a caller that has tau_min(Jtilde, J) passes
-    it as `start`, which is that trial's value (rescaling by 1.0 is
-    exact).  Each diagonal block of Jtilde and J must be traceless, so
-    that every S keeps both traceless.  Returns (bound, argmax S).
-    """
-    _check_blocks_traceless(n, Jtilde=Jtilde, J=J)
+def _search(Jtilde, J, n: int, trials: int, seed: int, best: float) -> tuple[float, np.ndarray]:
+    # best is tau_min, the value of the all-ones S: rescaling by 1.0 is exact
     rng = np.random.default_rng(seed)
     best_S = np.ones((n, n))
-    best = tau_min_rescaled(Jtilde, J, best_S) if start is None else start
     for _ in range(trials):
         S = np.where(rng.random((n, n)) < 0.5, -1.0, 1.0)
         S = np.triu(S) + np.triu(S, 1).T
-        val = tau_min_rescaled(Jtilde, J, S)
-        if val > best:
+        if (val := _tau(Jtilde, J, S)[0]) > best:
             best, best_S = val, S
     return best, best_S
+
+
+def rescaled_search(Jtilde, J, n: int, trials: int = 100,
+                    seed: int = SEARCH_SEED) -> tuple[float, np.ndarray]:
+    """(best bound, its S) over random symmetric +-1 rescalings S; the all-ones S is
+    tried first, and each diagonal block of Jtilde and J must be traceless."""
+    Jtilde, J = _checked(Jtilde, J, n)
+    return _search(Jtilde, J, n, trials, seed, _tau(Jtilde, J)[0])
 
 
 def _inversion_bound(J: np.ndarray, y: np.ndarray) -> float:
@@ -135,20 +132,20 @@ def inversion_lower_bound(J) -> float:
     whenever J is traceless and nonzero.  Equals the last prefix-sum
     ratio of tau_min(-J, J), hence never exceeds it.
     """
-    J = _check_traceless_symmetric(J, "J")
+    J = _check_traceless(J, "J")
     return _inversion_bound(J, np.linalg.eigvalsh(J)[::-1])
 
 
 def bound_report(Jtilde, J, n: int, trials: int = 100,
                  seed: int = SEARCH_SEED) -> dict:
     """All bounds in one report; these floors are necessary, not achievable."""
-    _check_blocks_traceless(n, Jtilde=Jtilde, J=J)     # before any spectrum
+    Jtilde, J = _checked(Jtilde, J, n)      # before any spectrum
     # one spectrum of J serves tau_min, the all-ones trial and the inversion bound
-    plain, y = _tau_min_and_spectrum(Jtilde, J)
-    rescaled, S = rescaled_search(Jtilde, J, n, trials=trials, seed=seed, start=plain)
+    plain, y = _tau(Jtilde, J)
+    rescaled, S = _search(Jtilde, J, n, trials, seed, plain)
     return {
         "tau_min": plain,
-        "inversion_bound": _inversion_bound(np.asarray(J, dtype=float), y),
+        "inversion_bound": _inversion_bound(J, y),
         "rescaled_max": rescaled,
         "S_argmax": S.tolist(),
         "lower_bound": True,

@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     writer = argparse.ArgumentParser(add_help=False)
     writer.add_argument("--out", help="write the certified scheme here")
-    writer.add_argument("--format", choices=("json", "csv"), default="json")
+    writer.add_argument("--format", choices=("json", "csv"))      # json when absent
 
     p = sub.add_parser("decouple", parents=[seeded, writer],
                        help="switch off all couplings and local terms")
@@ -358,9 +358,10 @@ def _check_flags(args) -> str | None:
         return "invert needs --d unless --harmonic"
     if args.command == "bound" and (args.rescale_search or 0) < 0:
         return "--rescale-search needs K >= 0"
-    if args.command == "signs":
-        if (args.m is None) == (args.from_oa is None):
-            return "signs needs exactly one of --m or --from-oa"
+    if args.command == "signs" and (args.m is None) == (args.from_oa is None):
+        return "signs needs exactly one of --m or --from-oa"
+    if getattr(args, "format", None) and not args.out:
+        return "--format needs --out"
     return None
 
 

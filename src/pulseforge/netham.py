@@ -244,8 +244,10 @@ def json_floats(doc: dict, key: str) -> np.ndarray:
     """Number array field (vector or matrix) of a loaded JSON document;
     ValueError when it is missing, null, ragged, or an entry is not a
     finite number.  Shapes are left to the caller."""
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
     try:
-        values = np.array(doc.get(key))
+        values = np.array(doc[key])
     except ValueError:                  # ragged rows
         values = None
     # str, dict and null entries give kinds U and O, all-bool ones kind b,

@@ -102,6 +102,9 @@ def test_rescaled_special_cases():
     assert bounds.tau_min_rescaled(-J, J, np.zeros((4, 4))) == 0.0
     with pytest.raises(ValueError):
         bounds.tau_min_rescaled(-J, J, np.triu(np.ones((4, 4))))
+    for n in (0, 5):             # no blocks, and 5 blocks of a 12 x 12 matrix
+        with pytest.raises(ValueError, match="blocks do not divide"):
+            bounds.rescaled_search(-J, J, n)
 
 
 def test_rescaled_search_zz():
@@ -276,3 +279,30 @@ def test_rescaled_search_refuses_diagonal_blocks_with_a_trace(monkeypatch):
         with pytest.raises(ValueError, match="traceless diagonal blocks"):
             search()
     assert calls == []
+
+
+def test_direct_rescaling_names_the_blocks_with_a_trace(monkeypatch):
+    # J itself is traceless; only its rescaling by an S with S_11 = -1 is not,
+    # so the message names the diagonal blocks, before any spectrum is taken
+    J = _block_traced_J()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(1) or eigvalsh(M))
+    with pytest.raises(ValueError, match="traceless diagonal blocks in J$"):
+        bounds.tau_min_rescaled(-J, J, np.array([[1.0, 1.0], [1.0, -1.0]]))
+    assert calls == []
+
+
+def test_search_trials_check_nothing(monkeypatch):
+    # the inputs are checked once per call; every trial runs on matrices
+    # derived from them, so the number of symmetry checks does not grow with it
+    counts = []
+    check = netham._check_symmetric
+    J = netham.random_model(4, 2, 3).J
+    for trials in (0, 50):
+        names = []
+        monkeypatch.setattr(netham, "_check_symmetric",
+                            lambda M, name, *a: names.append(name) or check(M, name, *a))
+        bounds.bound_report(-J, J, 4, trials=trials)
+        counts.append(len(names))
+    assert counts[0] == counts[1] == 1

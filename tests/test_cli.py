@@ -144,15 +144,15 @@ def test_bound_rescale_search(capsys, tmp_path):
 
 
 def test_rescale_search_counts_exactly(capsys, tmp_path, monkeypatch):
-    # K random trials; the all-ones start reuses tau_min's value, and the
+    # with --invert one spectrum serves tau_min, the all-ones trial and the
+    # inversion bound, and each of the K random trials takes one more; the
     # flag's absence means one trial
     path = write_model(tmp_path, oracle.complete_coupling_model(4, 2, alpha=2))
     calls = []
-    rescaled = bounds.tau_min_rescaled
-    monkeypatch.setattr(bounds, "tau_min_rescaled",
-                        lambda *a: calls.append(1) or rescaled(*a))
-    for extra, want in (([], 1), (["--rescale-search", "0"], 0),
-                        (["--rescale-search", "3"], 3)):
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(1) or eigvalsh(M))
+    for extra, want in (([], 2), (["--rescale-search", "0"], 1),
+                        (["--rescale-search", "3"], 4)):
         calls.clear()
         code, rep = run(capsys, "bound", "--model", path, "--invert", *extra)
         assert code == 0 and len(calls) == want, (extra, len(calls))
@@ -235,6 +235,39 @@ def test_signs_flag_exclusivity(capsys, tmp_path):
     assert code == 2
     code, _ = run(capsys, "signs", "--m", "1", "--from-oa", "x.json")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [["decouple", "--n", "3", "--d", "2"],
+                                  ["invert", "--n", "3", "--d", "2"],
+                                  ["signs", "--m", "2"]])
+def test_format_without_out_is_a_usage_error(capsys, tmp_path, argv):
+    # nothing is written without --out, so a --format there would go unused
+    assert cli.main([*argv, "--format", "csv"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == ["usage error: --format needs --out"]
+    # without --format a file is JSON, and the report's options leave it out
+    path = tmp_path / "out.json"
+    code, rep = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and "format" not in rep["options"]
+    json.loads(path.read_text())
+
+
+def test_verify_names_the_field_a_mixed_up_model_misses(capsys, tmp_path):
+    # an oscillator network has no J and a qudit model no C: each passed with
+    # the other kind of scheme is refused by name
+    paths = {}
+    for name, doc in (("model", netham.model_to_json(netham.random_model(4, 3, 0))),
+                      ("net", {"n": 4, "d": 3, "C": harmonic.random_network(4, 3, 0).C.tolist()}),
+                      ("sch", scheme.scheme_to_json(scheme.decoupling_scheme(4, 3))),
+                      ("phases", harmonic.phase_scheme_to_json(harmonic.fourier_inversion(4)))):
+        paths[name] = str(tmp_path / f"{name}.json")
+        cli._write_json(paths[name], doc)
+    for model, sch, missing in (("net", "sch", "J"), ("model", "phases", "C")):
+        code = cli.main(["verify", "--model", paths[model], "--scheme", paths[sch],
+                         "--target", "zero"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", err
+        assert err.splitlines() == [f"error: field {missing!r} is missing"]
 
 
 def test_usage_errors_exit_2(capsys):
