@@ -85,16 +85,15 @@ def coupling_hamiltonian(C: np.ndarray, n: int, d: int) -> np.ndarray:
     """sum over ordered pairs of C[k,l] a_k a_l^dag on the truncated space.
 
     C may be complex Hermitian (effective couplings are); the result is
-    Hermitian either way.  Each pair is embedded once as one d^2 x d^2
-    operator, under netham.HILBERT_CAP.
+    Hermitian either way.  Every pair k < l is one d^2 x d^2 operator, all
+    embedded by one netham.embed_terms call, under netham.HILBERT_CAP.
     """
     a = lowering_operator(d)
     lower_raise = np.kron(a, a.conj().T)      # a_k a_l^dag for k < l
     raise_lower = np.kron(a.conj().T, a)      # a_l a_k^dag = a_k^dag a_l
-    terms = (((k, l), C[k, l] * lower_raise + C[l, k] * raise_lower)
-             for k in range(n) for l in range(k + 1, n)
-             if C[k, l] != 0 or C[l, k] != 0)
-    return netham.embed_terms(n, d, terms)
+    pairs = netham._pairs(n)
+    k, l = pairs[:, 0, None, None], pairs[:, 1, None, None]
+    return netham.embed_terms(n, d, pairs, C[k, l] * lower_raise + C[l, k] * raise_lower)
 
 
 def effective_coupling(net_C: np.ndarray, ps: PhaseScheme) -> np.ndarray:

@@ -9,10 +9,11 @@ transpose.  assemble() realizes the model as a dense Hermitian matrix
 on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
 scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
-which is how schemes are certified without it.  gell_mann_basis(d) is
-one read-only (d^2-1, d, d) array, built once per d in a process and
-shared.  _check_symmetric() is the one check of a real symmetric input.
-Every model passed in or read is checked, r included; random_model() and
+which is how schemes are certified without it.  embed_terms() writes
+it, all nonzero entries at once; its index tables, the pair list and
+gell_mann_basis(d) are read-only arrays built once per size and shared.
+_check_symmetric() is the one check of a real symmetric input.  Every
+model passed in or read is checked, r included; random_model() and
 scheme.average_model() build theirs unchecked (PairHamiltonian._built()).
 """
 
@@ -114,26 +115,47 @@ class PairHamiltonian:
         return self.d * self.d - 1
 
 
-def embed_terms(n: int, d: int, terms) -> np.ndarray:
-    """Dense sum of few-node operators on (C^d)^{tensor n}.
+@functools.lru_cache(maxsize=8)
+def _pairs(n: int) -> np.ndarray:
+    """np.triu_indices(n, 1) as one read-only (P, 2) array of the node pairs k < l."""
+    pairs = np.column_stack(np.triu_indices(n, 1))
+    pairs.flags.writeable = False
+    return pairs
 
-    `terms` yields (sites, op) with ascending node indices `sites` and op
-    of shape (d^len(sites), d^len(sites)) in the kron order of those
-    nodes.  Each op is added through a view of the result with the
-    other nodes' row and column axes on their diagonal, so no d^n-sized
-    temporary is made per term.
+
+@functools.lru_cache(maxsize=32)
+def _embed_tables(n: int, d: int, k: int, packed: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only int32 (local, other) for the (T, k) intp sites packed: op t's entry
+    (a, b) lands at local[t, a*d^k + b] + other[t, x] of the flattened H, for each digit
+    pattern x of the other nodes; indices below HILBERT_CAP^2 = 2^24 fit int32."""
+    sites = np.frombuffer(packed, dtype=np.intp).reshape(-1, k)
+    dim, place = d ** n, d ** np.arange(n - 1, -1, -1)
+    A = place[sites] @ (np.arange(d ** k)[:, None] // d ** np.arange(k - 1, -1, -1) % d).T
+    free = (np.arange(dim)[:, None] // place % d)[:, sites] == 0        # (d^n, T, k)
+    local = (A[:, :, None] * dim + A[:, None, :]).astype(np.int32).reshape(len(sites), -1)
+    other = (np.nonzero(free.all(axis=2).T)[1] * (dim + 1)).astype(np.int32).reshape(len(sites), -1)
+    local.flags.writeable = other.flags.writeable = False
+    return local, other
+
+
+def embed_terms(n: int, d: int, sites, ops, H: np.ndarray | None = None) -> np.ndarray:
+    """Dense sum of few-node operators on (C^d)^{tensor n}, added into H (new when None).
+
+    ops[t] is a (d^k, d^k) matrix in the kron order of the ascending nodes
+    sites[t] of the (T, k) array `sites`.  Its nonzero entries are written on
+    every diagonal digit pattern of the other nodes by one np.add.at, in term
+    order, so each entry of H adds up its terms in the order given.
     """
     if d ** n > HILBERT_CAP:
         raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
-    H = np.zeros((d ** n, d ** n), dtype=complex)
-    tensor = H.reshape((d,) * (2 * n))
-    for sites, op in terms:
-        rest = [t for t in range(n) if t not in sites]
-        cols = [n + t if t in sites else t for t in range(n)]
-        out = list(sites) + [n + t for t in sites] + rest
-        # with no summed index einsum returns a writeable view of tensor
-        view = np.einsum(tensor, list(range(n)) + cols, out)
-        view += np.reshape(op, (d,) * (2 * len(sites)) + (1,) * len(rest))
+    H = np.zeros((d ** n, d ** n), dtype=complex) if H is None else H
+    sites, flat = np.asarray(sites, dtype=np.intp), np.asarray(ops).reshape(-1)
+    nz = np.flatnonzero(flat)
+    if nz.size:
+        local, other = _embed_tables(n, d, sites.shape[1], sites.tobytes())
+        index = (other[nz // local.shape[1]] + local.reshape(-1)[nz, None]).reshape(-1)
+        # a 1-d index keeps np.add.at on its fast path
+        np.add.at(H.reshape(-1), index, np.repeat(flat[nz], other.shape[1]))
     return H
 
 
@@ -141,20 +163,18 @@ def assemble(h: PairHamiltonian) -> np.ndarray:
     """Dense Hermitian realization of the model on (C^d)^{tensor n}.
 
     J and r are coordinates in the Gell-Mann basis of su(d).  One d^2 x d^2
-    operator per coupled pair, sigma_flat^T (2 J_kl) sigma_flat with its
-    axes reordered from (i, j, k, l) to (i, k, j, l), and one d x d
-    operator per node are embedded, each through a view of the result.
+    operator per pair, sigma_flat^T (2 J_kl) sigma_flat with its axes
+    reordered from (i, j, k, l) to (i, k, j, l), then one d x d operator per
+    node, are embedded by two embed_terms calls into one matrix.
     """
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
     flat = _gell_mann(d).reshape(m, dd)
-    k, l = np.triu_indices(n, 1)
+    pairs = _pairs(n)
     # ordered-pair convention: J_kl and its transpose both contribute
-    blocks = 2.0 * h.J.reshape(n, m, n, m)[k, :, l, :]
-    pairs = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
-    terms = [((a, b), op.reshape(dd, dd)) for a, b, op, J in zip(k, l, pairs, blocks) if J.any()]
-    local = h.r.reshape(n, m)
-    terms += [((a,), op) for a, op in enumerate((local @ flat).reshape(n, d, d)) if local[a].any()]
-    return embed_terms(n, d, terms)
+    blocks = 2.0 * h.J.reshape(n, m, n, m)[pairs[:, 0], :, pairs[:, 1], :]
+    ops = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+    H = embed_terms(n, d, pairs, ops)
+    return embed_terms(n, d, np.arange(n)[:, None], h.r.reshape(n, m) @ flat, H)
 
 
 def frobenius_norm(h: PairHamiltonian) -> float:
@@ -173,7 +193,7 @@ def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
     rng = np.random.default_rng(seed)
     m = d * d - 1
     # one draw for every pair block, in the row-major order of the pairs k < l
-    k, l = np.triu_indices(n, 1)
+    k, l = _pairs(n).T
     blocks = rng.uniform(-1.0, 1.0, size=(k.size, m, m))
     J = np.zeros((m * n, m * n))
     J4 = J.reshape(n, m, n, m)
@@ -190,7 +210,9 @@ def model_to_json(h: PairHamiltonian) -> dict:
 def json_int(doc: dict, key: str) -> int:
     """Integer field of a loaded JSON document; ValueError when it is
     missing, null or not a whole number."""
-    value = doc.get(key)
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
+    value = doc[key]
     if isinstance(value, float) and value.is_integer():
         value = int(value)
     if type(value) is not int:
@@ -201,7 +223,9 @@ def json_int(doc: dict, key: str) -> int:
 def json_rows(doc: dict, key: str) -> list:
     """List-of-rows field of a loaded JSON document; ValueError when it is
     missing, null, not a list of lists or ragged."""
-    rows = doc.get(key)
+    if key not in doc:
+        raise ValueError(f"field {key!r} is missing")
+    rows = doc[key]
     if (not isinstance(rows, list) or not all(isinstance(row, list) for row in rows)
             or len({len(row) for row in rows}) > 1):
         raise ValueError(f"field {key!r} must be a list of equal-length rows")

@@ -39,6 +39,7 @@ RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SNAP_TOL = 1e-12        # adjoint entries this close to an integer are set to it
 _APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of average_model
+_SQUARE_ENTRIES = 1 << 15  # block entries of the t x t square of a step of a band against itself
 
 
 @dataclass(eq=False)
@@ -130,9 +131,11 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     a band of node pairs at a time from designs._pair_tables, at most
     _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
     Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b; a step of
-    one table builds each row's Y once and its Z in one product.  Blocks
-    land mirrored and l <= k ones are zeroed, so the average is exactly
-    symmetric with zero diagonal blocks.  Nothing of size d^n is built.
+    one table builds each row's Y once and its Z in one product.  A band
+    against itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from
+    the column past each step's first row.  Blocks land mirrored and l <= k
+    ones are zeroed, so the average is exactly symmetric with zero diagonal
+    blocks.  Nothing of size d^n is built.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -151,12 +154,13 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
     for k, l, tables in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
         K, L = tables.shape[:2]
+        step = max(1, _APPLY_ENTRIES // (L * s * m * m))
         if k == l:                  # the band's own rows: their node tables
             Rbar = (np.einsum("iiaa->ia", tables)[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
             r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
-        step = max(1, _APPLY_ENTRIES // (L * s * m * m))
-        for i in range(0, K, step):
-            i2, j = min(i + step, K), max(0, k + i - l)   # band rows i..i2 have pairs from j on
+            step = min(step, math.isqrt(_SQUARE_ENTRIES // (s * m * m)))
+        for i in range(0, K - (k == l), step):      # a band's last row pairs with none of its own
+            i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
             rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
             w = tables[i:i2, j:]

@@ -3,13 +3,35 @@
 Each works on the d^n-dimensional matrices directly, by a route that
 shares no averaging code with the library: conjugation by the interval
 unitaries for pulse schemes, an elementwise weight matrix for phase
-schemes, and full spectra for majorization.  The all-to-all model that
-several tests certify against closed forms is built here too.
+schemes, and full spectra for majorization.  The term-by-term embedding
+that netham.embed_terms must match bit for bit, and the all-to-all model
+that several tests certify against closed forms, are here too.
 """
 
 import numpy as np
 
 from pulseforge import bounds, harmonic, netham
+
+
+def embed_terms_loop(n: int, d: int, terms, H: np.ndarray | None = None) -> np.ndarray:
+    """netham.embed_terms one term at a time: (sites, op) pairs added in order.
+
+    Each op is added through a view of H with the other nodes' row and
+    column axes on their diagonal, so every entry of H sums its terms in
+    the order given, as netham.embed_terms does.
+    """
+    if H is None:
+        H = np.zeros((d ** n, d ** n), dtype=complex)
+    tensor = H.reshape((d,) * (2 * n))
+    for sites, op in terms:
+        sites = [int(t) for t in sites]
+        rest = [t for t in range(n) if t not in sites]
+        cols = [n + t if t in sites else t for t in range(n)]
+        out = sites + [n + t for t in sites] + rest
+        # with no summed index einsum returns a writeable view of tensor
+        view = np.einsum(tensor, list(range(n)) + cols, out)
+        view += np.reshape(op, (d,) * (2 * len(sites)) + (1,) * len(rest))
+    return H
 
 
 def complete_coupling_model(n: int, d: int, alpha: int, coeff: float = 1.0,

@@ -726,10 +726,18 @@ _WHOLE = object()
     ("graph", "graph", "edges", [[0, 1, True]], "edge weight"),
     ("graph", "graph", _WHOLE, {"n": 0, "edges": []}, "at least one vertex, got n = 0"),
     ("graph", "graph", "n", -3, "at least one vertex, got n = -3"),
+    # an absent field is named as missing, not as an ill-typed null
+    ("verify", "model", "n", _MISSING, "field 'n' is missing"),
+    ("bound", "model", "d", _MISSING, "field 'd' is missing"),
+    ("verify", "sch", "pulses", _MISSING, "field 'pulses' is missing"),
+    ("verify_phases", "phases", "N", _MISSING, "field 'N' is missing"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)
-    docs[name] = bad if key is _WHOLE else {**docs[name], key: bad}
+    if bad is _MISSING:
+        docs[name] = {k: v for k, v in docs[name].items() if k != key}
+    else:
+        docs[name] = bad if key is _WHOLE else {**docs[name], key: bad}
     assert cli.main(_reader_argv(tmp_path, reader, docs)) == 2
     out, err = capsys.readouterr()
     lines = err.strip().splitlines()

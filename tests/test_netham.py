@@ -1,8 +1,9 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pulseforge import bounds, graphcolor, harmonic, netham, scheme
 
@@ -119,6 +120,69 @@ def test_assemble_matches_kron_chain(n, d, seed):
     want = _kron_chain_assemble(h, netham.gell_mann_basis(d))
     got = netham.assemble(h)
     assert np.abs(got - want).max() <= 1e-12 * max(1.0, np.abs(want).max())
+
+
+@st.composite
+def _embedding(draw):
+    """(n, d, site rows of each arity, seed): d^n <= 256, 0-6 terms on 1-3 nodes."""
+    d = draw(st.sampled_from([2, 3, 4]))
+    n = draw(st.integers(1, 5 if d < 4 else 4))
+    groups = []
+    for k in sorted(draw(st.sets(st.integers(1, min(3, n)), min_size=1, max_size=2)), reverse=True):
+        rows = draw(st.lists(st.sets(st.integers(0, n - 1), min_size=k, max_size=k), max_size=6))
+        rows = [sorted(r) for r in rows]
+        if len(rows) > 1 and draw(st.booleans()):
+            rows.append(rows[0])            # a site set twice: the order of its terms counts
+        groups.append(rows)
+    return n, d, groups, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60)
+@given(case=_embedding())
+@example(case=(1, 2, [[]], 0))                  # one node, no terms
+@example(case=(1, 3, [[[0], [0]]], 7))          # one node, one site set twice
+def test_embed_terms_matches_the_term_loop_bit_for_bit(case):
+    # mixed magnitudes make every sum depend on its order; zeroed entries
+    # are skipped by the scatter and added as zeros by the loop
+    n, d, groups, seed = case
+    rng = np.random.default_rng(seed)
+    got = want = None
+    for rows in groups:
+        k = len(rows[0]) if rows else 1
+        shape = (len(rows), d ** k, d ** k)
+        ops = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        ops *= 10.0 ** rng.integers(-8, 9, shape)
+        ops[rng.random(shape) < rng.random()] = 0.0
+        got = netham.embed_terms(n, d, np.reshape(rows, (len(rows), k)).astype(int), ops, got)
+        want = oracle.embed_terms_loop(n, d, zip(rows, ops), want)
+    assert np.array_equal(got, want)
+
+
+def test_the_scatter_needs_under_an_eighth_of_h_beside_it():
+    # 3^7 with dense pair ops is the cap size with the most writes per entry of H
+    h = netham.random_model(7, 3, 0)
+    netham.assemble(h)                          # index tables cached, as in a warm process
+    tracemalloc.start()
+    try:
+        H = netham.assemble(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - H.nbytes < H.nbytes / 8
+
+
+def test_dense_builds_above_the_cap_are_refused_before_allocating():
+    # a 2^13-wide complex matrix would take 1 GiB
+    h, C = netham.random_model(13, 2, 0), harmonic.random_network(13, 2, 0).C
+    tracemalloc.start()
+    try:
+        for build in (lambda: netham.assemble(h), lambda: harmonic.coupling_hamiltonian(C, 13, 2)):
+            with pytest.raises(ValueError, match="exceeds 4096"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @settings(max_examples=25)
