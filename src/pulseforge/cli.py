@@ -147,6 +147,12 @@ def _check_coefficients(n: int, d: int, pulses: bool = False):
         netham.gell_mann_basis(d)       # its range check refuses d > 4
 
 
+def _model_size(doc: dict) -> tuple[int, int]:
+    """The n and d of a model or network file, read before anything of that size is built."""
+    return tuple(netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True)
+                 for k in "nd")
+
+
 def _load_like(path: str, model, load):
     """A --target file, which must hold a model of the same n and d."""
     target = load(_load_json(path))
@@ -230,7 +236,7 @@ def cmd_bound(args) -> int:
     from . import bounds
     run = _Run(args, [args.model])
     doc = _load_json(args.model)
-    _check_coefficients(netham.json_int(doc, "n"), netham.json_int(doc, "d"))
+    _check_coefficients(*_model_size(doc))
     model = netham.model_from_json(doc)
     Jt = -model.J if args.invert else model.J
     trials = 1 if args.rescale_search is None else args.rescale_search
@@ -244,8 +250,10 @@ def cmd_verify(args) -> int:
     factor = {"zero": 0.0, "invert": -1.0}.get(args.target)
     run = _Run(args, [args.model, args.scheme] + ([args.target] if factor is None else []))
     sdoc, mdoc = _load_json(args.scheme), _load_json(args.model)
-    _check_coefficients(netham.json_int(mdoc, "n"), netham.json_int(mdoc, "d"),
-                        pulses="phases" not in sdoc)
+    if not {"phases", "pulses", "basis"} & sdoc.keys():     # only pulse schemes hold a basis
+        raise ValueError(f"{args.scheme} is not a scheme file: it holds neither 'pulses' "
+                         "nor 'phases'")
+    _check_coefficients(*_model_size(mdoc), pulses="phases" not in sdoc)
     if "phases" in sdoc:
         from . import harmonic
         net = harmonic.network_from_json(mdoc)

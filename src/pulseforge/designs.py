@@ -42,7 +42,7 @@ class OrthogonalArray:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries = netham._whole_numbers(self.entries, "entries")
+        self.entries = netham.numbers(self.entries, "entries", whole=True)
         if self.entries.shape != (self.n, self.N):
             raise ValueError("entry matrix shape does not match (n, N)")
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > self.s):
@@ -59,7 +59,7 @@ class DifferenceScheme:
     entries: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        self.entries = netham._whole_numbers(self.entries, "entries")
+        self.entries = netham.numbers(self.entries, "entries", whole=True)
         if self.entries.shape != (self.n, self.N):
             raise ValueError("entry matrix shape does not match (n, N)")
         if self.u < 1 or self.N % self.u:
@@ -290,14 +290,14 @@ def design_to_json(obj) -> dict:
 
 
 def design_from_json(doc: dict):
-    kind, entries = doc.get("kind"), netham.json_int_rows(doc, "entries")
-    n, N = netham.json_int(doc, "n"), netham.json_int(doc, "N")
-    if kind == "oa":
-        return OrthogonalArray(n, N, netham.json_int(doc, "s"), netham.json_int(doc, "lambda"),
-                               entries)
-    if kind == "ds":
-        return DifferenceScheme(n, N, netham.json_int(doc, "u"), entries)
-    raise ValueError(f"unknown design kind: {kind!r}")
+    kind = netham.json_field(doc, "kind")
+    if kind not in ("oa", "ds"):
+        raise ValueError(f"unknown design kind: {kind!r}")
+    cls, keys = ((OrthogonalArray, ("n", "N", "s", "lambda")) if kind == "oa"
+                 else (DifferenceScheme, ("n", "N", "u")))
+    entries = netham.numbers(netham.json_field(doc, "entries"), "field 'entries'", whole=True)
+    return cls(*(netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True)
+                 for k in keys), entries)
 
 
 def entries_to_csv(entries: np.ndarray) -> str:

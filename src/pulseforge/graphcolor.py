@@ -265,14 +265,15 @@ def graph_to_json(g: InteractionGraph) -> dict:
 
 
 def graph_from_json(doc: dict) -> InteractionGraph:
-    items = doc.get("edges")
+    items = netham.json_field(doc, "edges")
     if not (isinstance(items, list)
             and all(isinstance(item, list) and len(item) in (2, 3) for item in items)):
         raise ValueError("field 'edges' must be a list of [u, v] or [u, v, weight] rows")
     edges, weights = set(), {}
     for item in items:
-        u, v = (netham.json_int({"vertex": x}, "vertex") for x in item[:2])
+        u, v = (netham.numbers(x, "field 'vertex'", 0, whole=True) for x in item[:2])
         edges.add((u, v))
         if len(item) > 2:
-            weights[(u, v)] = netham.json_float({"edge weight": item[2]}, "edge weight")
-    return InteractionGraph(netham.json_int(doc, "n"), edges, weights or None)
+            weights[(u, v)] = netham.numbers(item[2], "field 'edge weight'", 0)
+    return InteractionGraph(netham.numbers(netham.json_field(doc, "n"), "field 'n'", 0, whole=True),
+                            edges, weights or None)

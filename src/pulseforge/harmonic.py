@@ -316,8 +316,8 @@ def network_to_json(net: OscillatorNetwork) -> dict:
 
 
 def network_from_json(doc: dict) -> OscillatorNetwork:
-    return OscillatorNetwork(netham.json_int(doc, "n"), netham.json_int(doc, "d"),
-                             netham.json_floats(doc, "C"))
+    n, d = (netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True) for k in "nd")
+    return OscillatorNetwork(n, d, netham.numbers(netham.json_field(doc, "C"), "field 'C'"))
 
 
 def phase_scheme_to_json(ps: PhaseScheme) -> dict:
@@ -330,18 +330,13 @@ def phase_scheme_to_json(ps: PhaseScheme) -> dict:
     }
 
 
-def _pair_from_json(z) -> list:
-    if not (isinstance(z, dict) and "re" in z and "im" in z):
-        raise ValueError(f"phase entries must be {{'re': x, 'im': y}}, got {z!r}")
-    return [z["re"], z["im"]]
-
-
 def phase_scheme_from_json(doc: dict) -> PhaseScheme:
+    rows = netham.json_field(doc, "phases")
+    if not (isinstance(rows, list) and all(isinstance(row, list) and all(
+            isinstance(z, dict) and z.keys() >= {"re", "im"} for z in row) for row in rows)):
+        raise ValueError("field 'phases' must be a list of rows of {'re': x, 'im': y} entries")
     # read as an (n, N, 2) number array, so a bool or a non-finite part is refused
-    pairs = netham.json_floats(
-        {"phases": [[_pair_from_json(z) for z in row] for row in netham.json_rows(doc, "phases")]},
-        "phases")
-    if pairs.ndim != 3:
-        raise ValueError("field 'phases' must hold at least one entry")
-    return PhaseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
-                       pairs[..., 0] + 1j * pairs[..., 1], netham.json_floats(doc, "times"))
+    pairs = netham.numbers([[[z["re"], z["im"]] for z in row] for row in rows], "field 'phases'", 3)
+    n, N = (netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True) for k in "nN")
+    return PhaseScheme(n, N, pairs[..., 0] + 1j * pairs[..., 1],
+                       netham.numbers(netham.json_field(doc, "times"), "field 'times'"))

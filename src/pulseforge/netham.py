@@ -12,7 +12,10 @@ frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.  embed_terms() writes
 it, all nonzero entries at once; its index tables, the pair list and
 gell_mann_basis(d) are read-only arrays built once per size and shared.
-_check_symmetric() is the one check of a real symmetric input.  Every
+_check_symmetric() is the one check of a real symmetric input, and
+json_field() and numbers() are the one reader of the numbers a file or
+caller hands in: a missing field, and a ragged, ill-typed, non-finite or
+(for labels and sizes) fractional value, are refused there.  Every
 model passed in or read is checked, r included; random_model() and
 scheme.average_model() build theirs unchecked (PairHamiltonian._built()).
 """
@@ -91,13 +94,11 @@ class PairHamiltonian:
 
     def __post_init__(self):
         m, mn = self.m, self.m * self.n
-        self.r = np.asarray(self.r, dtype=float)
+        self.r = numbers(self.r, "r")
         if np.shape(self.J) != (mn, mn):
             raise ValueError(f"J must be {mn}x{mn}")
         if self.r.shape != (mn,):
             raise ValueError(f"r must have length {mn}")
-        if not np.isfinite(self.r).all():
-            raise ValueError("r must hold finite numbers")
         self.J = _check_symmetric(self.J, "J")
         nodes = np.arange(self.n)
         if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):
@@ -207,90 +208,47 @@ def model_to_json(h: PairHamiltonian) -> dict:
     return {"n": h.n, "d": h.d, "J": h.J.tolist(), "r": h.r.tolist()}
 
 
-def json_int(doc: dict, key: str) -> int:
-    """Integer field of a loaded JSON document; ValueError when it is
-    missing, null or not a whole number."""
+def json_field(doc: dict, key: str):
+    """doc[key]; ValueError naming the field when it is missing."""
     if key not in doc:
         raise ValueError(f"field {key!r} is missing")
-    value = doc[key]
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if type(value) is not int:
-        raise ValueError(f"field {key!r} must be an integer, got {value!r}")
-    return value
+    return doc[key]
 
 
-def json_rows(doc: dict, key: str) -> list:
-    """List-of-rows field of a loaded JSON document; ValueError when it is
-    missing, null, not a list of lists or ragged."""
-    if key not in doc:
-        raise ValueError(f"field {key!r} is missing")
-    rows = doc[key]
-    if (not isinstance(rows, list) or not all(isinstance(row, list) for row in rows)
-            or len({len(row) for row in rows}) > 1):
-        raise ValueError(f"field {key!r} must be a list of equal-length rows")
-    return rows
+def numbers(values, name: str, ndim: int | None = None, whole: bool = False):
+    """values as a float array, an int array when whole, a Python number when ndim == 0.
 
-
-def _holds_bool(value, ndim: int) -> bool:
-    """Whether a nested list of ndim >= 1 equal-length levels holds a bool,
-    which numpy would promote to 0 or 1 beside numbers; one pass."""
-    rows = [value]
-    for _ in range(ndim - 1):
-        rows = itertools.chain.from_iterable(rows)
-    return any(bool in set(map(type, row)) for row in rows)
-
-
-def _whole_numbers(values, name: str) -> np.ndarray:
-    """values as an int array; ValueError naming `name` when an entry is a
-    bool or not a whole number.
-
-    Whole-number floats are accepted, as json_int accepts them; a plain
-    cast to int would truncate 1.7 to a valid label.  Only a nested list
-    is scanned for bools, which numpy would read as 0 or 1 beside numbers.
+    ValueError naming `name` when values is ragged or not of rank ndim (any
+    rank when None), or holds a non-number, a bool or a non-finite entry, or,
+    when whole, a float that is not a whole number below 2^53 or an int beyond
+    int64.  Whole floats are read as ints, where a cast would truncate 1.7 to
+    a valid label.  Only nested lists are scanned for bools, which numpy reads
+    as 0 or 1 beside numbers; unsigned ints are taken from numpy arrays alone,
+    as numpy reads a Python int beyond int64 as uint64 (or as an object).
     """
-    array = np.asarray(values)
-    if array.dtype.kind == "f" and np.all((array == np.round(array)) & (np.abs(array) < 2 ** 53)):
-        array = array.astype(int)
-    if array.dtype.kind not in "iu" or (
-            not isinstance(values, np.ndarray) and array.ndim and _holds_bool(values, array.ndim)):
-        raise ValueError(f"{name} must hold integers")
-    return array.astype(int, copy=False)
-
-
-def json_int_rows(doc: dict, key: str) -> np.ndarray:
-    """Integer matrix field of a loaded JSON document; ValueError as for
-    json_rows, or when an entry is not a whole number."""
-    return _whole_numbers(json_rows(doc, key), f"field {key!r}")
-
-
-def json_floats(doc: dict, key: str) -> np.ndarray:
-    """Number array field (vector or matrix) of a loaded JSON document;
-    ValueError when it is missing, null, ragged, or an entry is not a
-    finite number.  Shapes are left to the caller."""
-    if key not in doc:
-        raise ValueError(f"field {key!r} is missing")
     try:
-        values = np.array(doc[key])
-    except ValueError:                  # ragged rows
-        values = None
-    # str, dict and null entries give kinds U and O, all-bool ones kind b,
-    # bools beside numbers kind i or f; a cast to float would read "2" as 2.0
-    if (values is None or values.dtype.kind not in "iuf" or not np.isfinite(values).all()
-            or (values.ndim and _holds_bool(doc[key], values.ndim))):
-        raise ValueError(f"field {key!r} must hold finite numbers")
-    return values.astype(float, copy=False)
-
-
-def json_float(doc: dict, key: str) -> float:
-    """Number field of a loaded JSON document; ValueError as for json_floats,
-    or when it is not a single number."""
-    value = json_floats(doc, key)
-    if value.ndim:
-        raise ValueError(f"field {key!r} must be a finite number")
-    return float(value)
+        array = np.asarray(values)
+    except ValueError:                  # ragged
+        array = np.empty(0, dtype=object)
+    kind, listed = array.dtype.kind, not isinstance(values, np.ndarray)
+    if whole and kind == "f" and np.all((array == np.round(array)) & (np.abs(array) < 2 ** 53)):
+        array, kind = array.astype(int), "i"
+    rows = [values] if listed and array.ndim else []     # a nested list, scanned for bools
+    for _ in range(array.ndim - 1 if rows else 0):
+        rows = itertools.chain.from_iterable(rows)
+    if (kind not in (("i" if listed else "iu") if whole else "iuf")
+            or ndim is not None and array.ndim != ndim
+            or kind == "f" and not np.isfinite(array).all()
+            or rows and any(bool in set(map(type, row)) for row in rows)):
+        if ndim == 0:
+            raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'}, "
+                             f"got {values!r}")
+        raise ValueError(f"{name} must hold {'integers' if whole else 'finite numbers'}"
+                         + (f" in {ndim} dimensions" if ndim else ""))
+    array = array.astype(int if whole else float, copy=False)
+    return array.item() if ndim == 0 else array
 
 
 def model_from_json(doc: dict) -> PairHamiltonian:
-    return PairHamiltonian(json_int(doc, "n"), json_int(doc, "d"),
-                           json_floats(doc, "J"), json_floats(doc, "r"))
+    n, d = (numbers(json_field(doc, k), f"field {k!r}", 0, whole=True) for k in ("n", "d"))
+    return PairHamiltonian(n, d, *(numbers(json_field(doc, k), f"field {k!r}") for k in "Jr"))

@@ -53,7 +53,7 @@ class PulseScheme:
 
     def __post_init__(self):
         self.times = check_times(self.times, self.N)
-        self.pulses = netham._whole_numbers(self.pulses, "pulses")
+        self.pulses = netham.numbers(self.pulses, "pulses", whole=True)
         if self.pulses.shape != (self.n, self.N):
             raise ValueError("pulse matrix must be n x N")
         if len(self.bases) != self.n:
@@ -327,8 +327,8 @@ def _is_standard_basis(bases) -> bool:
 
 def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:
     """One node's custom basis: d^2 matrices of d x d [re, im] pairs."""
-    d = netham.json_int({"d": d}, "d")
-    pairs = netham.json_floats({"basis": elements}, "basis")
+    d = netham.numbers(d, "field 'd'", 0, whole=True)
+    pairs = netham.numbers(elements, "field 'basis'")
     if d < 1 or pairs.shape != (d * d, d, d, 2):
         raise ValueError(f"a basis of dimension {d} must hold {d * d} "
                          f"{d}x{d} matrices of [re, im] pairs")
@@ -336,16 +336,22 @@ def _basis_from_json(d, elements) -> error_basis.UnitaryErrorBasis:
 
 
 def scheme_from_json(doc: dict) -> PulseScheme:
-    if doc.get("basis") == "generalized_pauli":
-        d = netham.json_int(doc, "d")
-        bases = [error_basis.generalized_pauli_basis(d)] * netham.json_int(doc, "n")
+    """The scheme of a file; its n is checked against the pulse matrix before
+    one basis per node is built."""
+    n, N = (netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True) for k in "nN")
+    pulses = netham.numbers(netham.json_field(doc, "pulses"), "field 'pulses'", whole=True)
+    if pulses.shape != (n, N):
+        raise ValueError("pulse matrix must be n x N")
+    dims, basis = netham.json_field(doc, "d"), netham.json_field(doc, "basis")
+    if basis == "generalized_pauli":
+        d = netham.numbers(dims, "field 'd'", 0, whole=True)
+        bases = [error_basis.generalized_pauli_basis(d)] * n
+    elif isinstance(dims, list) and isinstance(basis, list) and len(dims) == len(basis):
+        bases = [_basis_from_json(dd, els) for dd, els in zip(dims, basis)]
     else:
-        dims, mats = doc.get("d"), doc.get("basis")
-        if not (isinstance(dims, list) and isinstance(mats, list) and len(dims) == len(mats)):
-            raise ValueError("field 'basis' must be 'generalized_pauli' or one basis per "
-                             "entry of a list 'd'")
-        bases = [_basis_from_json(dd, els) for dd, els in zip(dims, mats)]
-    overhead = netham.json_float(doc, "target_overhead") if "target_overhead" in doc else 1.0
-    return PulseScheme(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
-                       netham.json_floats(doc, "times"),
-                       netham.json_int_rows(doc, "pulses"), bases, overhead)
+        raise ValueError("field 'basis' must be 'generalized_pauli' or one basis per "
+                         "entry of a list 'd'")
+    overhead = (netham.numbers(doc["target_overhead"], "field 'target_overhead'", 0)
+                if "target_overhead" in doc else 1.0)
+    times = netham.numbers(netham.json_field(doc, "times"), "field 'times'")
+    return PulseScheme(n, N, times, pulses, bases, overhead)

@@ -53,7 +53,7 @@ class SignTriple:
 
     def __post_init__(self):
         for name in ("Sx", "Sy", "Sz"):
-            M = netham._whole_numbers(getattr(self, name), name)
+            M = netham.numbers(getattr(self, name), name, whole=True)
             if M.shape != (self.n, self.N):
                 raise ValueError(f"{name} must be n x N")
             if not np.all(np.abs(M) == 1):
@@ -146,5 +146,6 @@ def signs_to_json(st: SignTriple) -> dict:
 
 
 def signs_from_json(doc: dict) -> SignTriple:
-    return SignTriple(netham.json_int(doc, "n"), netham.json_int(doc, "N"),
-                      *(netham.json_int_rows(doc, key) for key in ("Sx", "Sy", "Sz")))
+    n, N = (netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True) for k in "nN")
+    return SignTriple(n, N, *(netham.numbers(netham.json_field(doc, k), f"field {k!r}", whole=True)
+                              for k in ("Sx", "Sy", "Sz")))

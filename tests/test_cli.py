@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import os
@@ -6,7 +7,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pulseforge import bounds, cli, designs, error_basis, graphcolor, harmonic, netham, scheme, signs
 
@@ -643,7 +644,7 @@ def test_malformed_scheme_matrix_exits_2(capsys, tmp_path, kind, bad):
 
 
 def test_whole_number_float_pulses_are_labels(capsys, tmp_path):
-    # pulse labels written as 2.0 load as 2, as json_int reads n = 3.0 as 3
+    # pulse labels written as 2.0 load as 2, as netham.numbers() reads n = 3.0 as 3
     sch = scheme.decoupling_scheme(3, 2)
     doc = scheme.scheme_to_json(sch)
     doc["pulses"] = [[float(p) for p in row] for row in doc["pulses"]]
@@ -731,6 +732,18 @@ _WHOLE = object()
     ("bound", "model", "d", _MISSING, "field 'd' is missing"),
     ("verify", "sch", "pulses", _MISSING, "field 'pulses' is missing"),
     ("verify_phases", "phases", "N", _MISSING, "field 'N' is missing"),
+    # a scheme file's kind is read from the key only that kind holds, so a file
+    # of another kind is named as one, not by a field it happens to lack first
+    ("verify", "sch", _WHOLE, _INPUTS["model"],
+     "is not a scheme file: it holds neither 'pulses' nor 'phases'"),
+    ("verify", "sch", _WHOLE, signs.signs_to_json(signs.spread_signs(1)), "is not a scheme file"),
+    ("verify_phases", "phases", "phases", _MISSING, "is not a scheme file"),
+    ("signs", "oa", "kind", _MISSING, "field 'kind' is missing"),
+    ("graph", "graph", "edges", _MISSING, "field 'edges' is missing"),
+    # an n no list can be built for is refused as a number, before one basis per node is built
+    ("verify", "sch", "n", 10 ** 19, "field 'n' must be an integer"),
+    ("verify", "sch", "n", 1e300, "field 'n' must be an integer"),
+    ("verify", "sch", "n", 10 ** 30, "field 'n' must be an integer"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)
@@ -743,6 +756,52 @@ def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, me
     lines = err.strip().splitlines()
     assert out == "" and len(lines) == 1 and lines[0].startswith("error:"), err
     assert message in lines[0], err
+
+
+# one valid document for each loader, custom bases and a difference scheme included;
+# the fuzz below replaces or deletes one field of one, or one entry of a nested field
+_LOADED = {
+    "model": (netham.model_from_json, _INPUTS["model"]),
+    "net": (harmonic.network_from_json, _INPUTS["net"]),
+    "sch": (scheme.scheme_from_json, _INPUTS["sch"]),
+    "custom_sch": (scheme.scheme_from_json,
+                   scheme.scheme_to_json(scheme.mixed_decoupling_scheme([2, 3]))),
+    "phases": (harmonic.phase_scheme_from_json, _INPUTS["phases"]),
+    "oa": (designs.design_from_json, _OA42),
+    "ds": (designs.design_from_json,
+           designs.design_to_json(designs.cyclic_difference_scheme(3, 2))),
+    "signs": (signs.signs_from_json, signs.signs_to_json(signs.spread_signs(1))),
+    "graph": (graphcolor.graph_from_json, _INPUTS["graph"]),
+}
+# integers only from this set, so a size check that is missing costs megabytes, not gigabytes
+_JSON_SCALARS = st.sampled_from([None, True, False, 0, -1, 2.5, -0.0, 10 ** 6, 2 ** 63, 10 ** 30,
+                                 1e300, float("nan"), float("inf"), "", "2", "oa",
+                                 "generalized_pauli", {}, []])
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS, lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["re", "im"]), inner, max_size=2), max_leaves=5)
+
+
+@pytest.mark.parametrize("name", list(_LOADED))
+@settings(max_examples=150)
+@given(data=st.data())
+def test_loaders_raise_only_value_errors(name, data):
+    # the CLI turns a ValueError into exit 2; anything else would be a traceback and exit 1
+    load, doc = _LOADED[name]
+    doc = copy.deepcopy(doc)
+    parent, key = doc, data.draw(st.sampled_from(sorted(doc)))
+    while isinstance(parent[key], (list, dict)) and parent[key] and data.draw(st.booleans()):
+        parent, key = parent[key], data.draw(st.sampled_from(sorted(
+            parent[key]) if isinstance(parent[key], dict) else range(len(parent[key]))))
+    value = data.draw(st.just(_MISSING) | _JSON_VALUES)
+    if value is _MISSING:
+        del parent[key]
+    else:
+        parent[key] = value
+    try:
+        load(doc)
+    except ValueError:
+        pass
 
 
 # the script entry as the installed `pulseforge` console script calls it

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,20 @@ def test_scheme_validation():
     h = netham.random_model(3, 2, 0)
     with pytest.raises(ValueError):
         scheme.average_hamiltonian(h, _identity_scheme(2, 2))
+
+
+def test_scheme_file_n_is_checked_before_the_bases_are_built():
+    # one shared basis per node of n = 10^8 would be an 800 MB list
+    doc = scheme.scheme_to_json(scheme.decoupling_scheme(3, 2))
+    doc["n"] = 10 ** 8
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="pulse matrix must be n x N"):
+            scheme.scheme_from_json(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_scheme_json_roundtrip():
