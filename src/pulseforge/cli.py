@@ -42,7 +42,10 @@ def _digest(path: str) -> str:
 
 def _load_json(path: str) -> dict:
     with open(path) as f:
-        doc = json.load(f)
+        try:
+            doc = json.load(f)
+        except RecursionError:
+            raise ValueError(f"{path} is nested too deeply to read") from None
     if not isinstance(doc, dict):
         raise ValueError(f"{path} must hold a JSON object, got {type(doc).__name__}")
     return doc

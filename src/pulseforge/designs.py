@@ -48,6 +48,13 @@ class OrthogonalArray:
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > self.s):
             raise ValueError("entries must lie in [1, s]")
 
+    @classmethod
+    def _built(cls, n: int, N: int, s: int, lam: int, entries: np.ndarray) -> OrthogonalArray:
+        """An array built as an n x N int matrix of labels in [1, s]; not checked."""
+        oa = object.__new__(cls)
+        oa.n, oa.N, oa.s, oa.lam, oa.entries = n, N, s, lam, entries
+        return oa
+
 
 @dataclass(eq=False)
 class DifferenceScheme:
@@ -114,7 +121,7 @@ def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
     entries = mul[rows[0][:, None], coords[0]]
     for t in range(1, i):
         entries = add[entries, mul[rows[t][:, None], coords[t]]]
-    return OrthogonalArray(rows.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
+    return OrthogonalArray._built(rows.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
 
 
 def product_oa(n: int, s: int) -> OrthogonalArray:
@@ -123,7 +130,7 @@ def product_oa(n: int, s: int) -> OrthogonalArray:
         raise ValueError("need n >= 1 and s >= 2")
     entries = mixed_product_array([s] * n)
     N = entries.shape[1]
-    return OrthogonalArray(n, N, s, N // s ** 2, entries)
+    return OrthogonalArray._built(n, N, s, N // s ** 2, entries)
 
 
 def mixed_product_array(sizes) -> np.ndarray:
@@ -178,7 +185,7 @@ def normalize_oa(oa: OrthogonalArray) -> OrthogonalArray:
         e = (hi - fhi) % r * r + (lo - flo) % r
     else:
         e = (e - first) % oa.s
-    return OrthogonalArray(oa.n, oa.N, oa.s, oa.lam, e + 1)
+    return OrthogonalArray._built(oa.n, oa.N, oa.s, oa.lam, e + 1)
 
 
 def cyclic_difference_scheme(u: int, n: int) -> DifferenceScheme:

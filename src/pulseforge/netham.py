@@ -24,11 +24,15 @@ from __future__ import annotations
 
 import functools
 import itertools
+import reprlib
 from dataclasses import dataclass, field
 
 import numpy as np
 
 HILBERT_CAP = 4096
+
+_SHORT = reprlib.Repr()     # a refused value, cut short enough for a one-line error
+_SHORT.maxlevel, _SHORT.maxstring, _SHORT.maxlong, _SHORT.maxother = 3, 80, 80, 80
 
 
 def gell_mann_basis(d: int) -> np.ndarray:
@@ -242,7 +246,7 @@ def numbers(values, name: str, ndim: int | None = None, whole: bool = False):
             or rows and any(bool in set(map(type, row)) for row in rows)):
         if ndim == 0:
             raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'}, "
-                             f"got {values!r}")
+                             f"got {_SHORT.repr(values)[:80]}")
         raise ValueError(f"{name} must hold {'integers' if whole else 'finite numbers'}"
                          + (f" in {ndim} dimensions" if ndim else ""))
     array = array.astype(int if whole else float, copy=False)

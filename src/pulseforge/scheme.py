@@ -11,13 +11,18 @@ checked again, without touching the d^n-dimensional space, and
 verify_scheme() compares the result with a target model there.  The
 average sees the pulses only through each node pair's time-weighted
 table of label pairs, applied by one route for every d and every basis.
+The adjoint matrices of any unitary error basis sum to zero (the basis
+averages every traceless operator away), so only a table's deviation
+from a constant counts: the constant tables of a strength-2 array give
+exact zeros at every d with no arithmetic, and the tables of time
+reversal, which lack one identity pair, scale the model by -1/(N-1).
 average_hamiltonian() realizes the average as a dense matrix; the d^n
 conjugation average it is tested against lives with the tests.  The
 synthesizers pick pulse matrices from orthogonal arrays and run them on
 the shared generalized Pauli basis for equal times (_pauli_scheme):
 
 * decoupling: any strength-2 array with one row per node zeroes every
-  coupling and every local term;
+  coupling and every local term, exactly;
 * selective recoupling: identity pulses on the kept nodes, array rows
   on the rest, leaves exactly the kept sub-model;
 * time reversal: array in normal form with the all-identity first
@@ -65,6 +70,16 @@ class PulseScheme:
                 raise ValueError(f"pulse labels of node {k} out of [1, {hi}]")
         check_overhead(self.target_overhead, "target_overhead")
 
+    @classmethod
+    def _built(cls, n: int, N: int, times: np.ndarray, pulses: np.ndarray, bases: list,
+               target_overhead: float) -> PulseScheme:
+        """A scheme built with valid times, an n x N int matrix of labels in
+        [1, d^2] and one basis per node; not checked."""
+        sch = object.__new__(cls)
+        sch.n, sch.N, sch.times, sch.pulses = n, N, times, pulses
+        sch.bases, sch.target_overhead = bases, target_overhead
+        return sch
+
     @property
     def dims(self) -> list:
         return [b.d for b in self.bases]
@@ -99,8 +114,11 @@ def _adjoint_matrices(basis) -> np.ndarray:
     row-major vec of E^dag X E is K vec(X), K = E^dag kron E^T, so with the
     K of every element built at once the traces are two products with the
     flattened sigma (sigma_a is Hermitian).  Entries within _SNAP_TOL of an
-    integer are set to it, so Pauli pulses on qubits act by exact signs
-    and decouple to exact zeros.
+    integer are set to it, so Pauli pulses on qubits act by exact signs and
+    the identity label by exactly I, which average_model reads as a scaling.
+    Since sum_l E_l X E_l^dag = d tr(X) I for a unitary error basis, the
+    matrices of all d^2 labels sum to zero (to rounding); average_model
+    relies on that, at every d, to skip constant label tables.
     """
     E, sigma = np.array(basis.elements), netham._gell_mann(basis.d)
     Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
@@ -127,11 +145,17 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     enter only through the time w_ab that nodes k and l spend with labels
     a and b: block J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T and r_k
     becomes sum_a w_a R_ka r_k, for every d and every basis, a custom one
-    per node included, divided by the total time last.  The tables w come
-    a band of node pairs at a time from designs._pair_tables, at most
-    _APPLY_ENTRIES products a step: Y_b = sum_a w_ab R_ka, then
-    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b; a step of
-    one table builds each row's Y once and its Z in one product.  A band
+    per node included, divided by the total time last.  As sum_a R_ka = 0,
+    a constant may be taken from any table: node tables are applied less
+    their label-s entry.  The tables w come a band of node pairs at a time
+    from designs._pair_tables, at most _APPLY_ENTRIES products a step:
+    Y_b = sum_a w_ab R_ka, then Z_b = J_kl^T Y_b^T and the block's
+    transpose sum_b R_lb Z_b.  A step whose pairs share one table applies
+    its deviation D = w - w_ss alone: D = 0 leaves the blocks exact zeros,
+    D on the identity pair alone with label 1 exactly I on every node
+    scales J_kl by D_11, and any other D enters each row's Y once, only its
+    nonzero label rows and columns, and its Z in one product; steps of
+    several tables keep the full products.  A band
     against itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from
     the column past each step's first row.  Blocks land mirrored and l <= k
     ones are zeroed, so the average is exactly symmetric with zero diagonal
@@ -146,8 +170,9 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
                else _adjoint_matrices(b) for key, b in adjoint.items()}
     R = np.array([adjoint[id(b)] for b in sch.bases])
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
-    Ra = R.reshape(n, s, m * m)
-    Rx = R.transpose(0, 2, 3, 1).reshape(n, m, m * s)     # Rx[k][c, (e, b)] = R[k, b, c, e]
+    Ra, Rt = R.reshape(n, s, m * m), R.transpose(0, 2, 3, 1)
+    Rx = Rt.reshape(n, m, m * s)                # Rx[k][c, (e, b)] = R[k, b, c, e]
+    unit = (R[:, 0] == np.eye(m)).all(axis=(1, 2))     # nodes whose label 1 acts as exactly I
     equal = bool((sch.times == sch.times[0]).all())
     total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
     J, r = np.zeros_like(hmodel.J), np.empty_like(hmodel.r)
@@ -155,22 +180,35 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     for k, l, tables in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
         K, L = tables.shape[:2]
         step = max(1, _APPLY_ENTRIES // (L * s * m * m))
-        if k == l:                  # the band's own rows: their node tables
-            Rbar = (np.einsum("iiaa->ia", tables)[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
+        if k == l:                  # the band's own rows: their node tables, less label s's
+            node = np.einsum("iiaa->ia", tables)
+            Rbar = ((node - node[:, -1:])[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
             r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
             step = min(step, math.isqrt(_SQUARE_ENTRIES // (s * m * m)))
         for i in range(0, K - (k == l), step):      # a band's last row pairs with none of its own
             i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
             rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
-            w = tables[i:i2, j:]
+            w, Rk, Rl = tables[i:i2, j:], Ra[rows], Rx[cols]
             HJ = H4[rows, :, cols].transpose(0, 2, 3, 1)         # (k, l, e, f): J_kl[f, e]
-            if (w[~lower] == w[0, -1]).all():   # one table: each row's Y once, one product for Z
-                w, HJ = w[:, -1:], HJ.reshape(i2 - i, 1, -1, m)
-            Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, s) @ Ra[rows]).reshape(i2 - i, -1, s, m, m)
-            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, s * m)
-            blk = Rx[cols] @ Z.reshape(i2 - i, L - j, m * s, m)     # (k, l, c, i): block_kl^T
-            blk /= total
+            blk = None
+            if (w[~lower] == w[0, -1]).all():   # one table: only its deviation from a constant
+                D = w[0, -1] - w[0, -1, -1, -1]
+                a, b = np.flatnonzero(D.any(axis=1)), np.flatnonzero(D.any(axis=0))
+                if not a.size:
+                    continue        # a constant table averages every block to exact zeros
+                if a.tolist() == b.tolist() == [0] and unit[rows].all() and unit[cols].all():
+                    blk = HJ * (D[0, 0] / total)    # identity pulses alone: J_kl scaled
+                else:               # its labels alone, each row's Y once, one product for Z
+                    w = np.broadcast_to(D[np.ix_(a, b)], (i2 - i, 1, a.size, b.size))
+                    HJ, Rk = HJ.reshape(i2 - i, 1, -1, m), Rk[:, a]
+                    Rl = Rt[cols][..., b].reshape(L - j, m, -1)
+            if blk is None:
+                sa, sb = w.shape[2:]
+                Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
+                Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, sb * m)
+                blk = Rl @ Z.reshape(i2 - i, L - j, m * sb, m)     # (k, l, c, i): block_kl^T
+                blk /= total
             blk[lower] = 0.0        # l <= k: no pair
             J4[rows, :, cols] += blk.transpose(0, 3, 1, 2)
             J4[cols, :, rows] += blk.transpose(1, 2, 0, 3)
@@ -185,11 +223,12 @@ def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.
 
 
 def _pauli_scheme(pulses: np.ndarray, d: int, overhead: float = 1.0) -> PulseScheme:
-    """The scheme of an n x N pulse matrix on the shared generalized Pauli
-    basis of d, every interval of equal time."""
+    """The scheme of an n x N int pulse matrix of labels in [1, d^2] on the
+    shared generalized Pauli basis of d, every interval of equal time; the
+    callers build the matrix valid, so it is not checked again."""
     n, N = pulses.shape
-    return PulseScheme(n, N, np.full(N, 1.0 / N), pulses,
-                       [error_basis.generalized_pauli_basis(d)] * n, overhead)
+    return PulseScheme._built(n, N, np.full(N, 1.0 / N), pulses,
+                              [error_basis.generalized_pauli_basis(d)] * n, overhead)
 
 
 def decoupling_scheme(n: int, d: int) -> PulseScheme:

@@ -674,9 +674,16 @@ _READERS = {
 }
 
 
+class _Raw:
+    """A document written as this text, where json.dumps could not write it."""
+
+    def __init__(self, text: str):
+        self.text = text
+
+
 def _reader_argv(tmp_path, reader, docs) -> list:
     for name, doc in docs.items():
-        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        (tmp_path / f"{name}.json").write_text(doc.text if isinstance(doc, _Raw) else json.dumps(doc))
     return [str(tmp_path / f"{w[1:]}.json") if w.startswith("@") else w for w in _READERS[reader]]
 
 
@@ -744,6 +751,9 @@ _WHOLE = object()
     ("verify", "sch", "n", 10 ** 19, "field 'n' must be an integer"),
     ("verify", "sch", "n", 1e300, "field 'n' must be an integer"),
     ("verify", "sch", "n", 10 ** 30, "field 'n' must be an integer"),
+    # json.load runs out of stack on deep nesting; the file is named, not a traceback
+    ("bound", "model", _WHOLE, _Raw('{"n": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}"),
+     "model.json is nested too deeply to read"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

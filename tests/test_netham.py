@@ -318,3 +318,19 @@ def test_model_json_roundtrip():
     doc["J"][0][0] = 1.0
     with pytest.raises(ValueError):
         netham.model_from_json(doc)
+
+
+@pytest.mark.parametrize("bad, shown", [
+    (list(range(10 ** 5)), "got [0, 1, 2, 3, 4, 5, ...]"),
+    ("x" * 10 ** 5, "got 'xxx"),
+    (10 ** 1000, "got 1000"),
+    ([[[list(range(10 ** 3))] * 10] * 10] * 10, "got [[[[...], "),
+    (1.5, "got 1.5"),
+], ids=["list", "string", "int", "nested", "float"])
+def test_a_refused_value_is_cut_short(bad, shown):
+    # the one-line error names the value, not all of it
+    with pytest.raises(ValueError) as err:
+        netham.numbers(bad, "field 'n'", 0, whole=True)
+    message = str(err.value)
+    assert message.startswith("field 'n' must be an integer, got ") and shown in message
+    assert len(message) < 200

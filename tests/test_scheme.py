@@ -567,8 +567,70 @@ def test_every_basis_matches_the_pair_loop():
 
 @pytest.mark.parametrize("n", [2, 5, 6, 21, 40])
 def test_sign_route_decouples_exactly(n):
-    h = netham.random_model(n, 2, n)
-    avg = scheme.average_model(h, scheme.decoupling_scheme(n, 2))
+    # a strength-2 array gives every pair one constant table, and the adjoint
+    # matrices of any unitary error basis sum to zero, so every d averages to
+    # exact zeros: a constant table's blocks are never computed
+    for d in (2, 3, 4):
+        h = netham.random_model(n, d, n)
+        sch = scheme.decoupling_scheme(n, d)
+        avg = scheme.average_model(h, sch)
+        assert not avg.J.any() and not avg.r.any(), d
+        assert scheme.verify_scheme(h, sch, None) == {"ok": True, "residual": 0.0}
+
+
+@pytest.mark.parametrize("n,d", [(3, 2), (3, 3), (2, 4)])
+def test_product_array_decouples_exactly(n, d):
+    oa = designs.product_oa(n, d * d)
+    sch = scheme.PulseScheme(n, oa.N, np.full(oa.N, 1.0 / oa.N), oa.entries,
+                             [error_basis.generalized_pauli_basis(d)] * n)
+    h = netham.random_model(n, d, 7)
+    avg = scheme.average_model(h, sch)
     assert not avg.J.any() and not avg.r.any()
-    assert scheme.verify_scheme(h, scheme.decoupling_scheme(n, 2), None) == {"ok": True,
-                                                                            "residual": 0.0}
+    assert scheme.verify_scheme(h, sch, None) == {"ok": True, "residual": 0.0}
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 5, 21])
+def test_inversion_scales_the_model(n, d):
+    # every pair table is constant but for one fewer identity pair, and label
+    # 1 acts as exactly I, so each block and local term is scaled by -1/(N-1)
+    h = netham.random_model(n, d, n + d)
+    sch = scheme.inversion_scheme(n, d)
+    avg = scheme.average_model(h, sch)
+    assert np.abs(avg.J + h.J / sch.N).max() <= 1e-15 * np.abs(h.J).max() / sch.N
+    assert np.abs(avg.r + h.r / sch.N).max() <= 1e-15 * np.abs(h.r).max() / sch.N
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_table_steps_without_an_exact_identity_take_the_products(d):
+    # label 1 nudged off I (the adjoint matrices still sum to zero): a step of
+    # one table that departs from a constant on the identity pair alone, or on
+    # the kept nodes' row of a selective scheme, is no longer a scaled J_kl
+    R = scheme._standard_adjoint(d).copy()
+    R[0, 0, 1] += 1e-3
+    R[1, 0, 1] -= 1e-3
+    n = 5
+    h = netham.random_model(n, d, d)
+    for sch in (scheme.inversion_scheme(n, d), scheme.selective_scheme(n, d, keep=[1])):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_standard_adjoint", lambda _: R)
+            mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
+            avg = scheme.average_model(h, sch)
+        J, r = _pair_loop_reference(h, sch, np.array([R] * n))
+        assert np.array_equal(avg.J, avg.J.T)
+        assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+
+
+def test_synthesized_schemes_skip_the_label_checks(monkeypatch):
+    calls = []
+    numbers = netham.numbers
+    monkeypatch.setattr(netham, "numbers", lambda *a, **k: calls.append(a[1]) or numbers(*a, **k))
+    for d in (2, 3, 4):
+        scheme.decoupling_scheme(6, d)
+        scheme.inversion_scheme(6, d)
+    designs.normalize_oa(designs.product_oa(3, 4))
+    assert calls == []
+    basis = error_basis.generalized_pauli_basis(2)
+    with pytest.raises(ValueError, match=r"pulse labels of node 0 out of \[1, 4\]"):
+        scheme.PulseScheme(1, 2, [0.5, 0.5], [[1, 5]], [basis])
+    assert calls == ["pulses"]
