@@ -63,11 +63,11 @@ class PulseScheme:
             raise ValueError("pulse matrix must be n x N")
         if len(self.bases) != self.n:
             raise ValueError("need one basis per node")
-        for k, b in enumerate(self.bases):
-            hi = b.d * b.d
-            row = self.pulses[k]
-            if row.min() < 1 or row.max() > hi:
-                raise ValueError(f"pulse labels of node {k} out of [1, {hi}]")
+        hi = np.array([b.d * b.d for b in self.bases])
+        out = (self.pulses.min(axis=1) < 1) | (self.pulses.max(axis=1) > hi)
+        if out.any():
+            k = int(out.argmax())
+            raise ValueError(f"pulse labels of node {k} out of [1, {hi[k]}]")
         check_overhead(self.target_overhead, "target_overhead")
 
     @classmethod
@@ -115,7 +115,8 @@ def _adjoint_matrices(basis) -> np.ndarray:
     K of every element built at once the traces are two products with the
     flattened sigma (sigma_a is Hermitian).  Entries within _SNAP_TOL of an
     integer are set to it, so Pauli pulses on qubits act by exact signs and
-    the identity label by exactly I, which average_model reads as a scaling.
+    the identity label by exactly I: a table that departs from a constant
+    on the identity pair alone, as in time reversal, scales J_kl exactly.
     Since sum_l E_l X E_l^dag = d tr(X) I for a unitary error basis, the
     matrices of all d^2 labels sum to zero (to rounding); average_model
     relies on that, at every d, to skip constant label tables.
@@ -152,14 +153,13 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     Y_b = sum_a w_ab R_ka, then Z_b = J_kl^T Y_b^T and the block's
     transpose sum_b R_lb Z_b.  A step whose pairs share one table applies
     its deviation D = w - w_ss alone: D = 0 leaves the blocks exact zeros,
-    D on the identity pair alone with label 1 exactly I on every node
-    scales J_kl by D_11, and any other D enters each row's Y once, only its
-    nonzero label rows and columns, and its Z in one product; steps of
-    several tables keep the full products.  A band
-    against itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from
-    the column past each step's first row.  Blocks land mirrored and l <= k
-    ones are zeroed, so the average is exactly symmetric with zero diagonal
-    blocks.  Nothing of size d^n is built.
+    and any other D enters each row's Y once, with only its nonzero label
+    rows and columns, and its Z in one product; steps of several tables
+    keep the full products.  A band against itself steps t rows at a time,
+    t^2 s m^2 <= _SQUARE_ENTRIES, from the column past each step's first
+    row.  Blocks land mirrored and l <= k ones are zeroed, so the average
+    is exactly symmetric with zero diagonal blocks.  Nothing of size d^n
+    is built.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -172,7 +172,6 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
     Ra, Rt = R.reshape(n, s, m * m), R.transpose(0, 2, 3, 1)
     Rx = Rt.reshape(n, m, m * s)                # Rx[k][c, (e, b)] = R[k, b, c, e]
-    unit = (R[:, 0] == np.eye(m)).all(axis=(1, 2))     # nodes whose label 1 acts as exactly I
     equal = bool((sch.times == sch.times[0]).all())
     total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
     J, r = np.zeros_like(hmodel.J), np.empty_like(hmodel.r)
@@ -191,24 +190,19 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
             w, Rk, Rl = tables[i:i2, j:], Ra[rows], Rx[cols]
             HJ = H4[rows, :, cols].transpose(0, 2, 3, 1)         # (k, l, e, f): J_kl[f, e]
-            blk = None
             if (w[~lower] == w[0, -1]).all():   # one table: only its deviation from a constant
                 D = w[0, -1] - w[0, -1, -1, -1]
                 a, b = np.flatnonzero(D.any(axis=1)), np.flatnonzero(D.any(axis=0))
                 if not a.size:
                     continue        # a constant table averages every block to exact zeros
-                if a.tolist() == b.tolist() == [0] and unit[rows].all() and unit[cols].all():
-                    blk = HJ * (D[0, 0] / total)    # identity pulses alone: J_kl scaled
-                else:               # its labels alone, each row's Y once, one product for Z
-                    w = np.broadcast_to(D[np.ix_(a, b)], (i2 - i, 1, a.size, b.size))
-                    HJ, Rk = HJ.reshape(i2 - i, 1, -1, m), Rk[:, a]
-                    Rl = Rt[cols][..., b].reshape(L - j, m, -1)
-            if blk is None:
-                sa, sb = w.shape[2:]
-                Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
-                Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, sb * m)
-                blk = Rl @ Z.reshape(i2 - i, L - j, m * sb, m)     # (k, l, c, i): block_kl^T
-                blk /= total
+                w = np.broadcast_to(D[np.ix_(a, b)], (i2 - i, 1, a.size, b.size))
+                HJ, Rk = HJ.reshape(i2 - i, 1, -1, m), Rk[:, a]     # each row's Y once, one Z
+                Rl = Rt[cols][..., b].reshape(L - j, m, -1)
+            sa, sb = w.shape[2:]
+            Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
+            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, sb * m)
+            blk = Rl @ Z.reshape(i2 - i, L - j, m * sb, m)     # (k, l, c, i): block_kl^T
+            blk /= total
             blk[lower] = 0.0        # l <= k: no pair
             J4[rows, :, cols] += blk.transpose(0, 3, 1, 2)
             J4[cols, :, rows] += blk.transpose(1, 2, 0, 3)

@@ -602,23 +602,40 @@ def test_inversion_scales_the_model(n, d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_one_table_steps_without_an_exact_identity_take_the_products(d):
-    # label 1 nudged off I (the adjoint matrices still sum to zero): a step of
-    # one table that departs from a constant on the identity pair alone, or on
-    # the kept nodes' row of a selective scheme, is no longer a scaled J_kl
+def test_one_table_steps_take_only_the_labels_that_depart(d):
+    # the kept node's row of a selective scheme shares one table that departs
+    # from a constant on label 1's row alone, so only that row enters the
+    # products; label 1 is nudged off I (the adjoint matrices still sum to
+    # zero), so no product in them is exact
     R = scheme._standard_adjoint(d).copy()
     R[0, 0, 1] += 1e-3
     R[1, 0, 1] -= 1e-3
     n = 5
     h = netham.random_model(n, d, d)
-    for sch in (scheme.inversion_scheme(n, d), scheme.selective_scheme(n, d, keep=[1])):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_standard_adjoint", lambda _: R)
-            mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
-            avg = scheme.average_model(h, sch)
-        J, r = _pair_loop_reference(h, sch, np.array([R] * n))
-        assert np.array_equal(avg.J, avg.J.T)
-        assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+    sch = scheme.selective_scheme(n, d, keep=[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "_standard_adjoint", lambda _: R)
+        mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
+        avg = scheme.average_model(h, sch)
+    J, r = _pair_loop_reference(h, sch, np.array([R] * n))
+    assert np.array_equal(avg.J, avg.J.T)
+    assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("pulses, message", [
+    ([[1, 4], [5, 9], [4, 1]], None),
+    ([[1, 4], [5, 9], [5, 1]], r"node 2 out of \[1, 4\]"),
+    ([[1, 4], [10, 1], [0, 1]], r"node 1 out of \[1, 9\]"),
+    ([[0, 4], [1, 1], [1, 1]], r"node 0 out of \[1, 4\]"),
+])
+def test_scheme_names_the_first_node_with_a_label_out_of_range(pulses, message):
+    # each node's labels are checked against its own basis, d = 2, 3 and 2
+    bases = [error_basis.generalized_pauli_basis(d) for d in (2, 3, 2)]
+    if message is None:
+        assert scheme.PulseScheme(3, 2, [0.5, 0.5], pulses, bases).dims == [2, 3, 2]
+        return
+    with pytest.raises(ValueError, match="pulse labels of " + message):
+        scheme.PulseScheme(3, 2, [0.5, 0.5], pulses, bases)
 
 
 def test_synthesized_schemes_skip_the_label_checks(monkeypatch):
