@@ -47,12 +47,15 @@ class InteractionGraph:
             canon.add(_canon(u, v))
         self.edges = canon
         if self.weights is not None:
-            self.weights = {_canon(*e): w for e, w in self.weights.items()}
-            for e, w in self.weights.items():
+            weights, self.weights = self.weights, {}
+            for e, w in weights.items():
+                e = _canon(*e)
                 if e not in self.edges:
                     raise ValueError(f"weight on missing edge {e}")
-                if w <= 0:
+                if not w > 0:
                     raise ValueError(f"weight of edge {e} must be positive")
+                if self.weights.setdefault(e, w) != w:
+                    raise ValueError(f"edge {e} given twice, weights {self.weights[e]} and {w}")
 
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.n)]
@@ -255,13 +258,9 @@ def weighted_chromatic_index(T: np.ndarray) -> float:
 # serialization
 
 def graph_to_json(g: InteractionGraph) -> dict:
-    edges = []
-    for u, v in sorted(g.edges):
-        if g.weights and (u, v) in g.weights:
-            edges.append([u, v, g.weights[(u, v)]])
-        else:
-            edges.append([u, v])
-    return {"n": g.n, "edges": edges}
+    weights = g.weights or {}
+    return {"n": g.n, "edges": [[u, v, weights[u, v]] if (u, v) in weights else [u, v]
+                                for u, v in sorted(g.edges)]}
 
 
 def graph_from_json(doc: dict) -> InteractionGraph:
@@ -274,6 +273,8 @@ def graph_from_json(doc: dict) -> InteractionGraph:
         u, v = (netham.numbers(x, "field 'vertex'", 0, whole=True) for x in item[:2])
         edges.add((u, v))
         if len(item) > 2:
-            weights[(u, v)] = netham.numbers(item[2], "field 'edge weight'", 0)
+            w = netham.numbers(item[2], "field 'edge weight'", 0)
+            if weights.setdefault((u, v), w) != w:
+                raise ValueError(f"edge {(u, v)} given twice, weights {weights[u, v]} and {w}")
     return InteractionGraph(netham.numbers(netham.json_field(doc, "n"), "field 'n'", 0, whole=True),
                             edges, weights or None)

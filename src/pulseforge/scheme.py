@@ -12,10 +12,10 @@ verify_scheme() compares the result with a target model there.  The
 average sees the pulses only through each node pair's time-weighted
 table of label pairs, applied by one route for every d and every basis.
 The adjoint matrices of any unitary error basis sum to zero (the basis
-averages every traceless operator away), so only a table's deviation
-from a constant counts: the constant tables of a strength-2 array give
-exact zeros at every d with no arithmetic, and the tables of time
-reversal, which lack one identity pair, scale the model by -1/(N-1).
+averages every traceless operator away), so a table w counts only through
+D_ab = w_ab - w_as - w_sb + w_ss, s the last label: tables u_a + v_b, as
+a strength-2 array's, give exact zeros at every d with no arithmetic, and
+those of time reversal, one identity pair short, scale H by -1/(N-1).
 average_hamiltonian() realizes the average as a dense matrix; the d^n
 conjugation average it is tested against lives with the tests.  The
 synthesizers pick pulse matrices from orthogonal arrays and run them on
@@ -115,11 +115,11 @@ def _adjoint_matrices(basis) -> np.ndarray:
     K of every element built at once the traces are two products with the
     flattened sigma (sigma_a is Hermitian).  Entries within _SNAP_TOL of an
     integer are set to it, so Pauli pulses on qubits act by exact signs and
-    the identity label by exactly I: a table that departs from a constant
-    on the identity pair alone, as in time reversal, scales J_kl exactly.
+    the identity label by exactly I: a table whose anchored part lies on
+    the identity pair alone, as in time reversal, scales J_kl exactly.
     Since sum_l E_l X E_l^dag = d tr(X) I for a unitary error basis, the
     matrices of all d^2 labels sum to zero (to rounding); average_model
-    relies on that, at every d, to skip constant label tables.
+    relies on that, at every d, to drop the last label and tables u_a + v_b.
     """
     E, sigma = np.array(basis.elements), netham._gell_mann(basis.d)
     Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
@@ -141,25 +141,23 @@ def _standard_adjoint(d: int) -> np.ndarray:
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
     """Exact average of the model under the scheme, in coefficient space.
 
-    Each pulse acts on su(d) through its adjoint matrix R, built once per
-    basis; R[k, a] is the adjoint of label a + 1 on node k.  The pulses
+    Each pulse acts on su(d) through its adjoint matrix R; R[k, a] is the
+    adjoint of label a + 1 on node k, for any basis per node.  The pulses
     enter only through the time w_ab that nodes k and l spend with labels
-    a and b: block J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T and r_k
-    becomes sum_a w_a R_ka r_k, for every d and every basis, a custom one
-    per node included, divided by the total time last.  As sum_a R_ka = 0,
-    a constant may be taken from any table: node tables are applied less
-    their label-s entry.  The tables w come a band of node pairs at a time
-    from designs._pair_tables, at most _APPLY_ENTRIES products a step:
-    Y_b = sum_a w_ab R_ka, then Z_b = J_kl^T Y_b^T and the block's
-    transpose sum_b R_lb Z_b.  A step whose pairs share one table applies
-    its deviation D = w - w_ss alone: D = 0 leaves the blocks exact zeros,
-    and any other D enters each row's Y once, with only its nonzero label
-    rows and columns, and its Z in one product; steps of several tables
-    keep the full products.  A band against itself steps t rows at a time,
-    t^2 s m^2 <= _SQUARE_ENTRIES, from the column past each step's first
-    row.  Blocks land mirrored and l <= k ones are zeroed, so the average
-    is exactly symmetric with zero diagonal blocks.  Nothing of size d^n
-    is built.
+    a and b: block J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T and r_k becomes
+    sum_a w_a R_ka r_k, divided by the total time last.  As sum_a R_ka = 0,
+    any u_a + v_b may be taken from a table: node tables are applied less
+    their label-s entry, pair tables anchored on it, D = P^T w P =
+    w_ab - w_as - w_sb + w_ss for a, b < s (P = [I; -1]).  Tables come a
+    band of node pairs at a time from designs._pair_tables, at most
+    _APPLY_ENTRIES products a step.  A step whose D is zero on its pairs
+    l > k leaves its blocks exact zeros; any other takes only the label rows
+    and columns where D departs: Y_b = sum_a D_ab R_ka, then
+    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b, each row's
+    Y once and one Z product if its pairs share one D.  A band against
+    itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from the
+    column past each step's first row.  Blocks land mirrored and l <= k ones
+    are zeroed: the average is exactly symmetric with zero diagonal blocks.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -170,8 +168,8 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
                else _adjoint_matrices(b) for key, b in adjoint.items()}
     R = np.array([adjoint[id(b)] for b in sch.bases])
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
-    Ra, Rt = R.reshape(n, s, m * m), R.transpose(0, 2, 3, 1)
-    Rx = Rt.reshape(n, m, m * s)                # Rx[k][c, (e, b)] = R[k, b, c, e]
+    Rt = np.ascontiguousarray(R[:, :-1].transpose(0, 2, 3, 1))    # Rt[k][c, e, b] = R[k, b, c, e]
+    Ra, P = R.reshape(n, s, m * m), np.vstack([np.eye(s - 1), -np.ones(s - 1)])
     equal = bool((sch.times == sch.times[0]).all())
     total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
     J, r = np.zeros_like(hmodel.J), np.empty_like(hmodel.r)
@@ -188,19 +186,20 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
             i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
             rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
-            w, Rk, Rl = tables[i:i2, j:], Ra[rows], Rx[cols]
+            w = tables[i:i2, j:].transpose(0, 2, 1, 3).reshape(i2 - i, s, -1)   # (k, a, (l, b))
+            D = ((P.T @ w).reshape(-1, s) @ P).reshape(i2 - i, s - 1, L - j, s - 1).swapaxes(1, 2)
+            D[lower] = 0.0          # l <= k: no pair
+            if not D.any():
+                continue            # every block averages to exact zeros
+            nz = (np.ones(L - j) @ np.abs(D).swapaxes(1, 2)).any(axis=0)    # where D departs
+            a, b = (slice(s - 1) if x.all() else np.flatnonzero(x) for x in (nz.any(1), nz.any(0)))
+            D, Rk, Rl = D[:, :, a][..., b], Ra[rows][:, a], Rt[cols][..., b].reshape(L - j, m, -1)
             HJ = H4[rows, :, cols].transpose(0, 2, 3, 1)         # (k, l, e, f): J_kl[f, e]
-            if (w[~lower] == w[0, -1]).all():   # one table: only its deviation from a constant
-                D = w[0, -1] - w[0, -1, -1, -1]
-                a, b = np.flatnonzero(D.any(axis=1)), np.flatnonzero(D.any(axis=0))
-                if not a.size:
-                    continue        # a constant table averages every block to exact zeros
-                w = np.broadcast_to(D[np.ix_(a, b)], (i2 - i, 1, a.size, b.size))
-                HJ, Rk = HJ.reshape(i2 - i, 1, -1, m), Rk[:, a]     # each row's Y once, one Z
-                Rl = Rt[cols][..., b].reshape(L - j, m, -1)
-            sa, sb = w.shape[2:]
-            Y = (w.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
-            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, w.shape[1], m, sb * m)
+            if (D[0] == D[0, -1]).all() and (D[~lower] == D[0, -1]).all():  # row 0 has no l <= k
+                D, HJ = D[:, -1:], HJ.reshape(i2 - i, 1, -1, m)     # one D: each row's Y once
+            sa, sb = D.shape[2:]
+            Y = (D.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
+            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, D.shape[1], m, sb * m)
             blk = Rl @ Z.reshape(i2 - i, L - j, m * sb, m)     # (k, l, c, i): block_kl^T
             blk /= total
             blk[lower] = 0.0        # l <= k: no pair

@@ -754,6 +754,8 @@ _WHOLE = object()
     # json.load runs out of stack on deep nesting; the file is named, not a traceback
     ("bound", "model", _WHOLE, _Raw('{"n": ' + "[" * 10 ** 5 + "]" * 10 ** 5 + "}"),
      "model.json is nested too deeply to read"),
+    # an edge given twice with two weights would keep one of them silently
+    ("graph", "graph", "edges", [[0, 1, 0.5], [1, 0, 2.0]], "edge (0, 1) given twice"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

@@ -76,6 +76,17 @@ def test_colored_decoupling_bipartite():
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_colored_decoupling_of_a_ring_is_exact(d):
+    # nodes of one color share a row, and their pair's anchored table is full,
+    # but the model does not couple them; every edge joins two array rows, whose
+    # constant table anchors to zero, so the average is exactly the zero model
+    g = graphcolor.InteractionGraph(6, {(k, (k + 1) % 6) for k in range(6)})
+    h = _supported_model(g, d, d)
+    sch = graphcolor.colored_decoupling_scheme(g, d)
+    assert scheme.verify_scheme(h, sch, None) == {"ok": True, "residual": 0.0}
+
+
 def test_colored_decoupling_star():
     g = graphcolor.InteractionGraph(5, {(0, k) for k in range(1, 5)})
     sch = graphcolor.colored_decoupling_scheme(g, 2)
@@ -275,3 +286,15 @@ def test_graph_validation_and_json():
     back = graphcolor.graph_from_json(doc)
     assert back.n == 4 and back.edges == g.edges
     assert back.weights == {(0, 1): 0.5}
+
+
+def test_an_edge_given_twice_with_different_weights_is_refused():
+    # either direction, in a graph or a graph file; the same weight twice is one edge
+    with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice, weights 0.5 and 2.0"):
+        graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 1): 0.5, (1, 0): 2.0})
+    for edges in ([[0, 1, 0.5], [1, 0, 2.0]], [[0, 1, 0.5], [0, 1, 2.0]]):
+        with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice"):
+            graphcolor.graph_from_json({"n": 3, "edges": edges})
+    g = graphcolor.graph_from_json({"n": 3, "edges": [[0, 1, 0.5], [1, 0, 0.5]]})
+    assert g.weights == {(0, 1): 0.5}
+    assert graphcolor.graph_to_json(g) == {"n": 3, "edges": [[0, 1, 0.5]]}

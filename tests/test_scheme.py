@@ -473,19 +473,29 @@ def _pair_loop_reference(h, sch, R):
 @settings(max_examples=60)
 @given(n=st.integers(1, 7), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 20),
        run=st.integers(1, 8), apply=st.sampled_from([1, 1 << 20]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed):
+       seed=st.integers(0, 2 ** 32 - 1), design=st.booleans())
+def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design):
     # nodes share one standard basis or have their own conjugated one; pair
     # tables come in bands of `run` nodes and column chunks of run * d^2
-    # intervals, and blocks are applied one row at a time or a band at once
+    # intervals, and blocks are applied one row at a time or a band at once.
+    # Pulse rows are random labels, or rows of a strength-2 array, some
+    # repeated and some all-identity, so that one step mixes zero anchored
+    # tables (distinct rows, an identity row against an array row), ones on
+    # the identity pair alone (two identity rows) and full ones (a repeated row)
     rng = np.random.default_rng(seed)
     h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
+    if design:
+        oa = designs.smallest_oa_for(max(2, n), d * d)
+        pulses = oa.entries[rng.integers(0, min(oa.n, 3), n)]
+        pulses[rng.random(n) < 0.3] = 1
+        N = oa.N
+    else:
+        pulses = rng.integers(1, d * d + 1, size=(n, N))
     # equal times give float32 counts as tables, unequal ones float64 weights
     times = rng.uniform(0.05, 1.0, N) if rng.random() < 0.5 else np.ones(N)
     standard = error_basis.generalized_pauli_basis(d)
     bases = [_conjugated_basis(d, rng) if rng.random() < 0.5 else standard for _ in range(n)]
-    sch = scheme.PulseScheme(n, N, times / times.sum(),
-                             rng.integers(1, d * d + 1, size=(n, N)), bases)
+    sch = scheme.PulseScheme(n, N, times / times.sum(), pulses, bases)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "_BAND_ENTRIES", (run * d * d) ** 2)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
@@ -603,23 +613,38 @@ def test_inversion_scales_the_model(n, d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_one_table_steps_take_only_the_labels_that_depart(d):
-    # the kept node's row of a selective scheme shares one table that departs
-    # from a constant on label 1's row alone, so only that row enters the
-    # products; label 1 is nudged off I (the adjoint matrices still sum to
-    # zero), so no product in them is exact
+    # time reversal gives every pair one anchored table, on the identity pair
+    # alone; two kept nodes of a selective scheme give their pair such a table
+    # and every other pair a zero one, so a step holding that pair mixes the
+    # two.  Either way only label 1 enters the products; it is nudged off I
+    # (the adjoint matrices still sum to zero), so no product in it is exact
     R = scheme._standard_adjoint(d).copy()
     R[0, 0, 1] += 1e-3
     R[1, 0, 1] -= 1e-3
     n = 5
     h = netham.random_model(n, d, d)
-    sch = scheme.selective_scheme(n, d, keep=[1])
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scheme, "_standard_adjoint", lambda _: R)
-        mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
-        avg = scheme.average_model(h, sch)
-    J, r = _pair_loop_reference(h, sch, np.array([R] * n))
-    assert np.array_equal(avg.J, avg.J.T)
-    assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+    for sch in (scheme.inversion_scheme(n, d), scheme.selective_scheme(n, d, keep=[1, 3])):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_standard_adjoint", lambda _: R)
+            mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
+            avg = scheme.average_model(h, sch)
+        J, r = _pair_loop_reference(h, sch, np.array([R] * n))
+        assert np.array_equal(avg.J, avg.J.T)
+        assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_selective_scheme_removes_blocks_exactly(d):
+    # a kept node against an array row has a table u_a + v_b, and two array
+    # rows a constant one: both anchor to zero, so no block but the kept pair's
+    # is computed, and the balanced rows' local terms are exactly zero too
+    n, m = 6, d * d - 1
+    h = netham.random_model(n, d, d)
+    avg = scheme.average_model(h, scheme.selective_scheme(n, d, keep=[0, 3]))
+    J4 = avg.J.reshape(n, m, n, m).copy()
+    J4[0, :, 3] = J4[3, :, 0] = 0.0
+    assert not J4.any()
+    assert not avg.r.reshape(n, m)[[1, 2, 4, 5]].any()
 
 
 @pytest.mark.parametrize("pulses, message", [
