@@ -174,12 +174,17 @@ def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
     return model
 
 
-def _write_scheme(sch, path: str, fmt: str, to_json):
-    if fmt == "csv":
-        from . import designs
-        _write_text(path, designs.entries_to_csv(sch.pulses))
-    else:
-        _write_json(path, to_json(sch))
+def _write_and_finish(run: _Run, args, ok: bool, to_json, rows) -> int:
+    """Write a certified result to --out, to_json() as JSON or the label rows
+    rows() as CSV, record it, and finish the run; a failed one writes nothing."""
+    if ok and args.out:
+        if args.format == "csv":
+            from . import designs
+            _write_text(args.out, designs.entries_to_csv(rows()))
+        else:
+            _write_json(args.out, to_json())
+        run.report["outputs"].append(args.out)
+    return run.finish(ok)
 
 
 def cmd_decouple(args) -> int:
@@ -197,13 +202,11 @@ def cmd_decouple(args) -> int:
     else:
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)
-    rep = scheme.verify_scheme(model, sch, None, overhead=1.0)
+    rep = scheme.verify_scheme(model, sch, 0.0)
     run.report["intervals"] = sch.N
     run.report["residuals"]["decouple"] = rep["residual"]
-    if rep["ok"] and args.out:
-        _write_scheme(sch, args.out, args.format, scheme.scheme_to_json)
-        run.report["outputs"].append(args.out)
-    return run.finish(rep["ok"])
+    return _write_and_finish(run, args, rep["ok"], lambda: scheme.scheme_to_json(sch),
+                             lambda: sch.pulses)
 
 
 def cmd_invert(args) -> int:
@@ -226,13 +229,10 @@ def cmd_invert(args) -> int:
         overhead = sch.target_overhead
         rep = scheme.verify_scheme(model, sch, -1.0)
         to_json = scheme.scheme_to_json
-    if rep["ok"] and args.out:
-        _write_scheme(sch, args.out, args.format, to_json)
-        run.report["outputs"].append(args.out)
     run.report["intervals"] = sch.N
     run.report["overhead"] = overhead
     run.report["residuals"]["invert"] = rep["residual"]
-    return run.finish(rep["ok"])
+    return _write_and_finish(run, args, rep["ok"], lambda: to_json(sch), lambda: sch.pulses)
 
 
 def cmd_bound(args) -> int:
@@ -292,13 +292,8 @@ def cmd_signs(args) -> int:
     run.report["N"] = st.N
     run.report["violations"] = rep["violations"][:16]
     run.report["residuals"]["sign_checks"] = float(len(rep["violations"]))
-    if rep["ok"] and args.out:
-        if args.format == "csv":
-            _write_text(args.out, designs.entries_to_csv(np.vstack([st.Sx, st.Sy, st.Sz])))
-        else:
-            _write_json(args.out, signs.signs_to_json(st))
-        run.report["outputs"].append(args.out)
-    return run.finish(rep["ok"])
+    return _write_and_finish(run, args, rep["ok"], lambda: signs.signs_to_json(st),
+                             lambda: np.vstack([st.Sx, st.Sy, st.Sz]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    help="'zero', 'invert', or a model JSON file")
     p.add_argument("--overhead", type=float,
-                   help="time overhead factor (default: scheme's own)")
+                   help="time overhead factor (default: a pulse scheme's own; a phase "
+                        "scheme holds none, so 1)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("signs", parents=[writer],
@@ -391,7 +387,7 @@ def main(argv=None) -> int:
         if "seed" in vars(args) and args.seed is None:
             args.seed = _env_seed()
         return args.func(args)
-    except (ValueError, OSError, KeyError, json.JSONDecodeError) as e:
+    except (ValueError, OSError) as e:     # json.JSONDecodeError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

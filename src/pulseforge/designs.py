@@ -157,6 +157,7 @@ def smallest_oa_for(n: int, s: int) -> OrthogonalArray:
     For prime-power s: the first n rows of the linear construction with
     the least i whose row count covers n (row deletion preserves the
     defining property).  Otherwise the exponential product array.
+    Either way column 0 is the all-identity column: all ones.
     """
     if n < 2:
         raise ValueError("need n >= 2")

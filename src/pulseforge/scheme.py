@@ -25,9 +25,9 @@ the shared generalized Pauli basis for equal times (_pauli_scheme):
   coupling and every local term, exactly;
 * selective recoupling: identity pulses on the kept nodes, array rows
   on the rest, leaves exactly the kept sub-model;
-* time reversal: array in normal form with the all-identity first
-  column dropped, making the remaining columns sum to -H at time
-  overhead N-1.
+* time reversal: the array as built, its first column all identity,
+  with that column dropped, making the remaining columns sum to -H at
+  time overhead N-1.
 """
 
 from __future__ import annotations
@@ -269,15 +269,16 @@ def selective_scheme(n: int, d: int, keep) -> PulseScheme:
 
 
 def inversion_scheme(n: int, d: int) -> PulseScheme:
-    """Simulate -H: normal-form array with the identity column removed.
+    """Simulate -H: the array as built with its all-identity column 0 removed.
 
     The full array averages every term to zero; subtracting the
     identity column leaves -H across the remaining N-1 columns, hence
-    time overhead exactly N-1.
+    time overhead exactly N-1.  Every array smallest_oa_for builds has
+    that column, so no normal form is taken.
     """
-    oa = designs.normalize_oa(designs.smallest_oa_for(n, d * d))
+    oa = designs.smallest_oa_for(n, d * d)
     if not (oa.entries[:, 0] == 1).all():
-        raise RuntimeError("normal form lost the identity column")
+        raise RuntimeError("smallest_oa_for built an array whose column 0 is not all identity")
     return _pauli_scheme(oa.entries[:, 1:], d, float(oa.N - 1))
 
 

@@ -770,6 +770,16 @@ def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, me
     assert message in lines[0], err
 
 
+def test_program_faults_are_not_input_errors(monkeypatch):
+    # every loader reports bad input as a ValueError, so a KeyError is a fault
+    # of the program: it propagates to a traceback, not to "error: ..." and exit 2
+    def fault(args):
+        raise KeyError("colors")
+    monkeypatch.setattr(cli, "cmd_decouple", fault)
+    with pytest.raises(KeyError, match="colors"):
+        cli.main(["decouple", "--n", "2", "--d", "2"])
+
+
 # one valid document for each loader, custom bases and a difference scheme included;
 # the fuzz below replaces or deletes one field of one, or one entry of a nested field
 _LOADED = {

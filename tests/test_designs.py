@@ -94,10 +94,14 @@ def test_smallest_oa_for():
     oa = designs.smallest_oa_for(6, 4)
     assert (oa.n, oa.N) == (6, 64)
     _assert_strength2(oa)
-    # non prime power alphabet falls back to the product construction
-    oa = designs.smallest_oa_for(2, 6)
-    assert oa.N == 36
-    _assert_strength2(oa)
+    # non prime power alphabet falls back to the product construction, whose
+    # column 0 is all identity too, so its normal form is itself
+    for n in (2, 3):
+        oa = designs.smallest_oa_for(n, 6)
+        assert oa.N == 6 ** n
+        _assert_strength2(oa)
+        assert (oa.entries[:, 0] == 1).all()
+        assert np.array_equal(designs.normalize_oa(oa).entries, oa.entries)
     with pytest.raises(ValueError):
         designs.smallest_oa_for(1, 4)
 
@@ -114,6 +118,9 @@ def test_smallest_oa_builds_the_first_rows_of_the_linear_array(s):
                 oa = designs.smallest_oa_for(n, s)
                 assert np.array_equal(oa.entries, full.entries[:n])
                 assert (oa.n, oa.N, oa.s, oa.lam) == (n, full.N, s, full.lam)
+                # column 0 is the zero vector, all identity: inversion takes it as built
+                assert (oa.entries[:, 0] == 1).all()
+                assert np.array_equal(designs.normalize_oa(oa).entries, oa.entries)
 
 
 def test_row_deletion_preserves_validity():

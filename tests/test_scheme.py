@@ -119,6 +119,13 @@ def test_selective_errors():
 
 
 def test_inversion_two_qubits_zz():
+    # the array as built is its own normal form: at both sides of each step
+    # of the array size and at the caps, the pulses are the normal form's
+    for d, ns in ((2, (2, 5, 6, 21, 22, 85, 86, 341, 342, 1365)),
+                  (3, (2, 10, 11, 91, 92, 512)), (4, (2, 17, 18, 273))):
+        for n in ns:
+            want = designs.normalize_oa(designs.smallest_oa_for(n, d * d)).entries[:, 1:]
+            assert np.array_equal(scheme.inversion_scheme(n, d).pulses, want), (n, d)
     sch = scheme.inversion_scheme(2, 2)
     assert sch.N == 15 and sch.target_overhead == 15.0
     J = np.zeros((6, 6))
