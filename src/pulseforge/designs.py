@@ -9,12 +9,13 @@ defining property exhaustively and report located violations.
 Symbols of an orthogonal array are labels 1..s so they can double as
 indices into a unitary basis; difference schemes use residues 0..u-1.
 The linear arrays are digit arithmetic plus lookups in the GF(s) tables
-of :mod:`pulseforge.gf`; normal forms are label arithmetic in Z_r x Z_r
-(s = r^2) or Z_s.
+of :mod:`pulseforge.gf`, kept with the field vectors once per (s, i);
+normal forms are label arithmetic in Z_r x Z_r (s = r^2) or Z_s.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -112,16 +113,23 @@ def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
     full = (N - 1) // (s - 1)
     if full * N > OA_SIZE_CAP:
         raise ValueError(f"n*N = {full * N} entries exceed the {OA_SIZE_CAP} cap")
-    # field elements in the narrowest dtype, so the (n, N) temporaries stay small
-    add, mul = (a.astype(np.min_scalar_type(s - 1)) for a in gf.tables(gf.field_for_order(s)))
-    coords, rows = field_vectors(s, i)
-    assert rows.shape[1] == full
-    rows = rows[:, :n]
-
-    entries = mul[rows[0][:, None], coords[0]]
+    add, mul, _, G = _linear_parts(s, i)
+    G = G[:, :n]
+    # over digits 0..t, column j + s^t c is column j's sum over 0..t-1 plus G_t * c
+    entries = mul[G[0]]
     for t in range(1, i):
-        entries = add[entries, mul[rows[t][:, None], coords[t]]]
-    return OrthogonalArray._built(rows.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
+        entries = add[entries[:, None, :], mul[G[t]][:, :, None]].reshape(G.shape[1], -1)
+    return OrthogonalArray._built(G.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
+
+
+@functools.lru_cache(maxsize=16)
+def _linear_parts(s: int, i: int) -> tuple:
+    """(add, mul, C, G): gf.tables of GF(s) and field_vectors(s, i), built once per
+    (s, i), read-only, in the narrowest dtype so the (n, N) temporaries stay small."""
+    add, mul, C, G = (a.astype(np.min_scalar_type(s - 1))
+                      for a in (*gf.tables(gf.field_for_order(s)), *field_vectors(s, i)))
+    add.flags.writeable = mul.flags.writeable = C.flags.writeable = G.flags.writeable = False
+    return add, mul, C, G
 
 
 def product_oa(n: int, s: int) -> OrthogonalArray:
@@ -215,12 +223,12 @@ def difference_scheme_for(n: int) -> DifferenceScheme:
 # verification
 
 def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None):
-    """Yield (k, l, tables), k <= l: the label tables of the row bands from k and l.
+    """Yield (k, l, tables, node), k <= l: the label tables of the row bands from k and l.
 
     tables[i, j, a, b] counts the columns of the (n, N) matrix of labels
     1..s where row k + i holds a + 1 and row l + j holds b + 1, or sums
-    their weights; a band against itself holds row k + i's own counts on
-    its diagonal, tables[i, i, a, a].  Labels 2..s come from a one-hot Gram
+    their weights; node[i, a] is row k + i's own count, which a band against
+    itself holds on its diagonal too.  Labels 2..s come from a one-hot Gram
     product over column chunks, at most _BAND_ENTRIES entries a factor,
     float32 for counts (exact up to 2^24 columns a chunk) and added up in
     float64; label 1 is what they leave of the row totals.
@@ -250,13 +258,13 @@ def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None):
                 node[l:l + L, 0] = total - node[l:l + L, 1:].sum(axis=1)
             t[:, 1:, :, 0] = node[k:k + K, 1:, None] - t[:, 1:, :, 1:].sum(axis=3)
             t[:, 0] = node[l:l + L] - t[:, 1:].sum(axis=1)
-            yield k, l, t.transpose(0, 2, 1, 3)
+            yield k, l, t.transpose(0, 2, 1, 3), node[k:k + K]
 
 
 def verify_oa(oa: OrthogonalArray) -> dict:
     """Exhaustive pair-count check; ok iff every count is lam (violations in row-pair order)."""
     found = [np.empty((5, 0), dtype=int)]
-    for k, l, tables in _pair_tables(oa.entries, oa.s):
+    for k, l, tables, _ in _pair_tables(oa.entries, oa.s):
         at = np.nonzero(tables != oa.lam)
         pair = k + at[0] < l + at[1]         # a row against itself is no pair
         found.append(np.array([k + at[0], l + at[1], *at[2:], tables[at]], dtype=int)[:, pair])

@@ -16,10 +16,11 @@ averages every traceless operator away), so a table w counts only through
 D_ab = w_ab - w_as - w_sb + w_ss, s the last label: tables u_a + v_b, as
 a strength-2 array's, give exact zeros at every d with no arithmetic, and
 those of time reversal, one identity pair short, scale H by -1/(N-1).
-average_hamiltonian() realizes the average as a dense matrix; the d^n
-conjugation average it is tested against lives with the tests.  The
-synthesizers pick pulse matrices from orthogonal arrays and run them on
-the shared generalized Pauli basis for equal times (_pauli_scheme):
+The shared basis's adjoint layouts are built once per process, a custom
+basis's per call.  average_hamiltonian() realizes the average as a dense
+matrix; the d^n conjugation average it is tested against lives with the
+tests.  The synthesizers pick pulse matrices from orthogonal arrays and run
+them on the shared generalized Pauli basis for equal times (_pauli_scheme):
 
 * decoupling: any strength-2 array with one row per node zeroes every
   coupling and every local term, exactly;
@@ -130,12 +131,17 @@ def _adjoint_matrices(basis) -> np.ndarray:
     return np.where(np.abs(R - whole) <= _SNAP_TOL, whole, R)
 
 
+def _layouts(R: np.ndarray) -> tuple:
+    """(Ra, Rt) of adjoint matrices R: Ra[a] = R[a].ravel(), Rt[c, e, b] = R[b, c, e] (b < s-1)."""
+    return R.reshape(len(R), -1), np.ascontiguousarray(R[:-1].transpose(1, 2, 0))
+
+
 @functools.cache
-def _standard_adjoint(d: int) -> np.ndarray:
-    """_adjoint_matrices of the generalized Pauli basis of d, built once and read-only."""
-    R = _adjoint_matrices(error_basis.generalized_pauli_basis(d))
-    R.flags.writeable = False
-    return R
+def _standard_adjoint(d: int) -> tuple:
+    """_layouts of the generalized Pauli basis of d, built once and read-only."""
+    Ra, Rt = _layouts(_adjoint_matrices(error_basis.generalized_pauli_basis(d)))
+    Ra.flags.writeable = Rt.flags.writeable = False
+    return Ra, Rt
 
 
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
@@ -158,27 +164,30 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from the
     column past each step's first row.  Blocks land mirrored and l <= k ones
     are zeroed: the average is exactly symmetric with zero diagonal blocks.
+    R comes as _layouts, the shared basis's built once per process and read
+    through per-node views, a custom basis's built per call and not kept.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
-    if any(d != hmodel.d for d in sch.dims):
-        raise ValueError("scheme bases do not match the node dimension")
     adjoint = {id(b): b for b in sch.bases}        # each distinct basis once
-    adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
-               else _adjoint_matrices(b) for key, b in adjoint.items()}
-    R = np.array([adjoint[id(b)] for b in sch.bases])
+    if any(b.d != hmodel.d for b in adjoint.values()):
+        raise ValueError("scheme bases do not match the node dimension")
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
-    Rt = np.ascontiguousarray(R[:, :-1].transpose(0, 2, 3, 1))    # Rt[k][c, e, b] = R[k, b, c, e]
-    Ra, P = R.reshape(n, s, m * m), np.vstack([np.eye(s - 1), -np.ones(s - 1)])
+    adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
+               else _layouts(_adjoint_matrices(b)) for key, b in adjoint.items()}
+    (Ra, Rt), *others = adjoint.values()
+    if others:                  # per-node copies; one basis on every node: views, stride 0
+        Ra, Rt = (np.array([adjoint[id(b)][x] for b in sch.bases]) for x in (0, 1))
+    else:
+        Ra, Rt = (np.ndarray((n, *x.shape), x.dtype, x, strides=(0, *x.strides)) for x in (Ra, Rt))
     equal = bool((sch.times == sch.times[0]).all())
     total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
-    J, r = np.zeros_like(hmodel.J), np.empty_like(hmodel.r)
+    J, r = np.zeros(hmodel.J.shape), np.empty(hmodel.r.shape)
     J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
-    for k, l, tables in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
+    for k, l, tables, node in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
         K, L = tables.shape[:2]
         step = max(1, _APPLY_ENTRIES // (L * s * m * m))
         if k == l:                  # the band's own rows: their node tables, less label s's
-            node = np.einsum("iiaa->ia", tables)
             Rbar = ((node - node[:, -1:])[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
             r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
             step = min(step, math.isqrt(_SQUARE_ENTRIES // (s * m * m)))
@@ -186,8 +195,9 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
             i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
             rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
-            w = tables[i:i2, j:].transpose(0, 2, 1, 3).reshape(i2 - i, s, -1)   # (k, a, (l, b))
-            D = ((P.T @ w).reshape(-1, s) @ P).reshape(i2 - i, s - 1, L - j, s - 1).swapaxes(1, 2)
+            w = tables[i:i2, j:].transpose(0, 2, 1, 3)      # (k, a, l, b)
+            w = w[:, :-1] - w[:, -1:]                       # P^T w
+            D = (w[..., :-1] - w[..., -1:]).swapaxes(1, 2)  # P^T w P as (k, l, a, b)
             D[lower] = 0.0          # l <= k: no pair
             if not D.any():
                 continue            # every block averages to exact zeros

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import designs, gf, netham, scheme
+from . import designs, netham, scheme
 
 # signs acquired by (sigma_x, sigma_y, sigma_z) under conjugation by
 # 1, sigma_x, sigma_y, sigma_z (in that symbol order)
@@ -85,11 +85,8 @@ def spread_signs(m: int) -> SignTriple:
     """
     if not 1 <= m <= 4:
         raise ValueError("m out of supported range [1, 4]")
-    _, mul = gf.tables(gf.field_new(2, 2))
-    N = 4 ** m
-    digits, reps = designs.field_vectors(4, m)
-    n = (N - 1) // 3
-    assert reps.shape[1] == n
+    _, mul, digits, reps = designs._linear_parts(4, m)
+    N, n = 4 ** m, reps.shape[1]        # (4^m - 1) / 3 lines
 
     def rows(v):
         # kron over coordinates: coordinate t picks the column's base-4

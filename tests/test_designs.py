@@ -388,6 +388,8 @@ def test_linear_array_entry_cap_refuses_before_building(monkeypatch):
     # n*N entries of 4.29e9, 1.43e9 and 4.4e8: s^i alone is below 10^5 for each
     def refuse(*args):
         raise AssertionError("array built before the size check")
+    # the per-(s, i) constants the construction reads, and what they are built from
+    monkeypatch.setattr(designs, "_linear_parts", refuse)
     monkeypatch.setattr(designs, "field_vectors", refuse)
     monkeypatch.setattr(gf, "tables", refuse)
     for s, i in ((2, 16), (4, 8), (9, 5)):

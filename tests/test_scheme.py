@@ -625,14 +625,15 @@ def test_one_table_steps_take_only_the_labels_that_depart(d):
     # and every other pair a zero one, so a step holding that pair mixes the
     # two.  Either way only label 1 enters the products; it is nudged off I
     # (the adjoint matrices still sum to zero), so no product in it is exact
-    R = scheme._standard_adjoint(d).copy()
+    R = scheme._adjoint_matrices(error_basis.generalized_pauli_basis(d))
     R[0, 0, 1] += 1e-3
     R[1, 0, 1] -= 1e-3
     n = 5
     h = netham.random_model(n, d, d)
     for sch in (scheme.inversion_scheme(n, d), scheme.selective_scheme(n, d, keep=[1, 3])):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(scheme, "_standard_adjoint", lambda _: R)
+            # the standard basis's layouts are what the engine reads, cached or not
+            mp.setattr(scheme, "_standard_adjoint", lambda _: scheme._layouts(R))
             mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
             avg = scheme.average_model(h, sch)
         J, r = _pair_loop_reference(h, sch, np.array([R] * n))
