@@ -25,7 +25,7 @@ from . import gf, netham
 
 OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
-_BAND_ENTRIES = 1 << 22     # one-hot or product entries per factor of a _pair_tables band
+_BAND_ENTRIES = 1 << 22     # indicator or product entries per factor of a _pair_tables band
 
 
 @dataclass(eq=False)
@@ -222,43 +222,44 @@ def difference_scheme_for(n: int) -> DifferenceScheme:
 # ---------------------------------------------------------------------------
 # verification
 
-def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None):
+def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None,
+                 anchored: bool = False):
     """Yield (k, l, tables, node), k <= l: the label tables of the row bands from k and l.
 
-    tables[i, j, a, b] counts the columns of the (n, N) matrix of labels
-    1..s where row k + i holds a + 1 and row l + j holds b + 1, or sums
-    their weights; node[i, a] is row k + i's own count, which a band against
-    itself holds on its diagonal too.  Labels 2..s come from a one-hot Gram
-    product over column chunks, at most _BAND_ENTRIES entries a factor,
-    float32 for counts (exact up to 2^24 columns a chunk) and added up in
-    float64; label 1 is what they leave of the row totals.
+    Row k of the (n, N) matrix of labels 1..s gives indicator rows over its
+    columns: label a has a one in row a, or, anchored on label s, row a of
+    P = [I; -1], so label s has -1 in every row.  tables[i, j] is the Gram
+    product of the rows of k + i and l + j, each column counted or weighted:
+    the table w of label pairs, or P^T w P; node[i] sums k + i's rows, w_k or
+    P^T w_k.  Column chunks of at most _BAND_ENTRIES entries a factor are
+    float32 for counts (exact up to 2^24 columns a chunk), summed in float64.
     """
     n, N = labels.shape
-    rows = max(1, math.isqrt(_BAND_ENTRIES) // s)
+    rows = max(1, min(n, math.isqrt(_BAND_ENTRIES) // s))
     cols = max(1, _BAND_ENTRIES // (rows * s))
     dtype = np.float32 if weights is None else np.float64
-    total = N if weights is None else weights.sum()
+    width = s - anchored        # indicator rows a label
 
-    def one_hot(k: int, c: int) -> np.ndarray:     # rows (k + i, a - 2), columns c..
-        hot = (labels[k:k + rows, None, c:c + cols] == np.arange(2, s + 1)[:, None]).astype(dtype)
-        return hot.reshape(-1, hot.shape[-1])
+    def indicators(k: int, c: int) -> np.ndarray:     # rows (k + i, a), columns c..
+        block = labels[k:k + rows, None, c:c + cols]
+        ind = (block == np.arange(1, width + 1)[:, None]).astype(dtype)
+        if anchored:
+            ind -= block == s
+        return ind.reshape(-1, ind.shape[-1])
 
-    node = np.empty((n, s))
+    node = np.zeros((n, width))
     for l in range(0, n, rows):
         for k in range(l, -1, -rows):       # a band against itself first: its node tables
             K, L = min(rows, n - k), min(rows, n - l)
-            t = np.zeros((K, s, L, s))
+            t = np.zeros((K * width, L * width))
             for c in range(0, N, cols):
-                hot = one_hot(k, c)
-                left = hot if weights is None else hot * weights[c:c + cols]
-                right = hot if l == k else one_hot(l, c)    # hot @ hot.T is one symmetric product
-                t[:, 1:, :, 1:] += (left @ right.T).reshape(K, s - 1, L, s - 1)
-            if k == l:
-                node[l:l + L, 1:] = np.einsum("iaia->ia", t[:, 1:, :, 1:])
-                node[l:l + L, 0] = total - node[l:l + L, 1:].sum(axis=1)
-            t[:, 1:, :, 0] = node[k:k + K, 1:, None] - t[:, 1:, :, 1:].sum(axis=3)
-            t[:, 0] = node[l:l + L] - t[:, 1:].sum(axis=1)
-            yield k, l, t.transpose(0, 2, 1, 3), node[k:k + K]
+                ind = indicators(k, c)
+                left = ind if weights is None else ind * weights[c:c + cols]
+                right = ind if l == k else indicators(l, c)   # ind @ ind.T is one symmetric product
+                t += left @ right.T
+                if k == l:
+                    node[k:k + K] += np.einsum("ij->i", left).reshape(K, width)
+            yield k, l, t.reshape(K, width, L, width).transpose(0, 2, 1, 3), node[k:k + K]
 
 
 def verify_oa(oa: OrthogonalArray) -> dict:

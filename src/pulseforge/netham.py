@@ -243,6 +243,7 @@ def numbers(values, name: str, ndim: int | None = None, whole: bool = False):
     if (kind not in (("i" if listed else "iu") if whole else "iuf")
             or ndim is not None and array.ndim != ndim
             or kind == "f" and not np.isfinite(array).all()
+            or whole and kind == "u" and array.size and array.max() > np.iinfo(np.int64).max
             or rows and any(bool in set(map(type, row)) for row in rows)):
         if ndim == 0:
             raise ValueError(f"{name} must be {'an integer' if whole else 'a finite number'}, "

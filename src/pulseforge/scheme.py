@@ -13,9 +13,10 @@ average sees the pulses only through each node pair's time-weighted
 table of label pairs, applied by one route for every d and every basis.
 The adjoint matrices of any unitary error basis sum to zero (the basis
 averages every traceless operator away), so a table w counts only through
-D_ab = w_ab - w_as - w_sb + w_ss, s the last label: tables u_a + v_b, as
-a strength-2 array's, give exact zeros at every d with no arithmetic, and
-those of time reversal, one identity pair short, scale H by -1/(N-1).
+D = P^T w P, P = [I; -1]: one Gram of indicator rows anchored on the last
+label, which drops out of every table and adjoint layout.  Tables u_a + v_b,
+as a strength-2 array's, give exact zeros at every d, and time reversal's,
+one identity pair short, scale H by -1/(N-1).
 The shared basis's adjoint layouts are built once per process, a custom
 basis's per call.  average_hamiltonian() realizes the average as a dense
 matrix; the d^n conjugation average it is tested against lives with the
@@ -120,7 +121,7 @@ def _adjoint_matrices(basis) -> np.ndarray:
     the identity pair alone, as in time reversal, scales J_kl exactly.
     Since sum_l E_l X E_l^dag = d tr(X) I for a unitary error basis, the
     matrices of all d^2 labels sum to zero (to rounding); average_model
-    relies on that, at every d, to drop the last label and tables u_a + v_b.
+    relies on that, at every d, to anchor every table on the last label.
     """
     E, sigma = np.array(basis.elements), netham._gell_mann(basis.d)
     Ed, Et = E.conj().swapaxes(1, 2), E.swapaxes(1, 2)
@@ -132,8 +133,8 @@ def _adjoint_matrices(basis) -> np.ndarray:
 
 
 def _layouts(R: np.ndarray) -> tuple:
-    """(Ra, Rt) of adjoint matrices R: Ra[a] = R[a].ravel(), Rt[c, e, b] = R[b, c, e] (b < s-1)."""
-    return R.reshape(len(R), -1), np.ascontiguousarray(R[:-1].transpose(1, 2, 0))
+    """(Ra, Rt) of adjoint matrices R less label s: Ra[a] = R[a].ravel(), Rt[..., a] = R[a]."""
+    return R[:-1].reshape(len(R) - 1, -1), np.ascontiguousarray(R[:-1].transpose(1, 2, 0))
 
 
 @functools.cache
@@ -152,20 +153,19 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     enter only through the time w_ab that nodes k and l spend with labels
     a and b: block J_kl becomes sum_ab w_ab R_ka J_kl R_lb^T and r_k becomes
     sum_a w_a R_ka r_k, divided by the total time last.  As sum_a R_ka = 0,
-    any u_a + v_b may be taken from a table: node tables are applied less
-    their label-s entry, pair tables anchored on it, D = P^T w P =
-    w_ab - w_as - w_sb + w_ss for a, b < s (P = [I; -1]).  Tables come a
-    band of node pairs at a time from designs._pair_tables, at most
-    _APPLY_ENTRIES products a step.  A step whose D is zero on its pairs
-    l > k leaves its blocks exact zeros; any other takes only the label rows
-    and columns where D departs: Y_b = sum_a D_ab R_ka, then
-    Z_b = J_kl^T Y_b^T and the block's transpose sum_b R_lb Z_b, each row's
-    Y once and one Z product if its pairs share one D.  A band against
-    itself steps t rows at a time, t^2 s m^2 <= _SQUARE_ENTRIES, from the
-    column past each step's first row.  Blocks land mirrored and l <= k ones
-    are zeroed: the average is exactly symmetric with zero diagonal blocks.
-    R comes as _layouts, the shared basis's built once per process and read
-    through per-node views, a custom basis's built per call and not kept.
+    any u_a + v_b may be taken from a table, so each is anchored on label s,
+    which drops out of tables and R alike: D = P^T w P and P^T w_k, with
+    P = [I; -1], are one Gram of anchored indicator rows and their sums,
+    from designs._pair_tables a band of node pairs at a time.  A step applies
+    at most _APPLY_ENTRIES products; one whose D is zero on its pairs l > k
+    leaves its blocks exact zeros, any other takes only the label rows and
+    columns where D departs: Y_b = sum_a D_ab R_ka, then Z_b = J_kl^T Y_b^T
+    and the block's transpose sum_b R_lb Z_b, each row's Y once and one Z
+    product if its pairs share one D.  A band against itself steps t rows at
+    a time, t^2 s m^2 <= _SQUARE_ENTRIES, from the column past each step's
+    first row.  Blocks land mirrored and l <= k ones are zeroed: the average
+    is exactly symmetric with zero diagonal blocks.
+    R comes as _layouts, the shared basis's read through per-node views.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -180,24 +180,21 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
         Ra, Rt = (np.array([adjoint[id(b)][x] for b in sch.bases]) for x in (0, 1))
     else:
         Ra, Rt = (np.ndarray((n, *x.shape), x.dtype, x, strides=(0, *x.strides)) for x in (Ra, Rt))
-    equal = bool((sch.times == sch.times[0]).all())
-    total = sch.N if equal else 1.0     # counts for equal times, else the times themselves
+    total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
     J, r = np.zeros(hmodel.J.shape), np.empty(hmodel.r.shape)
     J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
-    for k, l, tables, node in designs._pair_tables(sch.pulses, s, None if equal else sch.times):
+    for k, l, tables, node in designs._pair_tables(sch.pulses, s, weights, anchored=True):
         K, L = tables.shape[:2]
         step = max(1, _APPLY_ENTRIES // (L * s * m * m))
-        if k == l:                  # the band's own rows: their node tables, less label s's
-            Rbar = ((node - node[:, -1:])[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
+        if k == l:                  # the band's own rows: their node tables
+            Rbar = (node[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
             r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
             step = min(step, math.isqrt(_SQUARE_ENTRIES // (s * m * m)))
         for i in range(0, K - (k == l), step):      # a band's last row pairs with none of its own
             i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
             rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
             lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
-            w = tables[i:i2, j:].transpose(0, 2, 1, 3)      # (k, a, l, b)
-            w = w[:, :-1] - w[:, -1:]                       # P^T w
-            D = (w[..., :-1] - w[..., -1:]).swapaxes(1, 2)  # P^T w P as (k, l, a, b)
+            D = tables[i:i2, j:]    # (k, l, a, b), a view of rows no other step reads
             D[lower] = 0.0          # l <= k: no pair
             if not D.any():
                 continue            # every block averages to exact zeros

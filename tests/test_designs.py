@@ -265,6 +265,42 @@ def test_verify_oa_matches_the_pair_loop_on_every_single_entry_change(s, rows, m
             assert report == _verify_oa_loop(bad), (k, j, label)
 
 
+@settings(max_examples=80)
+@given(n=st.integers(1, 9), s=st.integers(2, 5), N=st.integers(1, 30), rows=st.integers(1, 4),
+       last=st.booleans(), equal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_pair_tables_match_a_bincount_loop(n, s, N, rows, last, equal, seed):
+    # bands of `rows` rows and column chunks of min(rows, n) * s; labels from
+    # a random alphabet, with label s in it or not, so some labels never
+    # appear.  Plain tables are the counts w, anchored ones P^T w P with
+    # P = [I; -1]: exact for counts, negative entries included, and to
+    # rounding for weights
+    rng = np.random.default_rng(seed)
+    alphabet = np.append(rng.permutation(s - 1)[:rng.integers(1, s)] + 1, np.full(int(last), s))
+    labels = rng.choice(alphabet, size=(n, N))
+    weights = None if equal else rng.uniform(0.05, 1.0, N)
+    P = np.vstack([np.eye(s - 1), -np.ones((1, s - 1))])
+
+    def counts(*rows):      # of a row's labels, or of a row pair's label pairs
+        codes = sum((labels[p] - 1) * s ** e for e, p in enumerate(reversed(rows)))
+        return np.bincount(codes, weights, s ** len(rows)).reshape((s,) * len(rows))
+
+    def check(got, want):
+        assert np.array_equal(got, want) if equal else np.abs(got - want).max() <= 1e-12
+
+    for anchored in (False, True):
+        seen = np.zeros((n, n), dtype=bool)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(designs, "_BAND_ENTRIES", (rows * s) ** 2)
+            for k, l, tables, node in designs._pair_tables(labels, s, weights, anchored):
+                for i, j in np.ndindex(*tables.shape[:2]):
+                    w = counts(k + i, l + j)
+                    check(tables[i, j], P.T @ w @ P if anchored else w)
+                    seen[k + i, l + j] = True
+                for i in range(len(node)):
+                    check(node[i], counts(k + i) @ P if anchored else counts(k + i))
+        assert seen[np.triu_indices(n)].all()
+
+
 def test_verify_oa_single_row_vacuous():
     single = designs.OrthogonalArray(1, 4, 4, 0, np.array([[1, 2, 3, 4]]))
     assert designs.verify_oa(single)["ok"]

@@ -334,3 +334,15 @@ def test_a_refused_value_is_cut_short(bad, shown):
     message = str(err.value)
     assert message.startswith("field 'n' must be an integer, got ") and shown in message
     assert len(message) < 200
+
+
+@pytest.mark.parametrize("values, ndim, message", [
+    (np.array([2 ** 63, 5], dtype=np.uint64), None, "field 'x' must hold integers$"),
+    (np.array(2 ** 63, dtype=np.uint64), 0, "field 'x' must be an integer, got "),
+], ids=["array", "0-d"])
+def test_unsigned_ints_beyond_int64_are_refused(values, ndim, message):
+    # a cast to int64 would wrap 2^63 to -2^63; the int64 maximum itself is kept
+    with pytest.raises(ValueError, match=f"^{message}"):
+        netham.numbers(values, "field 'x'", ndim, whole=True)
+    top = np.array([2 ** 63 - 1, 5], dtype=np.uint64)
+    assert netham.numbers(top, "field 'x'", whole=True).tolist() == [2 ** 63 - 1, 5]

@@ -483,7 +483,7 @@ def _pair_loop_reference(h, sch, R):
        seed=st.integers(0, 2 ** 32 - 1), design=st.booleans())
 def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design):
     # nodes share one standard basis or have their own conjugated one; pair
-    # tables come in bands of `run` nodes and column chunks of run * d^2
+    # tables come in bands of `run` nodes and column chunks of min(run, n) * d^2
     # intervals, and blocks are applied one row at a time or a band at once.
     # Pulse rows are random labels, or rows of a strength-2 array, some
     # repeated and some all-identity, so that one step mixes zero anchored
