@@ -208,9 +208,7 @@ def cyclic_difference_scheme(u: int, n: int) -> DifferenceScheme:
     limit = gf._smallest_factor(u)
     if not 1 <= n <= limit:
         raise ValueError(f"row count {n} unsupported for u = {u} (max {limit})")
-    j = np.arange(u)
-    entries = np.array([(k * j) % u for k in range(n)])
-    return DifferenceScheme(n, u, u, entries)
+    return DifferenceScheme(n, u, u, np.arange(n)[:, None] * np.arange(u) % u)
 
 
 def difference_scheme_for(n: int) -> DifferenceScheme:

@@ -70,7 +70,7 @@ class InteractionGraph:
 
 def _exact_vertex_coloring(n, adj):
     order = sorted(range(n), key=lambda v: -len(adj[v]))
-    for k in range(1, n + 1):
+    for k in range(n + 1):
         colors = {}
 
         def dfs(i):
@@ -143,22 +143,16 @@ def _misra_gries(n, edges, deg):
                 return c
         raise RuntimeError("palette exhausted")
 
+    # put colors an uncolored edge, drop uncolors a colored one
     def put(u, v, c):
-        e = _canon(u, v)
-        old = ecol.get(e)
-        if old is not None:
-            del adjc[u][old]
-            del adjc[v][old]
-        ecol[e] = c
+        ecol[_canon(u, v)] = c
         adjc[u][c] = v
         adjc[v][c] = u
 
     def drop(u, v):
-        e = _canon(u, v)
-        old = ecol.pop(e, None)
-        if old is not None:
-            del adjc[u][old]
-            del adjc[v][old]
+        c = ecol.pop(_canon(u, v))
+        del adjc[u][c]
+        del adjc[v][c]
 
     for u, v in edges:
         fan = [v]
@@ -190,10 +184,8 @@ def _misra_gries(n, edges, deg):
         # longest fan prefix that is still a fan and ends where d is free
         w_idx = None
         for i in range(len(fan)):
-            if i > 0:
-                cc = ecol.get(_canon(u, fan[i]))
-                if cc is None or not is_free(fan[i - 1], cc):
-                    break
+            if i > 0 and not is_free(fan[i - 1], ecol[_canon(u, fan[i])]):
+                break
             if is_free(fan[i], d):
                 w_idx = i
         if w_idx is None:
@@ -213,8 +205,6 @@ def edge_coloring(g: InteractionGraph) -> dict:
     The count is Delta or Delta+1 in both paths; only the exact search
     certifies which one is optimal.
     """
-    if not g.edges:
-        return {"colors": {}, "count": 0, "exact": True}
     edges = sorted(g.edges)
     if len(edges) <= EXACT_EDGE_LIMIT:
         # the line graph: one vertex per edge, adjacent when two edges share an endpoint

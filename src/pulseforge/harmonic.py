@@ -239,7 +239,8 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
     with diagonal equal to the overhead, so the overhead is at least
     |least eigenvalue of T| (clipped at zero).  upper/schedule: only
     for targets with entries 0 or +-1, where edge-coloring the support
-    graph yields one matching per step; general fractional targets get
+    graph yields one matching per unit step, so upper is the number of
+    steps (none for the zero target); general fractional targets get
     bounds-only output.
     """
     T = netham._check_symmetric(T, "T").copy()
@@ -265,15 +266,6 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
         return report
     support = {(u, v) for u in range(n) for v in range(u + 1, n)
                if abs(T[u, v]) > 0.5}
-    if not support:
-        # simulating the zero Hamiltonian costs no simulated time at all
-        report["upper"] = 0.0
-        report["schedule"] = [{"duration": 0.0,
-                               "cliques": [[v] for v in range(n)],
-                               "flip": []}]
-        report["note"] = "empty target: plain decoupling"
-        report["constructive"] = True
-        return report
     coloring = graphcolor.edge_coloring(graphcolor.InteractionGraph(n, support))
     schedule = []
     for c in range(coloring["count"]):
@@ -332,11 +324,13 @@ def phase_scheme_to_json(ps: PhaseScheme) -> dict:
 
 def phase_scheme_from_json(doc: dict) -> PhaseScheme:
     rows = netham.json_field(doc, "phases")
-    if not (isinstance(rows, list) and all(isinstance(row, list) and all(
-            isinstance(z, dict) and z.keys() >= {"re", "im"} for z in row) for row in rows)):
-        raise ValueError("field 'phases' must be a list of rows of {'re': x, 'im': y} entries")
+    try:                # an entry that is no {'re', 'im'} object fails to read
+        pairs = [[[z["re"], z["im"]] for z in row] for row in rows]
+    except (TypeError, KeyError):
+        raise ValueError("field 'phases' must be a list of rows of {'re': x, 'im': y} "
+                         "entries") from None
     # read as an (n, N, 2) number array, so a bool or a non-finite part is refused
-    pairs = netham.numbers([[[z["re"], z["im"]] for z in row] for row in rows], "field 'phases'", 3)
+    pairs = netham.numbers(pairs, "field 'phases'", 3)
     n, N = (netham.numbers(netham.json_field(doc, k), f"field {k!r}", 0, whole=True) for k in "nN")
     return PhaseScheme(n, N, pairs[..., 0] + 1j * pairs[..., 1],
                        netham.numbers(netham.json_field(doc, "times"), "field 'times'"))

@@ -227,8 +227,8 @@ def numbers(values, name: str, ndim: int | None = None, whole: bool = False):
     when whole, a float that is not a whole number below 2^53 or an int beyond
     int64.  Whole floats are read as ints, where a cast would truncate 1.7 to
     a valid label.  Only nested lists are scanned for bools, which numpy reads
-    as 0 or 1 beside numbers; unsigned ints are taken from numpy arrays alone,
-    as numpy reads a Python int beyond int64 as uint64 (or as an object).
+    as 0 or 1 beside numbers.  Unsigned ints, listed or numpy, pass up to the
+    int64 maximum; numpy reads a Python int beyond it as uint64 (or as an object).
     """
     try:
         array = np.asarray(values)
@@ -240,7 +240,7 @@ def numbers(values, name: str, ndim: int | None = None, whole: bool = False):
     rows = [values] if listed and array.ndim else []     # a nested list, scanned for bools
     for _ in range(array.ndim - 1 if rows else 0):
         rows = itertools.chain.from_iterable(rows)
-    if (kind not in (("i" if listed else "iu") if whole else "iuf")
+    if (kind not in ("iu" if whole else "iuf")
             or ndim is not None and array.ndim != ndim
             or kind == "f" and not np.isfinite(array).all()
             or whole and kind == "u" and array.size and array.max() > np.iinfo(np.int64).max

@@ -104,10 +104,8 @@ def spread_signs(m: int) -> SignTriple:
 def verify_signs(st: SignTriple) -> dict:
     """Check Schur product, 3n-row orthogonality and zero row sums."""
     violations = []
-    if not np.array_equal(st.Sx * st.Sy, st.Sz):
-        bad = np.argwhere(st.Sx * st.Sy != st.Sz)
-        for k, j in bad[:16]:
-            violations.append({"kind": "schur", "row": int(k), "column": int(j)})
+    for k, j in np.argwhere(st.Sx * st.Sy != st.Sz)[:16]:
+        violations.append({"kind": "schur", "row": int(k), "column": int(j)})
     # in floats the Gram product runs in BLAS; sums of +-1 are exact there
     rows = np.vstack([st.Sx, st.Sy, st.Sz]).astype(float)
     tags = [(axis, k) for axis in ("x", "y", "z") for k in range(st.n)]

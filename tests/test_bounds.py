@@ -93,6 +93,8 @@ def test_tau_min_input_validation():
         bounds.tau_min(np.eye(2), ok)                      # trace 2
     with pytest.raises(ValueError):
         bounds.tau_min(np.diag([1.0, 0.0, -1.0]), ok)      # shape mismatch
+    with pytest.raises(ValueError, match="^Jtilde must be square$"):
+        bounds.tau_min(np.ones((2, 3)), ok)
 
 
 def test_rescaled_special_cases():

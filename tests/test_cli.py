@@ -253,6 +253,15 @@ def test_format_without_out_is_a_usage_error(capsys, tmp_path, argv):
     json.loads(path.read_text())
 
 
+def test_harmonic_inversion_refuses_csv(capsys, tmp_path):
+    # a phase file holds complex entries, which the integer CSV cannot
+    path = tmp_path / "phases.csv"
+    assert cli.main(["invert", "--harmonic", "--n", "3", "--format", "csv", "--out", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not path.exists()
+    assert err.splitlines() == ["error: phase schemes have complex entries; use json"]
+
+
 def test_verify_names_the_field_a_mixed_up_model_misses(capsys, tmp_path):
     # an oscillator network has no J and a qudit model no C: each passed with
     # the other kind of scheme is refused by name
@@ -756,6 +765,9 @@ _WHOLE = object()
      "model.json is nested too deeply to read"),
     # an edge given twice with two weights would keep one of them silently
     ("graph", "graph", "edges", [[0, 1, 0.5], [1, 0, 2.0]], "edge (0, 1) given twice"),
+    # a difference scheme is a design file, but no sign triple comes from one
+    ("signs", "oa", _WHOLE, designs.design_to_json(designs.cyclic_difference_scheme(3, 2)),
+     "--from-oa expects an orthogonal-array file"),
 ])
 def test_malformed_documents_exit_2(capsys, tmp_path, reader, name, key, bad, message):
     docs = dict(_INPUTS)

@@ -375,6 +375,8 @@ def test_json_roundtrip_and_csv():
     assert designs.entries_to_csv(ds.entries) == "0,0,0\n0,1,2\n0,2,1\n"
     pm = np.array([[1, -1], [-1, 1]])
     assert designs.entries_to_csv(pm) == "1,-1\n-1,1\n"
+    with pytest.raises(TypeError, match="^not a design: object$"):
+        designs.design_to_json(object())
 
 
 def test_mixed_product_array():
@@ -418,6 +420,13 @@ def test_construction_errors():
     for sizes in ([2, 0], [3, -1, 3]):
         with pytest.raises(ValueError, match="at least 1"):
             designs.mixed_product_array(sizes)
+    with pytest.raises(ValueError, match="^need n >= 1 and s >= 2$"):
+        designs.product_oa(0, 4)
+    with pytest.raises(ValueError, match="^need u >= 2$"):
+        designs.cyclic_difference_scheme(1, 1)
+    for bad in ([[0, 1, 3]], [[-1, 1, 2]]):
+        with pytest.raises(ValueError, match=r"^entries must lie in \[0, u\)$"):
+            designs.DifferenceScheme(1, 3, 3, bad)
 
 
 def test_linear_array_entry_cap_refuses_before_building(monkeypatch):

@@ -135,3 +135,5 @@ def test_basis_validation():
             error_basis.UnitaryErrorBasis(2, good[:i] + [e] + good[i + 1:])
     with pytest.raises(ValueError, match="elements 2 and 4 are not trace-orthogonal"):
         error_basis.UnitaryErrorBasis(2, good[:3] + [good[1]])
+    with pytest.raises(ValueError, match=r"^need d\^2 = 4 elements, got 3$"):
+        error_basis.UnitaryErrorBasis(2, good[:3])

@@ -177,11 +177,26 @@ def test_verify_phase_scheme_refuses_mismatches():
         harmonic.verify_phase_scheme(net, ps, np.eye(3) - net.C, 2.0)
     with pytest.raises(ValueError, match="disagree on n"):
         harmonic.verify_phase_scheme(net, harmonic.fourier_inversion(4), -net.C, 2.0)
+    with pytest.raises(ValueError, match="disagree on n"):
+        harmonic.phase_average(net, harmonic.fourier_inversion(4))
     with pytest.raises(ValueError, match="3 x 3"):
         harmonic.verify_phase_scheme(net, ps, np.zeros((2, 2)), 2.0)
     for overhead in (0.0, -1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="finite and positive"):
             harmonic.verify_phase_scheme(net, ps, -net.C, overhead)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: harmonic.fourier_phase_scheme(3, 2), "^need at least n columns$"),
+    (lambda: harmonic.fourier_inversion(1), "^need at least two oscillators$"),
+    (lambda: harmonic.harmonic_j_matrix(1, 2), "^need n >= 2 and d >= 2$"),
+    (lambda: harmonic.clique_recoupling(_net(3, 2), [[0], [1], [2]],
+                                        designs.cyclic_difference_scheme(2, 2)),
+     "^need 3 difference-scheme rows, got 2$"),
+], ids=["fourier_columns", "inversion_n", "j_matrix_n", "clique_rows"])
+def test_constructions_refuse_too_few_rows_or_columns(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -322,9 +337,10 @@ def test_gram_synthesis_all_minus_one():
 
 
 def test_gram_synthesis_zero_target():
+    # the empty support colors with no colors: no step at all, not one of zero duration
     rep = harmonic.gram_synthesis_report(np.zeros((4, 4)))
     assert rep["lower"] == 0.0 and rep["upper"] == 0.0
-    assert rep["constructive"]
+    assert rep["constructive"] and rep["schedule"] == [] and rep["note"] is None
     net = _net(4, 2, seed=30)
     out = harmonic.compose_schedule(net, rep["schedule"])
     assert np.abs(out["coupling"]).max() < 1e-12
@@ -365,15 +381,17 @@ def _random_signed_target(rng, n):
 
 
 def test_gram_synthesis_upper_is_the_schedule_duration():
-    # up to 36 edges, so both the exact search and Misra-Gries schedule
+    # up to 36 edges, so both the exact search and Misra-Gries schedule; the
+    # zero targets too, and every step is a unit step
     rng = np.random.default_rng(40)
-    for trial in range(60):
-        n = int(rng.integers(2, 10))
-        T = _random_signed_target(rng, n)
+    targets = [np.zeros((n, n)) for n in range(1, 5)]
+    targets += [_random_signed_target(rng, int(rng.integers(2, 10))) for _ in range(60)]
+    for trial, T in enumerate(targets):
         rep = harmonic.gram_synthesis_report(T)
-        net = _net(n, 2, seed=trial)
+        net = _net(len(T), 2, seed=trial)
         out = harmonic.compose_schedule(net, rep["schedule"])
         assert rep["upper"] == graphcolor.weighted_chromatic_index(T) == out["overhead"]
+        assert len(rep["schedule"]) == rep["upper"]
         assert np.abs(out["coupling"] - T * net.C).max() < 1e-10
 
 
@@ -383,8 +401,7 @@ def test_gram_synthesis_colors_the_support_once(monkeypatch):
     monkeypatch.setattr(graphcolor, "edge_coloring", lambda g: calls.append(g) or edge_coloring(g))
     rng = np.random.default_rng(41)
     for n in range(2, 9):
-        T = _random_signed_target(rng, n)
-        T[0, 1] = T[1, 0] = 1.0          # a nonempty support, so there is a schedule
+        T = _random_signed_target(rng, n) if n > 2 else np.zeros((n, n))   # an empty support too
         calls.clear()
         rep = harmonic.gram_synthesis_report(T)
         assert len(calls) == 1 and len(rep["schedule"]) == rep["upper"]

@@ -174,9 +174,11 @@ def test_the_scatter_needs_under_an_eighth_of_h_beside_it():
 def test_dense_builds_above_the_cap_are_refused_before_allocating():
     # a 2^13-wide complex matrix would take 1 GiB
     h, C = netham.random_model(13, 2, 0), harmonic.random_network(13, 2, 0).C
+    sch = scheme.decoupling_scheme(13, 2)
     tracemalloc.start()
     try:
-        for build in (lambda: netham.assemble(h), lambda: harmonic.coupling_hamiltonian(C, 13, 2)):
+        for build in (lambda: netham.assemble(h), lambda: harmonic.coupling_hamiltonian(C, 13, 2),
+                      lambda: scheme.average_hamiltonian(h, sch)):
             with pytest.raises(ValueError, match="exceeds 4096"):
                 build()
         peak = tracemalloc.get_traced_memory()[1]
@@ -339,10 +341,17 @@ def test_a_refused_value_is_cut_short(bad, shown):
 @pytest.mark.parametrize("values, ndim, message", [
     (np.array([2 ** 63, 5], dtype=np.uint64), None, "field 'x' must hold integers$"),
     (np.array(2 ** 63, dtype=np.uint64), 0, "field 'x' must be an integer, got "),
-], ids=["array", "0-d"])
+    (np.uint64(2 ** 63), 0, "field 'x' must be an integer, got "),
+    (np.uint64(5), 0, None),
+    (np.uint64(5), None, None),
+], ids=["array", "0-d", "scalar", "scalar-accepted", "scalar-accepted-any-rank"])
 def test_unsigned_ints_beyond_int64_are_refused(values, ndim, message):
-    # a cast to int64 would wrap 2^63 to -2^63; the int64 maximum itself is kept
-    with pytest.raises(ValueError, match=f"^{message}"):
-        netham.numbers(values, "field 'x'", ndim, whole=True)
+    # a cast to int64 would wrap 2^63 to -2^63; the int64 maximum itself is kept,
+    # and a numpy scalar reads as a 0-d array does
+    if message is None:
+        assert netham.numbers(values, "field 'x'", ndim, whole=True) == 5
+    else:
+        with pytest.raises(ValueError, match=f"^{message}"):
+            netham.numbers(values, "field 'x'", ndim, whole=True)
     top = np.array([2 ** 63 - 1, 5], dtype=np.uint64)
     assert netham.numbers(top, "field 'x'", whole=True).tolist() == [2 ** 63 - 1, 5]

@@ -243,9 +243,15 @@ def test_scheme_validation():
     # a NaN duration fails the positivity check, as PhaseScheme's does
     with pytest.raises(ValueError, match="must be positive"):
         scheme.PulseScheme(1, 2, np.array([np.nan, 0.5]), np.ones((1, 2), dtype=int), [basis])
+    with pytest.raises(ValueError, match="^pulse matrix must be n x N$"):
+        scheme.PulseScheme(1, 2, np.array([0.5, 0.5]), np.ones((2, 2), dtype=int), [basis])
+    with pytest.raises(ValueError, match="^need one basis per node$"):
+        scheme.PulseScheme(1, 2, np.array([0.5, 0.5]), np.ones((1, 2), dtype=int), [basis] * 2)
     h = netham.random_model(3, 2, 0)
     with pytest.raises(ValueError):
         scheme.average_hamiltonian(h, _identity_scheme(2, 2))
+    with pytest.raises(ValueError, match="^scheme bases do not match the node dimension$"):
+        scheme.average_model(h, scheme.decoupling_scheme(3, 3))
 
 
 def test_scheme_file_n_is_checked_before_the_bases_are_built():
