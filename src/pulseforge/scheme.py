@@ -14,9 +14,9 @@ table of label pairs, applied by one route for every d and every basis.
 The adjoint matrices of any unitary error basis sum to zero (the basis
 averages every traceless operator away), so a table w counts only through
 D = P^T w P, P = [I; -1]: one Gram of indicator rows anchored on the last
-label, which drops out of every table and adjoint layout.  Tables u_a + v_b,
-as a strength-2 array's, give exact zeros at every d, and time reversal's,
-one identity pair short, scale H by -1/(N-1).
+label, which drops out of every table and adjoint layout.  The engine walks
+a list of the pairs whose D is nonzero: tables u_a + v_b, as a strength-2
+array's, give exact zeros at every d, and time reversal's scale H by -1/(N-1).
 The shared basis's adjoint layouts are built once per process, a custom
 basis's per call.  average_hamiltonian() realizes the average as a dense
 matrix; the d^n conjugation average it is tested against lives with the
@@ -45,8 +45,7 @@ from . import designs, error_basis, netham
 RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SNAP_TOL = 1e-12        # adjoint entries this close to an integer are set to it
-_APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per step of average_model
-_SQUARE_ENTRIES = 1 << 15  # block entries of the t x t square of a step of a band against itself
+_APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per chunk of average_model
 
 
 @dataclass(eq=False)
@@ -133,16 +132,16 @@ def _adjoint_matrices(basis) -> np.ndarray:
 
 
 def _layouts(R: np.ndarray) -> tuple:
-    """(Ra, Rt) of adjoint matrices R less label s: Ra[a] = R[a].ravel(), Rt[..., a] = R[a]."""
-    return R[:-1].reshape(len(R) - 1, -1), np.ascontiguousarray(R[:-1].transpose(1, 2, 0))
+    """(Ra, Rb) of adjoint matrices R less label s: Ra[a] = R[a].ravel(), Rb[a] = R[a].T."""
+    return R[:-1].reshape(len(R) - 1, -1), np.ascontiguousarray(R[:-1].transpose(0, 2, 1))
 
 
 @functools.cache
 def _standard_adjoint(d: int) -> tuple:
     """_layouts of the generalized Pauli basis of d, built once and read-only."""
-    Ra, Rt = _layouts(_adjoint_matrices(error_basis.generalized_pauli_basis(d)))
-    Ra.flags.writeable = Rt.flags.writeable = False
-    return Ra, Rt
+    Ra, Rb = _layouts(_adjoint_matrices(error_basis.generalized_pauli_basis(d)))
+    Ra.flags.writeable = Rb.flags.writeable = False
+    return Ra, Rb
 
 
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
@@ -156,16 +155,13 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     any u_a + v_b may be taken from a table, so each is anchored on label s,
     which drops out of tables and R alike: D = P^T w P and P^T w_k, with
     P = [I; -1], are one Gram of anchored indicator rows and their sums,
-    from designs._pair_tables a band of node pairs at a time.  A step applies
-    at most _APPLY_ENTRIES products; one whose D is zero on its pairs l > k
-    leaves its blocks exact zeros, any other takes only the label rows and
-    columns where D departs: Y_b = sum_a D_ab R_ka, then Z_b = J_kl^T Y_b^T
-    and the block's transpose sum_b R_lb Z_b, each row's Y once and one Z
-    product if its pairs share one D.  A band against itself steps t rows at
-    a time, t^2 s m^2 <= _SQUARE_ENTRIES, from the column past each step's
-    first row.  Blocks land mirrored and l <= k ones are zeroed: the average
-    is exactly symmetric with zero diagonal blocks.
-    R comes as _layouts, the shared basis's read through per-node views.
+    from designs._pair_tables a band of node pairs at a time.  A band takes
+    the labels where its D departs, and walks its pairs l > k whose D is not
+    zero in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
+    Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T, Y once if
+    a chunk's pairs share one D and every node one basis.  Blocks land above the
+    diagonal; a band that took one is mirrored once, in strips of _APPLY_ENTRIES
+    entries, so the average is exactly symmetric with zero diagonal blocks.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -175,43 +171,46 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
     adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
                else _layouts(_adjoint_matrices(b)) for key, b in adjoint.items()}
-    (Ra, Rt), *others = adjoint.values()
-    if others:                  # per-node copies; one basis on every node: views, stride 0
-        Ra, Rt = (np.array([adjoint[id(b)][x] for b in sch.bases]) for x in (0, 1))
-    else:
-        Ra, Rt = (np.ndarray((n, *x.shape), x.dtype, x, strides=(0, *x.strides)) for x in (Ra, Rt))
+    (Ra, Rb), *others = adjoint.values()            # per-node copies, or one basis's views
+    Ra, Rb = (np.array([adjoint[id(b)][x] for b in sch.bases]) if others
+              else np.ndarray((n, *y.shape), y.dtype, y, strides=(0, *y.strides))
+              for x, y in enumerate((Ra, Rb)))
     total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
-    J, r = np.zeros(hmodel.J.shape), np.empty(hmodel.r.shape)
-    J4, H4 = J.reshape(n, m, n, m), hmodel.J.reshape(n, m, n, m)
+    J, r, Hrows = np.zeros(hmodel.J.shape), np.empty(hmodel.r.shape), hmodel.J.reshape(-1, m)
+    Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
+    chunk, strip = (max(1, _APPLY_ENTRIES // x) for x in (s * m * m, n * m))   # pairs, rows
+    cell, one = np.arange(m)[:, None], slice(None if others else 1)    # one basis: one R
     for k, l, tables, node in designs._pair_tables(sch.pulses, s, weights, anchored=True):
         K, L = tables.shape[:2]
-        step = max(1, _APPLY_ENTRIES // (L * s * m * m))
         if k == l:                  # the band's own rows: their node tables
             Rbar = (node[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
             r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
-            step = min(step, math.isqrt(_SQUARE_ENTRIES // (s * m * m)))
-        for i in range(0, K - (k == l), step):      # a band's last row pairs with none of its own
-            i2, j = min(i + step, K), max(0, k + i + 1 - l)   # band rows i..i2 have pairs from j on
-            rows, cols = slice(k + i, k + i2), slice(l + j, l + L)
-            lower = np.arange(cols.start, cols.stop) <= np.arange(rows.start, rows.stop)[:, None]
-            D = tables[i:i2, j:]    # (k, l, a, b), a view of rows no other step reads
-            D[lower] = 0.0          # l <= k: no pair
-            if not D.any():
-                continue            # every block averages to exact zeros
-            nz = (np.ones(L - j) @ np.abs(D).swapaxes(1, 2)).any(axis=0)    # where D departs
-            a, b = (slice(s - 1) if x.all() else np.flatnonzero(x) for x in (nz.any(1), nz.any(0)))
-            D, Rk, Rl = D[:, :, a][..., b], Ra[rows][:, a], Rt[cols][..., b].reshape(L - j, m, -1)
-            HJ = H4[rows, :, cols].transpose(0, 2, 3, 1)         # (k, l, e, f): J_kl[f, e]
-            if (D[0] == D[0, -1]).all() and (D[~lower] == D[0, -1]).all():  # row 0 has no l <= k
-                D, HJ = D[:, -1:], HJ.reshape(i2 - i, 1, -1, m)     # one D: each row's Y once
-            sa, sb = D.shape[2:]
-            Y = (D.swapaxes(2, 3).reshape(i2 - i, -1, sa) @ Rk).reshape(i2 - i, -1, sb, m, m)
-            Z = HJ @ Y.transpose(0, 1, 4, 2, 3).reshape(i2 - i, D.shape[1], m, sb * m)
-            blk = Rl @ Z.reshape(i2 - i, L - j, m * sb, m)     # (k, l, c, i): block_kl^T
-            blk /= total
-            blk[lower] = 0.0        # l <= k: no pair
-            J4[rows, :, cols] += blk.transpose(0, 3, 1, 2)
-            J4[cols, :, rows] += blk.transpose(1, 2, 0, 3)
+            tables[np.arange(K), np.arange(K)] = 0.0    # a node is no pair of its own
+        if not tables.any():
+            continue                # no pair of the band has a table that counts
+        D4, wrote = tables.transpose(0, 2, 1, 3), False     # (k, a, l, b), as built; no block yet
+        nz = np.einsum("kalb,kalb->ab", D4, D4) != 0    # (a, b): where the band's D departs
+        a, b = (slice(None) if x.all() else x.nonzero()[0] for x in (nz.any(1), nz.any(0)))
+        live = np.einsum("kalb,kalb->kl", *(D4[:, a][..., b],) * 2)    # |D|^2 on those labels
+        live = (live * (np.arange(l, l + L) > np.arange(k, k + K)[:, None])).ravel().nonzero()[0]
+        for c in range(0, len(live), chunk):        # the pairs l > k whose D is not zero
+            p, q = np.divmod(live[c:c + chunk], L)
+            at = cell * n + ((k + p) * m * n + l + q)   # (e, pair): the rows of J_kl
+            HJ = Hrows.take(at, axis=0)
+            if not HJ.any():
+                continue            # zero blocks average to exact zeros
+            D = D4.reshape(-1, m).take(cell[a] * L + (p * m * L + q), axis=0)[..., b]
+            g = 1 if not others and (D[:, 1:] == D[:, :-1]).all() else len(p)   # one D: Y once
+            D, Rk, Rl = D[:, :g].transpose(1, 2, 0), Ra[k + p[one]][:, a], Rb[l + q[one]][:, b]
+            Y = (D.reshape(len(Rk), -1, D.shape[2]) @ Rk).reshape(g, -1, m, m)    # (g, b, x, e)
+            Z = Y.swapaxes(1, 2).reshape(g, -1, m) @ HJ.reshape(m, g, -1).transpose(1, 0, 2)
+            Z = Z.reshape(g, m, -1, len(p) // g, m).swapaxes(2, 3)    # (g, x, pair, b, f)
+            blk = Z.reshape(len(Rl), -1, Rl[0].size // m) @ Rl.reshape(len(Rl), -1, m) / total
+            Jrows[at.reshape(m, g, -1).swapaxes(0, 1)] = blk.view(Jrows.dtype).reshape(g, m, -1)
+            wrote = True
+        for e in range(k * m, (k + K) * m, strip) if wrote else ():   # mirror the band, in strips
+            rows, cols = slice(e, min(e + strip, (k + K) * m)), slice(max(e, l * m), (l + L) * m)
+            J[cols, rows] += J[rows, cols].T    # a band against itself: columns from e on
     return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
 
 

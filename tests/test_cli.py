@@ -82,6 +82,18 @@ def test_decouple_graph_coloring(capsys, tmp_path):
     assert str(gpath) in rep["inputs"]
 
 
+def test_verify_refuses_a_full_model_against_a_graph_scheme(capsys, tmp_path):
+    # a graph-colored scheme decouples only couplings on the graph's edges
+    gpath, spath = tmp_path / "ring.json", tmp_path / "ring_scheme.json"
+    g = graphcolor.InteractionGraph(6, {(k, (k + 1) % 6) for k in range(6)})
+    gpath.write_text(json.dumps(graphcolor.graph_to_json(g)))
+    code, rep = run(capsys, "decouple", "--d", "2", "--graph", str(gpath), "--out", str(spath))
+    assert code == 0 and rep["residuals"]["decouple"] == 0.0
+    mpath = write_model(tmp_path, netham.random_model(6, 2, 0))
+    code, rep = run(capsys, "verify", "--model", mpath, "--scheme", str(spath), "--target", "zero")
+    assert code == 1 and rep["ok"] is False and rep["residuals"]["verify"] > 1e-3
+
+
 def test_decouple_missing_n(capsys):
     code, _ = run(capsys, "decouple", "--d", "2")
     assert code == 2

@@ -87,6 +87,24 @@ def test_colored_decoupling_of_a_ring_is_exact(d):
     assert scheme.verify_scheme(h, sch, None) == {"ok": True, "residual": 0.0}
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_colored_decoupling_fails_off_the_graph(d):
+    # two nodes of one color run the same pulse row, so a coupling between
+    # them that the graph does not hold survives the average: one such block
+    # must fail the certificate
+    g = graphcolor.InteractionGraph(6, {(k, (k + 1) % 6) for k in range(6)})
+    sch = graphcolor.colored_decoupling_scheme(g, d)
+    u, v = next((u, v) for u in range(6) for v in range(u + 1, 6)
+                if (u, v) not in g.edges and (sch.pulses[u] == sch.pulses[v]).all())
+    h = _supported_model(g, d, d)
+    assert scheme.verify_scheme(h, sch, None)["ok"]
+    m = h.m
+    block = netham.random_model(2, d, d).J[:m, m:]
+    h.J[u * m:(u + 1) * m, v * m:(v + 1) * m] = block
+    h.J[v * m:(v + 1) * m, u * m:(u + 1) * m] = block.T
+    assert not scheme.verify_scheme(h, sch, None)["ok"]
+
+
 def test_colored_decoupling_star():
     g = graphcolor.InteractionGraph(5, {(0, k) for k in range(1, 5)})
     sch = graphcolor.colored_decoupling_scheme(g, 2)

@@ -490,11 +490,13 @@ def _pair_loop_reference(h, sch, R):
 def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design):
     # nodes share one standard basis or have their own conjugated one; pair
     # tables come in bands of `run` nodes and column chunks of min(run, n) * d^2
-    # intervals, and blocks are applied one row at a time or a band at once.
+    # intervals, and blocks are applied one pair at a time or a band at once.
     # Pulse rows are random labels, or rows of a strength-2 array, some
-    # repeated and some all-identity, so that one step mixes zero anchored
+    # repeated and some all-identity, so that one chunk mixes zero anchored
     # tables (distinct rows, an identity row against an array row), ones on
-    # the identity pair alone (two identity rows) and full ones (a repeated row)
+    # the identity pair alone (two identity rows) and full ones (a repeated row).
+    # Some coupling blocks are zero, at random and at times every pair of two
+    # bands, so some chunks hold only zero blocks and some bands take none
     rng = np.random.default_rng(seed)
     h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
     if design:
@@ -509,6 +511,11 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design
     standard = error_basis.generalized_pauli_basis(d)
     bases = [_conjugated_basis(d, rng) if rng.random() < 0.5 else standard for _ in range(n)]
     sch = scheme.PulseScheme(n, N, times / times.sum(), pulses, bases)
+    zero = rng.random((n, n)) < 0.3
+    if rng.random() < 0.5:
+        u, v = rng.integers(0, n, 2) // run * run
+        zero[u:u + run, v:v + run] = True
+    h.J.reshape(n, h.m, n, h.m).transpose(0, 2, 1, 3)[zero | zero.T] = 0.0
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "_BAND_ENTRIES", (run * d * d) ** 2)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
@@ -568,10 +575,14 @@ def test_sign_route_matches_pair_loop(n, kind, seed):
 
 def test_every_basis_matches_the_pair_loop():
     # Pauli qubit pulses, a rotated qubit basis (non-diagonal adjoint
-    # matrices), mixed per-node bases and d >= 3 bases all take one route
+    # matrices), mixed per-node bases and d >= 3 bases all take one route.
+    # Rows A, I, I, A, A (I all identity) put the pair of I rows between
+    # pairs of A rows, whose table it does not share, in one chunk
     rng = np.random.default_rng(3)
     schemes = [make(n, 2) for n in (3, 4)
                for make in (scheme.decoupling_scheme, scheme.inversion_scheme)]
+    A, I = designs.smallest_oa_for(2, 4).entries[1], np.ones(16, dtype=int)
+    schemes.append(scheme._pauli_scheme(np.array([A, I, I, A, A]), 2))
     rotated = _conjugated_basis(2, rng)
     schemes += [scheme.PulseScheme(3, 4, np.full(4, 0.25), rng.integers(1, 5, size=(3, 4)),
                                    [rotated] * 3),
@@ -628,8 +639,8 @@ def test_inversion_scales_the_model(n, d):
 def test_one_table_steps_take_only_the_labels_that_depart(d):
     # time reversal gives every pair one anchored table, on the identity pair
     # alone; two kept nodes of a selective scheme give their pair such a table
-    # and every other pair a zero one, so a step holding that pair mixes the
-    # two.  Either way only label 1 enters the products; it is nudged off I
+    # and every other pair a zero one, which the list of pairs leaves out.
+    # Either way only label 1 enters the products; it is nudged off I
     # (the adjoint matrices still sum to zero), so no product in it is exact
     R = scheme._adjoint_matrices(error_basis.generalized_pauli_basis(d))
     R[0, 0, 1] += 1e-3
@@ -640,7 +651,7 @@ def test_one_table_steps_take_only_the_labels_that_depart(d):
         with pytest.MonkeyPatch.context() as mp:
             # the standard basis's layouts are what the engine reads, cached or not
             mp.setattr(scheme, "_standard_adjoint", lambda _: scheme._layouts(R))
-            mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one row a step
+            mp.setattr(scheme, "_APPLY_ENTRIES", 1)         # one pair a chunk
             avg = scheme.average_model(h, sch)
         J, r = _pair_loop_reference(h, sch, np.array([R] * n))
         assert np.array_equal(avg.J, avg.J.T)
