@@ -4,7 +4,8 @@ Two structures are provided: orthogonal arrays of strength 2 (every
 ordered symbol pair appears equally often in every row pair) and
 difference schemes over cyclic groups (every row-pair difference vector
 is balanced).  Constructions are deterministic; verifiers recheck the
-defining property exhaustively and report located violations.
+defining property exhaustively and report located violations, verify_oa
+from the plain label-pair counts of _pair_tables, taken in row bands.
 
 Symbols of an orthogonal array are labels 1..s so they can double as
 indices into a unitary basis; difference schemes use residues 0..u-1.
@@ -25,7 +26,7 @@ from . import gf, netham
 
 OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
-_BAND_ENTRIES = 1 << 22     # indicator or product entries per factor of a _pair_tables band
+_BAND_ENTRIES = 1 << 22     # entries: at most a _pair_tables band factor, at least a Gram chunk
 
 
 @dataclass(eq=False)
@@ -220,50 +221,35 @@ def difference_scheme_for(n: int) -> DifferenceScheme:
 # ---------------------------------------------------------------------------
 # verification
 
-def _pair_tables(labels: np.ndarray, s: int, weights: np.ndarray | None = None,
-                 anchored: bool = False):
-    """Yield (k, l, tables, node), k <= l: the label tables of the row bands from k and l.
-
-    Row k of the (n, N) matrix of labels 1..s gives indicator rows over its
-    columns: label a has a one in row a, or, anchored on label s, row a of
-    P = [I; -1], so label s has -1 in every row.  tables[i, j] is the Gram
-    product of the rows of k + i and l + j, each column counted or weighted:
-    the table w of label pairs, or P^T w P; node[i] sums k + i's rows, w_k or
-    P^T w_k.  Column chunks of at most _BAND_ENTRIES entries a factor are
-    float32 for counts (exact up to 2^24 columns a chunk), summed in float64.
-    """
+def _pair_tables(labels: np.ndarray, s: int):
+    """Yield (k, l, tables), k <= l: the label-pair counts of the row bands from
+    k and l, for verify_oa.  Row k of the (n, N) labels 1..s gives s one-hot
+    rows; tables[i, j] is the Gram product of the rows of k + i and l + j.  The
+    whole Gram is (n s)^2, unbounded in s (n s = 63252 for rao_hamming_oa(251,
+    2)), hence the bands; column chunks of at most _BAND_ENTRIES entries a
+    factor are float32 (exact), summed in float64."""
     n, N = labels.shape
     rows = max(1, min(n, math.isqrt(_BAND_ENTRIES) // s))
     cols = max(1, _BAND_ENTRIES // (rows * s))
-    dtype = np.float32 if weights is None else np.float64
-    width = s - anchored        # indicator rows a label
 
     def indicators(k: int, c: int) -> np.ndarray:     # rows (k + i, a), columns c..
         block = labels[k:k + rows, None, c:c + cols]
-        ind = (block == np.arange(1, width + 1)[:, None]).astype(dtype)
-        if anchored:
-            ind -= block == s
+        ind = (block == np.arange(1, s + 1)[:, None]).astype(np.float32)
         return ind.reshape(-1, ind.shape[-1])
 
-    node = np.zeros((n, width))
-    for l in range(0, n, rows):
-        for k in range(l, -1, -rows):       # a band against itself first: its node tables
-            K, L = min(rows, n - k), min(rows, n - l)
-            t = np.zeros((K * width, L * width))
+    for k in range(0, n, rows):
+        for l in range(k, n, rows):
+            t = np.zeros((min(rows, n - k) * s, min(rows, n - l) * s))
             for c in range(0, N, cols):
                 ind = indicators(k, c)
-                left = ind if weights is None else ind * weights[c:c + cols]
-                right = ind if l == k else indicators(l, c)   # ind @ ind.T is one symmetric product
-                t += left @ right.T
-                if k == l:
-                    node[k:k + K] += np.einsum("ij->i", left).reshape(K, width)
-            yield k, l, t.reshape(K, width, L, width).transpose(0, 2, 1, 3), node[k:k + K]
+                t += ind @ (ind if l == k else indicators(l, c)).T    # ind @ ind.T is symmetric
+            yield k, l, t.reshape(t.shape[0] // s, s, -1, s).transpose(0, 2, 1, 3)
 
 
 def verify_oa(oa: OrthogonalArray) -> dict:
     """Exhaustive pair-count check; ok iff every count is lam (violations in row-pair order)."""
     found = [np.empty((5, 0), dtype=int)]
-    for k, l, tables, _ in _pair_tables(oa.entries, oa.s):
+    for k, l, tables in _pair_tables(oa.entries, oa.s):
         at = np.nonzero(tables != oa.lam)
         pair = k + at[0] < l + at[1]         # a row against itself is no pair
         found.append(np.array([k + at[0], l + at[1], *at[2:], tables[at]], dtype=int)[:, pair])
@@ -274,20 +260,14 @@ def verify_oa(oa: OrthogonalArray) -> dict:
 
 
 def verify_difference_scheme(ds: DifferenceScheme) -> dict:
-    """Row-pair difference vectors must hit every residue N/u times."""
-    violations = []
-    want = ds.N // ds.u
-    for k in range(ds.n):
-        for l in range(k + 1, ds.n):
-            diff = (ds.entries[k] - ds.entries[l]) % ds.u
-            counts = np.bincount(diff, minlength=ds.u)
-            for r in np.flatnonzero(counts != want):
-                violations.append({
-                    "rows": (k, l),
-                    "element": int(r),
-                    "count": int(counts[r]),
-                    "expected": want,
-                })
+    """Row-pair difference vectors must hit every residue N/u times (violations in pair order)."""
+    violations, want, u = [], ds.N // ds.u, ds.u
+    for k in range(ds.n - 1):       # rows l > k at once, each offset into its own u bins
+        diff = (ds.entries[k] - ds.entries[k + 1:]) % u + u * np.arange(ds.n - k - 1)[:, None]
+        counts = np.bincount(diff.ravel(), minlength=u * (ds.n - k - 1)).reshape(-1, u)
+        l, r = np.nonzero(counts != want)
+        violations += [{"rows": (k, k + 1 + i), "element": j, "count": c, "expected": want}
+                       for i, j, c in zip(l.tolist(), r.tolist(), counts[l, r].tolist())]
     return {"ok": not violations, "violations": violations}
 
 

@@ -13,10 +13,11 @@ average sees the pulses only through each node pair's time-weighted
 table of label pairs, applied by one route for every d and every basis.
 The adjoint matrices of any unitary error basis sum to zero (the basis
 averages every traceless operator away), so a table w counts only through
-D = P^T w P, P = [I; -1]: one Gram of indicator rows anchored on the last
-label, which drops out of every table and adjoint layout.  The engine walks
-a list of the pairs whose D is nonzero: tables u_a + v_b, as a strength-2
-array's, give exact zeros at every d, and time reversal's scale H by -1/(N-1).
+D = P^T w P, P = [I; -1]: one Gram for the whole scheme, summed over column
+chunks, of indicator rows anchored on the last label, which drops out of
+every table and adjoint layout.  The engine walks one list of the pairs whose
+D is nonzero: tables u_a + v_b, as a strength-2 array's, give exact zeros at
+every d, and time reversal's scale H by -1/(N-1).
 The shared basis's adjoint layouts are built once per process, a custom
 basis's per call.  average_hamiltonian() realizes the average as a dense
 matrix; the d^n conjugation average it is tested against lives with the
@@ -144,6 +145,30 @@ def _standard_adjoint(d: int) -> tuple:
     return Ra, Rb
 
 
+def _anchored_gram(pulses: np.ndarray, s: int, weights: np.ndarray | None) -> tuple:
+    """(D, node) of an (n, N) matrix of labels 1..s: D[k, :, l] = P^T w_kl P and
+    node[k] = P^T w_k, P = [I; -1], w the time (weights, or 1 a column) nodes k
+    and l spend with each label pair, or k with each label.  D is one Gram A w A^T,
+    A's row (k, a) 1 where node k takes label a + 1 and -1 where it takes s, over
+    column chunks at least n(s-1) wide and of at least designs._BAND_ENTRIES
+    entries; A is freed on return, and counts are float32 while exact (N < 2^24)."""
+    n, N = pulses.shape
+    chunks = max(1, N // max(n * (s - 1), designs._BAND_ENTRIES // (n * (s - 1))))
+    dtype = np.float32 if weights is None and N < 1 << 24 else np.float64
+    node = np.zeros(n * (s - 1))
+    for c in range(chunks):
+        cols = slice(c * N // chunks, (c + 1) * N // chunks)
+        A = (pulses[:, None, cols] == np.arange(1, s)[:, None]).astype(dtype)
+        A -= pulses[:, None, cols] == s
+        A = A.reshape(len(node), -1)
+        # A @ A.T is one symmetric product, but numpy then copies its triangle,
+        # which costs more than the half it saves while A has fewer columns than rows
+        wA = A * weights[cols] if weights is not None else A.copy() if len(A) > A.shape[1] else A
+        node += np.einsum("ij->i", wA)
+        D = np.add(D, wA @ A.T, out=D) if c else wA @ A.T
+    return D.reshape(n, s - 1, n, s - 1), node.reshape(n, s - 1)
+
+
 def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.PairHamiltonian:
     """Exact average of the model under the scheme, in coefficient space.
 
@@ -154,13 +179,13 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     sum_a w_a R_ka r_k, divided by the total time last.  As sum_a R_ka = 0,
     any u_a + v_b may be taken from a table, so each is anchored on label s,
     which drops out of tables and R alike: D = P^T w P and P^T w_k, with
-    P = [I; -1], are one Gram of anchored indicator rows and their sums,
-    from designs._pair_tables a band of node pairs at a time.  A band takes
-    the labels where its D departs, and walks its pairs l > k whose D is not
+    P = [I; -1], are one Gram of anchored indicator rows over the whole
+    scheme and their sums, from _anchored_gram.  The engine takes the labels
+    where D departs, and walks one list of the pairs l > k whose D is not
     zero in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
     Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T, Y once if
-    a chunk's pairs share one D and every node one basis.  Blocks land above the
-    diagonal; a band that took one is mirrored once, in strips of _APPLY_ENTRIES
+    a chunk's pairs share one D and every node one basis.  Blocks land above
+    the diagonal; if one did, J is mirrored once, in strips of _APPLY_ENTRIES
     entries, so the average is exactly symmetric with zero diagonal blocks.
     """
     if hmodel.n != sch.n:
@@ -176,41 +201,35 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
               else np.ndarray((n, *y.shape), y.dtype, y, strides=(0, *y.strides))
               for x, y in enumerate((Ra, Rb)))
     total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
-    J, r, Hrows = np.zeros(hmodel.J.shape), np.empty(hmodel.r.shape), hmodel.J.reshape(-1, m)
+    D4, node = _anchored_gram(sch.pulses, s, weights)   # (k, a, l, b), (k, a)
+    J, Hrows, nodes = np.zeros(hmodel.J.shape), hmodel.J.reshape(-1, m), np.arange(n)
+    r = ((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
+    D4[nodes, :, nodes] = 0.0       # a node is no pair of its own
+    if not D4.any():                # no pair has a table that counts
+        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
     Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
     chunk, strip = (max(1, _APPLY_ENTRIES // x) for x in (s * m * m, n * m))   # pairs, rows
-    cell, one = np.arange(m)[:, None], slice(None if others else 1)    # one basis: one R
-    for k, l, tables, node in designs._pair_tables(sch.pulses, s, weights, anchored=True):
-        K, L = tables.shape[:2]
-        if k == l:                  # the band's own rows: their node tables
-            Rbar = (node[:, None] @ Ra[k:k + K]).reshape(K, m, m) / total
-            r[k * m:(k + K) * m] = (Rbar @ hmodel.r[k * m:(k + K) * m].reshape(K, m, 1)).ravel()
-            tables[np.arange(K), np.arange(K)] = 0.0    # a node is no pair of its own
-        if not tables.any():
-            continue                # no pair of the band has a table that counts
-        D4, wrote = tables.transpose(0, 2, 1, 3), False     # (k, a, l, b), as built; no block yet
-        nz = np.einsum("kalb,kalb->ab", D4, D4) != 0    # (a, b): where the band's D departs
-        a, b = (slice(None) if x.all() else x.nonzero()[0] for x in (nz.any(1), nz.any(0)))
-        live = np.einsum("kalb,kalb->kl", *(D4[:, a][..., b],) * 2)    # |D|^2 on those labels
-        live = (live * (np.arange(l, l + L) > np.arange(k, k + K)[:, None])).ravel().nonzero()[0]
-        for c in range(0, len(live), chunk):        # the pairs l > k whose D is not zero
-            p, q = np.divmod(live[c:c + chunk], L)
-            at = cell * n + ((k + p) * m * n + l + q)   # (e, pair): the rows of J_kl
-            HJ = Hrows.take(at, axis=0)
-            if not HJ.any():
-                continue            # zero blocks average to exact zeros
-            D = D4.reshape(-1, m).take(cell[a] * L + (p * m * L + q), axis=0)[..., b]
-            g = 1 if not others and (D[:, 1:] == D[:, :-1]).all() else len(p)   # one D: Y once
-            D, Rk, Rl = D[:, :g].transpose(1, 2, 0), Ra[k + p[one]][:, a], Rb[l + q[one]][:, b]
-            Y = (D.reshape(len(Rk), -1, D.shape[2]) @ Rk).reshape(g, -1, m, m)    # (g, b, x, e)
-            Z = Y.swapaxes(1, 2).reshape(g, -1, m) @ HJ.reshape(m, g, -1).transpose(1, 0, 2)
-            Z = Z.reshape(g, m, -1, len(p) // g, m).swapaxes(2, 3)    # (g, x, pair, b, f)
-            blk = Z.reshape(len(Rl), -1, Rl[0].size // m) @ Rl.reshape(len(Rl), -1, m) / total
-            Jrows[at.reshape(m, g, -1).swapaxes(0, 1)] = blk.view(Jrows.dtype).reshape(g, m, -1)
-            wrote = True
-        for e in range(k * m, (k + K) * m, strip) if wrote else ():   # mirror the band, in strips
-            rows, cols = slice(e, min(e + strip, (k + K) * m)), slice(max(e, l * m), (l + L) * m)
-            J[cols, rows] += J[rows, cols].T    # a band against itself: columns from e on
+    cell, one, wrote = np.arange(m)[:, None], slice(None if others else 1), False # one basis, one R
+    nz = np.einsum("kalb,kalb->ab", D4, D4) != 0    # (a, b): where D departs
+    a, b = (slice(None) if x.all() else x.nonzero()[0] for x in (nz.any(1), nz.any(0)))
+    live = np.triu(np.einsum("kalb,kalb->kl", *(D4[:, a][..., b],) * 2), 1).ravel().nonzero()[0]
+    for c in range(0, len(live), chunk):        # the pairs l > k whose D is not zero
+        k, l = np.divmod(live[c:c + chunk], n)
+        at = cell * n + (k * m * n + l)         # (e, pair): the rows of J_kl, and of D_kl
+        HJ = Hrows.take(at, axis=0)
+        if not HJ.any():
+            continue                # zero blocks average to exact zeros
+        D = D4.reshape(-1, m).take(at[a], axis=0)[..., b].astype(float)     # counts: float32
+        g = 1 if not others and (D[:, 1:] == D[:, :-1]).all() else len(k)   # one D: Y once
+        D, Rk, Rl = D[:, :g].transpose(1, 2, 0), Ra[k[one]][:, a], Rb[l[one]][:, b]
+        Y = (D.reshape(len(Rk), -1, D.shape[2]) @ Rk).reshape(g, -1, m, m)    # (g, b, x, e)
+        Z = Y.swapaxes(1, 2).reshape(g, -1, m) @ HJ.reshape(m, g, -1).transpose(1, 0, 2)
+        Z = Z.reshape(g, m, -1, len(k) // g, m).swapaxes(2, 3)    # (g, x, pair, b, f)
+        blk = Z.reshape(len(Rl), -1, Rl[0].size // m) @ Rl.reshape(len(Rl), -1, m) / total
+        Jrows[at.reshape(m, g, -1).swapaxes(0, 1)] = blk.view(Jrows.dtype).reshape(g, m, -1)
+        wrote = True
+    for e in range(0, n * m, strip) if wrote else ():   # mirror J once, in strips
+        J[e:, e:e + strip] += J[e:e + strip, e:].T
     return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
 
 

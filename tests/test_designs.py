@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import designs, gf, signs
+from pulseforge import designs, gf, scheme, signs
 
 # sha256 of the entries as little-endian int64: the linear array, and the
 # normal form of that array with its columns rotated by one (so the first
@@ -266,39 +266,43 @@ def test_verify_oa_matches_the_pair_loop_on_every_single_entry_change(s, rows, m
 
 
 @settings(max_examples=80)
-@given(n=st.integers(1, 9), s=st.integers(2, 5), N=st.integers(1, 30), rows=st.integers(1, 4),
+@given(n=st.integers(1, 9), s=st.integers(2, 5), N=st.integers(1, 80), rows=st.integers(1, 4),
        last=st.booleans(), equal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_pair_tables_match_a_bincount_loop(n, s, N, rows, last, equal, seed):
-    # bands of `rows` rows and column chunks of min(rows, n) * s; labels from
-    # a random alphabet, with label s in it or not, so some labels never
-    # appear.  Plain tables are the counts w, anchored ones P^T w P with
-    # P = [I; -1]: exact for counts, negative entries included, and to
-    # rounding for weights
+    # one chunk budget, (rows * s)^2: _pair_tables counts label pairs w in bands
+    # of `rows` rows and column chunks of min(rows, n) * s; _anchored_gram gives
+    # D = P^T w P with P = [I; -1], for every pair, and the node tables P^T w_k,
+    # in column chunks of at least n(s - 1), so one chunk or several.  Labels
+    # come from a random alphabet, with label s in it or not, so some labels
+    # never appear.  Counts are exact, negative entries included; weights, which
+    # only the Gram takes, agree to rounding
     rng = np.random.default_rng(seed)
     alphabet = np.append(rng.permutation(s - 1)[:rng.integers(1, s)] + 1, np.full(int(last), s))
     labels = rng.choice(alphabet, size=(n, N))
     weights = None if equal else rng.uniform(0.05, 1.0, N)
     P = np.vstack([np.eye(s - 1), -np.ones((1, s - 1))])
 
-    def counts(*rows):      # of a row's labels, or of a row pair's label pairs
+    def counts(*rows, weights=None):      # of a row's labels, or of a row pair's label pairs
         codes = sum((labels[p] - 1) * s ** e for e, p in enumerate(reversed(rows)))
         return np.bincount(codes, weights, s ** len(rows)).reshape((s,) * len(rows))
 
     def check(got, want):
         assert np.array_equal(got, want) if equal else np.abs(got - want).max() <= 1e-12
 
-    for anchored in (False, True):
-        seen = np.zeros((n, n), dtype=bool)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(designs, "_BAND_ENTRIES", (rows * s) ** 2)
-            for k, l, tables, node in designs._pair_tables(labels, s, weights, anchored):
-                for i, j in np.ndindex(*tables.shape[:2]):
-                    w = counts(k + i, l + j)
-                    check(tables[i, j], P.T @ w @ P if anchored else w)
-                    seen[k + i, l + j] = True
-                for i in range(len(node)):
-                    check(node[i], counts(k + i) @ P if anchored else counts(k + i))
-        assert seen[np.triu_indices(n)].all()
+    seen = np.zeros((n, n), dtype=bool)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(designs, "_BAND_ENTRIES", (rows * s) ** 2)
+        for k, l, tables in designs._pair_tables(labels, s):
+            for i, j in np.ndindex(*tables.shape[:2]):
+                assert np.array_equal(tables[i, j], counts(k + i, l + j))
+                seen[k + i, l + j] = True
+        D, node = scheme._anchored_gram(labels, s, weights)
+    assert seen[np.triu_indices(n)].all()
+    assert D.shape == (n, s - 1, n, s - 1) and node.shape == (n, s - 1)
+    for k, l in np.ndindex(n, n):
+        check(D[k, :, l], P.T @ counts(k, l, weights=weights) @ P)
+    for k in range(n):
+        check(node[k], counts(k, weights=weights) @ P)
 
 
 def test_verify_oa_single_row_vacuous():
@@ -348,6 +352,19 @@ def test_difference_scheme_for():
     assert designs.verify_difference_scheme(ds)["ok"]
 
 
+def _verify_difference_scheme_loop(ds):
+    """verify_difference_scheme's report one row pair at a time: its reference."""
+    violations = []
+    want = ds.N // ds.u
+    for k in range(ds.n):
+        for l in range(k + 1, ds.n):
+            counts = np.bincount((ds.entries[k] - ds.entries[l]) % ds.u, minlength=ds.u)
+            for r in np.flatnonzero(counts != want):
+                violations.append({"rows": (k, l), "element": int(r), "count": int(counts[r]),
+                                   "expected": want})
+    return {"ok": not violations, "violations": violations}
+
+
 def test_verify_difference_scheme_catches_mutation():
     ds = designs.cyclic_difference_scheme(5, 4)
     bad = ds.entries.copy()
@@ -357,6 +374,18 @@ def test_verify_difference_scheme_catches_mutation():
     assert not report["ok"]
     assert all({"rows", "element", "count", "expected"} <= set(v)
                for v in report["violations"])
+    # every single-entry change of a 7 x 7 scheme: the same report as the
+    # pair loop, in the same order, with Python ints throughout
+    ds = designs.cyclic_difference_scheme(7, 7)
+    assert designs.verify_difference_scheme(ds) == _verify_difference_scheme_loop(ds)
+    for k, j, x in itertools.product(range(ds.n), range(ds.N), range(1, ds.u)):
+        bad = ds.entries.copy()
+        bad[k, j] = (bad[k, j] + x) % ds.u
+        bad = designs.DifferenceScheme(ds.n, ds.N, ds.u, bad)
+        report = designs.verify_difference_scheme(bad)
+        assert not report["ok"] and report == _verify_difference_scheme_loop(bad), (k, j, x)
+        assert all(type(v) is int for e in report["violations"]
+                   for v in (*e["rows"], e["element"], e["count"], e["expected"]))
 
 
 def test_json_roundtrip_and_csv():

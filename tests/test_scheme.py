@@ -484,19 +484,21 @@ def _pair_loop_reference(h, sch, R):
 
 
 @settings(max_examples=60)
-@given(n=st.integers(1, 7), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 20),
-       run=st.integers(1, 8), apply=st.sampled_from([1, 1 << 20]),
+@given(n=st.integers(1, 7), d=st.sampled_from([2, 3, 4]), N=st.integers(1, 40),
+       run=st.integers(1, 8), narrow=st.booleans(), apply=st.sampled_from([1, 1 << 20]),
        seed=st.integers(0, 2 ** 32 - 1), design=st.booleans())
-def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design):
-    # nodes share one standard basis or have their own conjugated one; pair
-    # tables come in bands of `run` nodes and column chunks of min(run, n) * d^2
-    # intervals, and blocks are applied one pair at a time or a band at once.
+def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed, design):
+    # nodes share one standard basis or have their own conjugated one; the
+    # anchored Gram sums column chunks of n * (d^2 - 1) intervals (narrow), so
+    # more than one when N is larger, or takes every interval at once, and
+    # blocks are applied one pair at a time or all at once.
     # Pulse rows are random labels, or rows of a strength-2 array, some
     # repeated and some all-identity, so that one chunk mixes zero anchored
     # tables (distinct rows, an identity row against an array row), ones on
     # the identity pair alone (two identity rows) and full ones (a repeated row).
-    # Some coupling blocks are zero, at random and at times every pair of two
-    # bands, so some chunks hold only zero blocks and some bands take none
+    # Some coupling blocks are zero, at random and at times every pair between
+    # two runs of `run` nodes, so some chunks hold only zero blocks and some
+    # schemes write none
     rng = np.random.default_rng(seed)
     h = netham.random_model(n, d, int(rng.integers(2 ** 31)))
     if design:
@@ -517,7 +519,8 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, apply, seed, design
         zero[u:u + run, v:v + run] = True
     h.J.reshape(n, h.m, n, h.m).transpose(0, 2, 1, 3)[zero | zero.T] = 0.0
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(designs, "_BAND_ENTRIES", (run * d * d) ** 2)
+        if narrow:
+            mp.setattr(designs, "_BAND_ENTRIES", 1)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
         avg = scheme.average_model(h, sch)
     J_ref, r_ref = _loop_average(h, sch)
