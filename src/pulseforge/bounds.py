@@ -47,12 +47,14 @@ def _check_traceless(M, name: str, n: int = 1) -> np.ndarray:
     return M
 
 
-def _checked(Jtilde, J, n: int = 1) -> tuple[np.ndarray | None, np.ndarray]:
-    """The one check of a bound's inputs: (Jtilde, J), Jtilde None when it is exactly -J."""
+def _checked(Jtilde, J, n: int = 1) -> tuple[np.ndarray | int, np.ndarray]:
+    """The one check of a bound's inputs: (Jtilde, J), Jtilde its sign when it is
+    exactly -J or +J; -J is tested first, so J = 0 reads as -J."""
     J = _check_traceless(J, "J", n)
     Jtilde = np.asarray(Jtilde, dtype=float)
-    if np.array_equal(Jtilde, -J):      # exactly as symmetric and traceless as J
-        return None, J
+    for sign in (-1, 1):
+        if np.array_equal(Jtilde, sign * J):     # exactly as symmetric and traceless as J
+            return sign, J
     Jtilde = _check_traceless(Jtilde, "Jtilde", n)
     if Jtilde.shape != J.shape:
         raise ValueError("matrices must have equal shape")
@@ -66,13 +68,13 @@ def _rescale_blocks(M: np.ndarray, S: np.ndarray) -> np.ndarray:
 
 
 def _tau(Jtilde, J: np.ndarray, S=None) -> tuple[float, np.ndarray]:
-    """tau_min of inputs from _checked(), both rescaled by S when it is
-    given, and the descending spectrum of J it used; checks nothing."""
+    """tau_min of inputs from _checked(), both rescaled by S when it is given, and the
+    descending spectrum y of J; a sign for Jtilde reads y or -y[::-1].  Checks nothing."""
     if S is not None:
         J = _rescale_blocks(J, S)
-        Jtilde = None if Jtilde is None else _rescale_blocks(Jtilde, S)
+        Jtilde = Jtilde if np.ndim(Jtilde) == 0 else _rescale_blocks(Jtilde, S)
     y = np.linalg.eigvalsh(J)[::-1]
-    x = -y[::-1] if Jtilde is None else np.linalg.eigvalsh(Jtilde)[::-1]
+    x = np.linalg.eigvalsh(Jtilde)[::-1] if np.ndim(Jtilde) else y if Jtilde > 0 else -y[::-1]
     cx, cy = np.cumsum(x)[:-1], np.cumsum(y)[:-1]
     live = cy > TOL
     if np.any(cx[~live] > TOL):
@@ -86,7 +88,7 @@ def tau_min(Jtilde, J) -> float:
     Maximum over k < D of the prefix-sum ratios of the two descending
     spectra.  Degenerate prefixes (both sums ~ 0) are skipped; a
     vanishing denominator with positive numerator means no tau works
-    and the result is inf.  For Jtilde = -J the one spectrum of J
+    and the result is inf.  For Jtilde = +-J the one spectrum y of J
     serves both sides: the descending spectrum of -J is -y[::-1].
     """
     return _tau(*_checked(Jtilde, J))[0]

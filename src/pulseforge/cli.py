@@ -56,22 +56,22 @@ def _write_text(path: str, text: str):
         f.write(text)
 
 
-def _json_pieces(doc, default=None):
-    """`json.dumps(doc, indent=2, sort_keys=True, default=default)` in pieces.
+def _json_pieces(doc):
+    """`json.dumps(doc, indent=2, sort_keys=True)` in pieces, for reports and files alike.
 
     With an indent the stdlib encodes in pure Python.  Here containers are
     laid out in Python, and each one that holds no container goes through
     one call of an encoder without an indent, which json takes in C when
     it can, its item separator carrying the newline and indent.  Keys must
-    be str, and `default` must map an object to a scalar.
+    be str.
     """
     levels = []     # per depth: encoder for the items one level in, and their line start
 
     def level(depth: int):
         while len(levels) <= depth:
             inner = "\n" + "  " * (len(levels) + 1)
-            levels.append((json.JSONEncoder(separators=("," + inner, ": "), sort_keys=True,
-                                            default=default).encode, inner))
+            levels.append((json.JSONEncoder(separators=("," + inner, ": "),
+                                            sort_keys=True).encode, inner))
         return levels[depth]
 
     def flat(obj, depth: int) -> str | None:
@@ -115,7 +115,7 @@ def _write_json(path: str, doc):
 
 
 def _emit(report: dict):
-    sys.stdout.write("".join(_json_pieces(report, default=float)) + "\n")
+    sys.stdout.write("".join(_json_pieces(report)) + "\n")
 
 
 class _Run:

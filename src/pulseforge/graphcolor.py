@@ -31,9 +31,10 @@ def _canon(u: int, v: int) -> tuple:
 
 @dataclass(eq=False)
 class InteractionGraph:
+    """n vertices and the pairs (u, v), u < v, that couple; how strongly changes no coloring."""
+
     n: int
     edges: set = field(default_factory=set)
-    weights: dict | None = None
 
     def __post_init__(self):
         if self.n < 1:
@@ -46,16 +47,6 @@ class InteractionGraph:
                 raise ValueError(f"edge ({u},{v}) out of range")
             canon.add(_canon(u, v))
         self.edges = canon
-        if self.weights is not None:
-            weights, self.weights = self.weights, {}
-            for e, w in weights.items():
-                e = _canon(*e)
-                if e not in self.edges:
-                    raise ValueError(f"weight on missing edge {e}")
-                if not w > 0:
-                    raise ValueError(f"weight of edge {e} must be positive")
-                if self.weights.setdefault(e, w) != w:
-                    raise ValueError(f"edge {e} given twice, weights {self.weights[e]} and {w}")
 
     def adjacency(self) -> list:
         adj = [set() for _ in range(self.n)]
@@ -248,23 +239,12 @@ def weighted_chromatic_index(T: np.ndarray) -> float:
 # serialization
 
 def graph_to_json(g: InteractionGraph) -> dict:
-    weights = g.weights or {}
-    return {"n": g.n, "edges": [[u, v, weights[u, v]] if (u, v) in weights else [u, v]
-                                for u, v in sorted(g.edges)]}
+    return {"n": g.n, "edges": [[u, v] for u, v in sorted(g.edges)]}
 
 
 def graph_from_json(doc: dict) -> InteractionGraph:
-    items = netham.json_field(doc, "edges")
-    if not (isinstance(items, list)
-            and all(isinstance(item, list) and len(item) in (2, 3) for item in items)):
-        raise ValueError("field 'edges' must be a list of [u, v] or [u, v, weight] rows")
-    edges, weights = set(), {}
-    for item in items:
-        u, v = (netham.numbers(x, "field 'vertex'", 0, whole=True) for x in item[:2])
-        edges.add((u, v))
-        if len(item) > 2:
-            w = netham.numbers(item[2], "field 'edge weight'", 0)
-            if weights.setdefault((u, v), w) != w:
-                raise ValueError(f"edge {(u, v)} given twice, weights {weights[u, v]} and {w}")
+    edges = netham.numbers(netham.json_field(doc, "edges"), "field 'edges'", whole=True)
+    if edges.shape != (0,) and edges.shape[1:] != (2,):      # [] or (E, 2)
+        raise ValueError("field 'edges' must be a list of [u, v] rows")
     return InteractionGraph(netham.numbers(netham.json_field(doc, "n"), "field 'n'", 0, whole=True),
-                            edges, weights or None)
+                            set(map(tuple, edges.tolist())))

@@ -141,19 +141,14 @@ def ds_decoupling(net: OscillatorNetwork, ds: designs.DifferenceScheme) -> Phase
     return PhaseScheme(net.n, ds.N, phases)
 
 
-def fourier_phase_scheme(n: int, N: int | None = None) -> PhaseScheme:
-    """Rows of the N-point Fourier matrix (default N = n).
+def fourier_phase_scheme(n: int) -> PhaseScheme:
+    """Rows of the n-point Fourier matrix: n intervals.
 
     Rows k != l stay orthogonal for every n, prime or not; the caveat
     is that the pulse rotations crowd toward the identity as n grows.
     """
-    if N is None:
-        N = n
-    if N < n:
-        raise ValueError("need at least n columns")
-    k = np.arange(n)[:, None]
-    j = np.arange(N)[None, :]
-    return PhaseScheme(n, N, np.exp(2j * np.pi * k * j / N))
+    k = np.arange(n)
+    return PhaseScheme(n, n, np.exp(2j * np.pi * k[:, None] * k[None, :] / n))
 
 
 def clique_recoupling(net: OscillatorNetwork, partition,

@@ -238,17 +238,32 @@ def test_single_spectrum_route_matches_two_decompositions(n, m, pair_shaped, sca
 @pytest.mark.parametrize("trials", [0, 1, 7])
 def test_bound_report_decomposes_once_per_evaluation(monkeypatch, trials):
     # one spectrum for tau_min, reused for the all-ones trial and the
-    # inversion bound, and one per random trial
+    # inversion bound, and one per random trial, for -J and +J alike
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(1) or eigvalsh(M))
     J = netham.random_model(4, 2, 3).J
-    bounds.bound_report(-J, J, 4, trials=trials)
-    assert len(calls) == trials + 1
-    for Jt in (J, 0.5 * J):                  # any other target decomposes both sides
+    for Jt in (-J, J):
         calls.clear()
-        bounds.tau_min(Jt, J)
-        assert len(calls) == 2
+        bounds.bound_report(Jt, J, 4, trials=trials)
+        assert len(calls) == trials + 1
+    calls.clear()
+    bounds.tau_min(0.5 * J, J)               # any other target decomposes both sides
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("n,d,seed", [(2, 2, 0), (3, 2, 1), (4, 3, 2), (5, 2, 3)])
+def test_plus_j_report_equals_two_spectrum_reference(n, d, seed):
+    # Jtilde = +J reads its spectrum from J's, and reports the bits that
+    # decomposing both sides gives, the argmax of the search included
+    J = netham.random_model(n, d, seed).J
+    rep = bounds.bound_report(J, J, n, trials=5, seed=seed)
+    best, S = _ref_search(J, J, n, 5, seed)
+    ev = np.linalg.eigvalsh(J)
+    assert rep["tau_min"] == _ref_tau_min(J, J)
+    assert rep["rescaled_max"] == best
+    assert np.array_equal(np.array(rep["S_argmax"]), S)
+    assert rep["inversion_bound"] == float(ev[-1] / -ev[0])
 
 
 def test_seeded_search_argmax_pinned_to_reference():

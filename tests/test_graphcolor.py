@@ -292,27 +292,17 @@ def test_graph_validation_and_json():
         graphcolor.InteractionGraph(3, {(1, 1)})
     with pytest.raises(ValueError):
         graphcolor.InteractionGraph(3, {(0, 5)})
-    with pytest.raises(ValueError):
-        graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 2): 1.0})
-    with pytest.raises(ValueError):
-        graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 1): -2.0})
     for n in (0, -3):
         with pytest.raises(ValueError, match="at least one vertex"):
             graphcolor.InteractionGraph(n, set())
-    g = graphcolor.InteractionGraph(4, {(0, 1), (2, 3)}, {(0, 1): 0.5})
+    g = graphcolor.InteractionGraph(4, {(0, 1), (3, 2)})
     doc = graphcolor.graph_to_json(g)
+    assert doc == {"n": 4, "edges": [[0, 1], [2, 3]]}
     back = graphcolor.graph_from_json(doc)
-    assert back.n == 4 and back.edges == g.edges
-    assert back.weights == {(0, 1): 0.5}
+    assert back.n == 4 and back.edges == g.edges == {(0, 1), (2, 3)}
 
 
-def test_an_edge_given_twice_with_different_weights_is_refused():
-    # either direction, in a graph or a graph file; the same weight twice is one edge
-    with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice, weights 0.5 and 2.0"):
-        graphcolor.InteractionGraph(3, {(0, 1)}, {(0, 1): 0.5, (1, 0): 2.0})
-    for edges in ([[0, 1, 0.5], [1, 0, 2.0]], [[0, 1, 0.5], [0, 1, 2.0]]):
-        with pytest.raises(ValueError, match=r"edge \(0, 1\) given twice"):
-            graphcolor.graph_from_json({"n": 3, "edges": edges})
-    g = graphcolor.graph_from_json({"n": 3, "edges": [[0, 1, 0.5], [1, 0, 0.5]]})
-    assert g.weights == {(0, 1): 0.5}
-    assert graphcolor.graph_to_json(g) == {"n": 3, "edges": [[0, 1, 0.5]]}
+def test_an_edge_given_in_both_directions_is_one_edge():
+    g = graphcolor.graph_from_json({"n": 3, "edges": [[0, 1], [1, 0]]})
+    assert g.edges == {(0, 1)}
+    assert graphcolor.graph_to_json(g) == {"n": 3, "edges": [[0, 1]]}

@@ -187,13 +187,12 @@ def test_verify_phase_scheme_refuses_mismatches():
 
 
 @pytest.mark.parametrize("build, message", [
-    (lambda: harmonic.fourier_phase_scheme(3, 2), "^need at least n columns$"),
     (lambda: harmonic.fourier_inversion(1), "^need at least two oscillators$"),
     (lambda: harmonic.harmonic_j_matrix(1, 2), "^need n >= 2 and d >= 2$"),
     (lambda: harmonic.clique_recoupling(_net(3, 2), [[0], [1], [2]],
                                         designs.cyclic_difference_scheme(2, 2)),
      "^need 3 difference-scheme rows, got 2$"),
-], ids=["fourier_columns", "inversion_n", "j_matrix_n", "clique_rows"])
+], ids=["inversion_n", "j_matrix_n", "clique_rows"])
 def test_constructions_refuse_too_few_rows_or_columns(build, message):
     with pytest.raises(ValueError, match=message):
         build()
