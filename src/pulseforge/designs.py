@@ -33,8 +33,8 @@ _BAND_ENTRIES = 1 << 22     # entries: at most a _pair_tables band factor, at le
 class OrthogonalArray:
     """Strength-2 array: n rows, N columns, entries in [1, s], index lam.
 
-    lam is meaningful for n >= 2 (N = lam * s^2); a single-row array
-    stores lam = N // s^2 and is vacuously valid.
+    lam must be N // s^2, the index of a valid array (N = lam * s^2 for
+    n >= 2); a single-row array is vacuously valid.
     """
 
     n: int
@@ -49,6 +49,8 @@ class OrthogonalArray:
             raise ValueError("entry matrix shape does not match (n, N)")
         if self.entries.size and (self.entries.min() < 1 or self.entries.max() > self.s):
             raise ValueError("entries must lie in [1, s]")
+        if self.s < 1 or self.lam != self.N // self.s ** 2:
+            raise ValueError(f"lambda {self.lam} is not N // s^2 for N = {self.N}, s = {self.s}")
 
     @classmethod
     def _built(cls, n: int, N: int, s: int, lam: int, entries: np.ndarray) -> OrthogonalArray:
@@ -150,14 +152,7 @@ def mixed_product_array(sizes) -> np.ndarray:
     N = math.prod(sizes)        # exact: an int64 product wraps, to 0 for [4] * 32
     if N > PRODUCT_SIZE_CAP:
         raise ValueError(f"product {N} exceeds the {PRODUCT_SIZE_CAP} cap")
-    n = len(sizes)
-    entries = np.empty((n, N), dtype=int)
-    j = np.arange(N)
-    stride = N
-    for k in range(n):
-        stride //= sizes[k]
-        entries[k] = (j // stride) % sizes[k] + 1
-    return entries
+    return np.indices(sizes).reshape(len(sizes), N) + 1
 
 
 def smallest_oa_for(n: int, s: int) -> OrthogonalArray:

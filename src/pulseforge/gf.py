@@ -1,16 +1,18 @@
 """Finite field arithmetic GF(p^k) for small prime powers.
 
-Fields are created with :func:`field_new`, which picks the modulus
-deterministically (lexicographically smallest monic irreducible
-polynomial), so every run and every implementation agrees on the
-element labeling.  An element is its integer encoding ``sum(c_i * p**i)``,
-where c_i multiplies x**i; the encoding doubles as the symbol label that
-design constructions use.  All arithmetic goes through the q x q
-addition and multiplication tables that :func:`tables` builds over these
-encodings.  Each field and its tables are built once in a process and
-shared; the tables are read-only.  One trial division, :func:`_smallest_factor`,
-tells whether n is prime or a prime power and bounds the rows of a cyclic
-difference scheme.
+An element is its integer encoding ``sum(c_i * p**i)``, where c_i
+multiplies x**i; the encoding doubles as the symbol label that design
+constructions use.  Products modulo a monic polynomial come from one
+recurrence, _shifted, that multiplies elements by x: :func:`tables` runs
+it on every element to build the q x q multiplication table, beside the
+digitwise addition table, and :func:`field_new` runs it on the candidate
+factors to pick the modulus, the lexicographically smallest monic
+irreducible polynomial, so every run and every implementation agrees on
+the element labeling.  All other arithmetic goes through the two tables.
+Each field and its tables are built once in a process and shared; the
+tables are read-only.  One trial division, :func:`_smallest_factor`,
+tells whether n is prime or a prime power and bounds the rows of a
+cyclic difference scheme.
 
 Orders are capped at 2^10, so a table never exceeds a million entries;
 everything this package builds needs q <= 313.
@@ -75,42 +77,14 @@ class FieldSpec:
         return f"GF({self.order})"
 
 
-def _digits(v: int, p: int, length: int) -> list[int]:
-    return [v // p ** i % p for i in range(length)]
-
-
-def _poly_rem(a, m, p):
-    # remainder modulo a monic polynomial, coefficients ascending
-    dm = len(m) - 1
-    a = [c % p for c in a] + [0] * max(0, dm - len(a))
-    for i in range(len(a) - 1, dm - 1, -1):
-        c = a[i]
-        if c:
-            for j in range(dm + 1):
-                a[i - dm + j] = (a[i - dm + j] - c * m[j]) % p
-    return a[:dm]
-
-
-def _is_irreducible(f, p):
-    # trial division by every monic polynomial of degree <= deg(f)/2
-    k = len(f) - 1
-    if k == 1:
-        return True
-    if f[0] == 0:
-        return False
-    for d in range(1, k // 2 + 1):
-        for v in range(p ** d):
-            g = _digits(v, p, d) + [1]
-            if not any(_poly_rem(f, g, p)):
-                return False
-    return True
-
-
 def field_new(p: int, k: int) -> FieldSpec:
     """Build GF(p^k) with the lexicographically smallest irreducible modulus.
 
     Candidates are monic degree-k polynomials ordered by their coefficient
     tuple written leading term first, so e.g. GF(4) always gets x^2+x+1.
+    A reducible candidate has a monic factor of degree 1 to k/2, and that
+    factor times its nonzero cofactor is 0 modulo the candidate; the first
+    candidate under which no such factor times a nonzero element is 0 wins.
     """
     return _field(p, k)
 
@@ -124,10 +98,13 @@ def _field(p: int, k: int) -> FieldSpec:
     q = p ** k
     if q > MAX_ORDER:
         raise ValueError(f"field order {q} exceeds the {MAX_ORDER} cap")
-    for low in range(q):
-        f = _digits(low, p, k) + [1]
-        if _is_irreducible(f, p):
-            return FieldSpec(p, k, tuple(reversed(f)))
+    digits = _digit_table(p, k)
+    # the monic polynomials of degree e are encoded in [p^e, 2 p^e)
+    factors = digits[[v for e in range(1, k // 2 + 1) for v in range(p ** e, 2 * p ** e)]]
+    for low in digits:
+        # [r, i, b]: digit i of factor r times the nonzero element b
+        if (_shifted(factors, p, low) @ digits[1:].T % p).any(axis=1).all():
+            return FieldSpec(p, k, (1, *low[::-1].tolist()))
     raise RuntimeError("irreducible polynomial search failed")
 
 
@@ -148,22 +125,30 @@ def tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
     return _tables(spec)
 
 
+def _digit_table(p: int, k: int) -> np.ndarray:
+    """(q, k): row a holds the base-p digits of a, lowest first."""
+    return np.arange(p ** k)[:, None] // p ** np.arange(k) % p
+
+
+def _shifted(a: np.ndarray, p: int, low: np.ndarray) -> np.ndarray:
+    """[r, i, j]: digit i of a[r] * x^j modulo the monic x^k + low(x), for rows a of
+    digits and low of coefficients, lowest first; digit i of a[r] * b is [r, i] @ b's."""
+    k = a.shape[1]
+    times_x = np.eye(k, k, 1, dtype=int)        # row l holds the digits of x^l * x
+    times_x[-1] = -low % p
+    shifted = np.empty((*a.shape, k), dtype=int)
+    shifted[:, :, 0] = a
+    for j in range(1, k):
+        shifted[:, :, j] = shifted[:, :, j - 1] @ times_x % p
+    return shifted
+
+
 @functools.cache
 def _tables(spec: FieldSpec) -> tuple[np.ndarray, np.ndarray]:
-    p, k, q = spec.p, spec.k, spec.order
-    low = np.array(spec.modulus[:0:-1])       # x^k = -low(x) modulo the monic modulus
-    digits = np.arange(q)[:, None] // p ** np.arange(k) % p
-    # shifted[a, j] holds the digits of a * x^j, so digit i of a * b is
-    # sum_j shifted[a, j, i] * b_j mod p; each step multiplies every a by x
-    shifted = [digits]
-    for _ in range(k - 1):
-        prev = shifted[-1]
-        shifted.append((np.hstack([0 * prev[:, :1], prev[:, :-1]]) - prev[:, -1:] * low) % p)
-    shifted = np.stack(shifted, axis=1)
-    add = np.zeros((q, q), dtype=int)
-    mul = np.zeros((q, q), dtype=int)
-    for i in range(k):
-        add += (digits[:, i, None] + digits[None, :, i]) % p * p ** i
-        mul += (shifted[:, :, i] @ digits.T) % p * p ** i
+    p, k = spec.p, spec.k
+    digits = _digit_table(p, k)
+    add = sum((digits[:, i, None] + digits[None, :, i]) % p * p ** i for i in range(k))
+    shifted = _shifted(digits, p, np.array(spec.modulus[:0:-1]))
+    mul = sum((shifted[:, i] @ digits.T) % p * p ** i for i in range(k))
     add.flags.writeable = mul.flags.writeable = False
     return add, mul

@@ -7,14 +7,15 @@ into matchings executed one step at a time; their weighted version
 W_T integrates the chromatic index over the coupling-strength levels
 of a target matrix T.
 
-One exact search colors the vertices of small graphs (<= 12 vertices;
-<= 10 edges for an edge coloring, the vertex coloring of the line graph),
+One exact search colors the vertices of small graphs (<= 12 vertices, so
+<= 12 edges for an edge coloring, the vertex coloring of the line graph),
 which covers every worked example; larger inputs get greedy vertex and
 Misra-Gries Delta+1 edge colorings, flagged as inexact.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +23,6 @@ import numpy as np
 from . import designs, netham, scheme
 
 EXACT_VERTEX_LIMIT = 12
-EXACT_EDGE_LIMIT = 10
 
 
 def _canon(u: int, v: int) -> tuple:
@@ -31,16 +31,20 @@ def _canon(u: int, v: int) -> tuple:
 
 @dataclass(eq=False)
 class InteractionGraph:
-    """n vertices and the pairs (u, v), u < v, that couple; how strongly changes no coloring."""
+    """n vertices and the pairs (u, v), u < v, that couple; how strongly changes no coloring.
+
+    n and the vertices are integers (numpy ones included), or TypeError."""
 
     n: int
     edges: set = field(default_factory=set)
 
     def __post_init__(self):
+        self.n = operator.index(self.n)
         if self.n < 1:
             raise ValueError(f"a graph needs at least one vertex, got n = {self.n}")
         canon = set()
         for u, v in self.edges:
+            u, v = operator.index(u), operator.index(v)
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
             if not (0 <= u < self.n and 0 <= v < self.n):
@@ -197,7 +201,7 @@ def edge_coloring(g: InteractionGraph) -> dict:
     certifies which one is optimal.
     """
     edges = sorted(g.edges)
-    if len(edges) <= EXACT_EDGE_LIMIT:
+    if len(edges) <= EXACT_VERTEX_LIMIT:
         # the line graph: one vertex per edge, adjacent when two edges share an endpoint
         line = [{j for j, f in enumerate(edges) if j != i and set(e) & set(f)}
                 for i, e in enumerate(edges)]
@@ -215,16 +219,15 @@ def threshold_decomposition(T: np.ndarray) -> list:
     """Level sets of |T|: one entry per threshold gap with its edge coloring."""
     T = netham._check_symmetric(T, "T")
     n = T.shape[0]
-    mags = sorted({abs(T[u, v]) for u in range(n) for v in range(u + 1, n)
-                   if abs(T[u, v]) > 0})
+    u, v = np.triu_indices(n, 1)
+    mags = np.abs(T[u, v])
     levels = []
     prev = 0.0
-    for t in mags:
-        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
-                 if abs(T[u, v]) > prev}
-        rep = edge_coloring(InteractionGraph(n, edges))
-        levels.append({"lo": prev, "hi": t, "edges": sorted(edges),
-                       "coloring": rep})
+    for t in np.unique(mags[mags > 0]).tolist():
+        live = mags > prev
+        edges = list(zip(u[live].tolist(), v[live].tolist()))     # in row order, as sorted
+        levels.append({"lo": prev, "hi": t, "edges": edges,
+                       "coloring": edge_coloring(InteractionGraph(n, edges))})
         prev = t
     return levels
 

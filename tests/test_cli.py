@@ -580,7 +580,7 @@ _OA42 = designs.design_to_json(designs.rao_hamming_oa(4, 2))
 # a boolean n equals 1, so with one row it would match the array's shape
 @pytest.mark.parametrize("bad", [{"s": "4"}, {"s": None}, {"entries": None},
                                  {"n": True, "entries": _OA42["entries"][:1]},
-                                 {"lambda": 1.5}, {"kind": "ds", "u": 0},
+                                 {"lambda": 1.5}, {"lambda": 2}, {"kind": "ds", "u": 0},
                                  {"entries": [[e + 0.7 for e in row] for row in _OA42["entries"]]}])
 def test_malformed_oa_file_exits_2(capsys, tmp_path, bad):
     doc = {**_OA42, **bad}

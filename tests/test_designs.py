@@ -413,6 +413,21 @@ def test_mixed_product_array():
     assert m.shape == (2, 6)
     cols = {tuple(c) for c in m.T.tolist()}
     assert cols == {(a, b) for a in (1, 2) for b in (1, 2, 3)}
+    # columns in lexicographic order, the last row varying fastest
+    for sizes in ([2, 3, 4, 5], [3, 1, 2], [1], []):
+        want = list(itertools.product(*(range(1, size + 1) for size in sizes)))
+        m = designs.mixed_product_array(sizes)
+        assert m.shape == (len(sizes), len(want)) and m.T.tolist() == [list(c) for c in want]
+
+
+def test_oa_refuses_a_lambda_other_than_N_over_s_squared():
+    entries = designs.rao_hamming_oa(2, 2).entries          # n = 3, N = 4, s = 2: lambda 1
+    assert designs.verify_oa(designs.OrthogonalArray(3, 4, 2, 1, entries))["ok"]
+    for lam in (0, 2, 5):
+        with pytest.raises(ValueError, match="^lambda"):
+            designs.OrthogonalArray(3, 4, 2, lam, entries)
+    with pytest.raises(ValueError, match="^lambda"):          # s = 0 divides nothing
+        designs.OrthogonalArray(1, 0, 0, 0, np.zeros((1, 0), dtype=int))
 
 
 @pytest.mark.parametrize("bad", [[[1.5, 2.2, 3.9, 4.0]], [[True, 2, 3, 4]]])

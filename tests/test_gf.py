@@ -211,3 +211,31 @@ def test_tables_match_pinned_digests():
             data = b"".join(np.ascontiguousarray(t, "<i8").tobytes() for t in (add, mul))
             got[q] = hashlib.sha256(data).hexdigest()[:16]
     assert got == _TABLE_DIGESTS
+
+
+# first 16 hex digits of the sha256 of "q:c_k,...,c_0;" (the modulus, leading
+# coefficient first) over every prime power q <= gf.MAX_ORDER in order, as
+# picked by trial division of coefficient lists
+_MODULI_DIGEST = "8412bb7bb185cf63"
+
+
+def test_every_modulus_matches_the_pinned_digest():
+    text = "".join(f"{q}:{','.join(map(str, gf.field_for_order(q).modulus))};"
+                   for q in range(2, gf.MAX_ORDER + 1) if gf.is_prime_power(q))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == _MODULI_DIGEST
+
+
+@pytest.mark.parametrize("p,k", [(p, 2) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)]
+                         + [(p, 3) for p in (2, 3, 5, 7)])
+def test_quadratic_and_cubic_moduli_are_the_first_without_a_root(p, k):
+    # oracle: a quadratic or cubic is reducible over GF(p) iff it has a root there
+    def has_root(coeffs):                     # leading coefficient first
+        return any(sum(c * x ** (k - i) for i, c in enumerate(coeffs)) % p == 0
+                   for x in range(p))
+
+    modulus = gf.field_new(p, k).modulus
+    assert not has_root(modulus)
+    for low in itertools.product(range(p), repeat=k):
+        if (1, *low) == modulus:
+            break
+        assert has_root((1, *low)), low

@@ -223,9 +223,21 @@ def test_exact_edge_coloring_matches_the_edge_search_on_random_graphs(seed):
     for _ in range(100):
         n = int(rng.integers(2, 13))
         pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        size = int(rng.integers(1, min(graphcolor.EXACT_EDGE_LIMIT, len(pairs)) + 1))
+        size = int(rng.integers(1, min(graphcolor.EXACT_VERTEX_LIMIT, len(pairs)) + 1))
         edges = {pairs[i] for i in rng.choice(len(pairs), size, replace=False)}
         _check_against_edge_loop(graphcolor.InteractionGraph(n, edges))
+
+
+def test_edge_colorings_are_exact_up_to_the_vertex_limit():
+    # the exact edge search is the vertex search on the line graph, one vertex per edge
+    limit = graphcolor.EXACT_VERTEX_LIMIT
+    assert graphcolor.edge_coloring(_path(limit + 1))["exact"]
+    assert not graphcolor.edge_coloring(_path(limit + 2))["exact"]
+    # 11 edges, Delta = 5: Misra-Gries used 6 colors here, the exact search needs 5
+    g = graphcolor.InteractionGraph(7, {(0, 3), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4),
+                                        (2, 5), (2, 6), (3, 4), (3, 6), (4, 5)})
+    rep = graphcolor.edge_coloring(g)
+    assert rep["exact"] and rep["count"] == 5 and _proper_edge(g, rep["colors"])
 
 
 def test_misra_gries_direct():
@@ -285,6 +297,43 @@ def test_threshold_decomposition():
     assert [lv["hi"] for lv in levels] == [0.5, 1.0]
     assert levels[0]["edges"] == [(0, 1), (1, 2)]
     assert levels[1]["edges"] == [(1, 2)]
+
+
+def _threshold_levels_loop(T):
+    """The former pair loops of threshold_decomposition: the reference for its array pass."""
+    n = T.shape[0]
+    mags = sorted({abs(T[u, v]) for u in range(n) for v in range(u + 1, n) if abs(T[u, v]) > 0})
+    levels, prev = [], 0.0
+    for t in mags:
+        levels.append((prev, t, sorted((u, v) for u in range(n) for v in range(u + 1, n)
+                                       if abs(T[u, v]) > prev)))
+        prev = t
+    return levels
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_threshold_decomposition_matches_the_pair_loops(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        # repeated magnitudes of both signs, zeros, and a fractional level
+        T = np.triu(rng.choice([0.0, 0.0, 0.3, -0.3, 0.5, -1.0, 1.0], size=(n, n)), 1)
+        T = T + T.T
+        levels = graphcolor.threshold_decomposition(T)
+        assert [(lv["lo"], lv["hi"], lv["edges"]) for lv in levels] == _threshold_levels_loop(T)
+
+
+@pytest.mark.parametrize("n,edges", [(2.5, set()), ("3", set()), (3, {(0, 1.5)}),
+                                     (3, {(1.0, 2)}), (3, {(0, None)})])
+def test_graph_refuses_non_integer_vertices(n, edges):
+    with pytest.raises(TypeError):
+        graphcolor.InteractionGraph(n, edges)
+
+
+def test_graph_takes_numpy_integer_vertices():
+    g = graphcolor.InteractionGraph(np.int64(3), {(np.int32(2), np.int64(0))})
+    assert type(g.n) is int and g.n == 3 and g.edges == {(0, 2)}
+    assert graphcolor.vertex_coloring(g)["count"] == 2
 
 
 def test_graph_validation_and_json():
