@@ -122,7 +122,7 @@ def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
     entries = mul[G[0]]
     for t in range(1, i):
         entries = add[entries[:, None, :], mul[G[t]][:, :, None]].reshape(G.shape[1], -1)
-    return OrthogonalArray._built(G.shape[1], N, s, s ** (i - 2), entries.astype(int) + 1)
+    return OrthogonalArray._built(G.shape[1], N, s, s ** (i - 2), np.add(entries, 1, dtype=int))
 
 
 @functools.lru_cache(maxsize=16)

@@ -253,14 +253,14 @@ def gram_synthesis_report(T: np.ndarray) -> dict:
         "constructive": False,
         "note": None,
     }
-    mags = np.abs(T[np.triu_indices(n, 1)])
+    pairs = np.triu_indices(n, 1)
+    mags = np.abs(T[pairs])
     zero_one = np.all((mags < 1e-12) | (np.abs(mags - 1.0) < 1e-12))
     if not zero_one:
         report["note"] = ("target has fractional couplings; only bounds are "
                           "reported, no constructive schedule is known")
         return report
-    support = {(u, v) for u in range(n) for v in range(u + 1, n)
-               if abs(T[u, v]) > 0.5}
+    support = set(zip(*(x[mags > 0.5].tolist() for x in pairs)))
     coloring = graphcolor.edge_coloring(graphcolor.InteractionGraph(n, support))
     schedule = []
     for c in range(coloring["count"]):

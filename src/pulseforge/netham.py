@@ -10,7 +10,8 @@ on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
 scheme.average_hamiltonian() and for the tests' dense references;
 frobenius_norm() gives that matrix's norm from the coefficients alone,
 which is how schemes are certified without it.  embed_terms() writes
-it, all nonzero entries at once; its index tables, the pair list and
+it, all nonzero entries at once; a model part (J or r) that is exactly
+zero builds nothing.  The index tables, the pair list and
 gell_mann_basis(d) are read-only arrays built once per size and shared.
 _check_symmetric() is the one check of a real symmetric input, and
 json_field() and numbers() are the one reader of the numbers a file or
@@ -170,16 +171,21 @@ def assemble(h: PairHamiltonian) -> np.ndarray:
     J and r are coordinates in the Gell-Mann basis of su(d).  One d^2 x d^2
     operator per pair, sigma_flat^T (2 J_kl) sigma_flat with its axes
     reordered from (i, j, k, l) to (i, k, j, l), then one d x d operator per
-    node, are embedded by two embed_terms calls into one matrix.
+    node, are embedded into one matrix, each part (J, r) only when nonzero.
     """
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
-    flat = _gell_mann(d).reshape(m, dd)
-    pairs = _pairs(n)
-    # ordered-pair convention: J_kl and its transpose both contribute
-    blocks = 2.0 * h.J.reshape(n, m, n, m)[pairs[:, 0], :, pairs[:, 1], :]
-    ops = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
-    H = embed_terms(n, d, pairs, ops)
-    return embed_terms(n, d, np.arange(n)[:, None], h.r.reshape(n, m) @ flat, H)
+    if d ** n > HILBERT_CAP:
+        raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
+    flat, H = _gell_mann(d).reshape(m, dd), np.zeros((d ** n, d ** n), dtype=complex)
+    if h.J.any():
+        pairs = _pairs(n)
+        # ordered-pair convention: J_kl and its transpose both contribute
+        blocks = 2.0 * h.J.reshape(n, m, n, m)[pairs[:, 0], :, pairs[:, 1], :]
+        ops = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+        embed_terms(n, d, pairs, ops, H)
+    if h.r.any():
+        embed_terms(n, d, np.arange(n)[:, None], h.r.reshape(n, m) @ flat, H)
+    return H
 
 
 def frobenius_norm(h: PairHamiltonian) -> float:

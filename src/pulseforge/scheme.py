@@ -158,13 +158,12 @@ def _anchored_gram(pulses: np.ndarray, s: int, weights: np.ndarray | None) -> tu
     node = np.zeros(n * (s - 1))
     for c in range(chunks):
         cols = slice(c * N // chunks, (c + 1) * N // chunks)
-        A = (pulses[:, None, cols] == np.arange(1, s)[:, None]).astype(dtype)
-        A -= pulses[:, None, cols] == s
-        A = A.reshape(len(node), -1)
+        A = np.subtract(pulses[:, None, cols] == np.arange(1, s)[:, None],
+                        pulses[:, None, cols] == s, dtype=dtype).reshape(len(node), -1)
         # A @ A.T is one symmetric product, but numpy then copies its triangle,
         # which costs more than the half it saves while A has fewer columns than rows
         wA = A * weights[cols] if weights is not None else A.copy() if len(A) > A.shape[1] else A
-        node += np.einsum("ij->i", wA)
+        node += wA.sum(axis=1)
         D = np.add(D, wA @ A.T, out=D) if c else wA @ A.T
     return D.reshape(n, s - 1, n, s - 1), node.reshape(n, s - 1)
 
@@ -203,7 +202,8 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
     D4, node = _anchored_gram(sch.pulses, s, weights)   # (k, a, l, b), (k, a)
     J, Hrows, nodes = np.zeros(hmodel.J.shape), hmodel.J.reshape(-1, m), np.arange(n)
-    r = ((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
+    r = (((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
+         if node.any() else np.zeros(n * m))        # zero node tables: r averages to zeros
     D4[nodes, :, nodes] = 0.0       # a node is no pair of its own
     if not D4.any():                # no pair has a table that counts
         return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)

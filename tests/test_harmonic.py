@@ -406,6 +406,41 @@ def test_gram_synthesis_colors_the_support_once(monkeypatch):
         assert len(calls) == 1 and len(rep["schedule"]) == rep["upper"]
 
 
+def _loop_support_report(T):
+    """The schedule, upper bound and note of a 0/+-1 target, its support read by a
+    loop over every node pair: the reference for the report's vectorised support."""
+    n = len(T)
+    support = {(u, v) for u in range(n) for v in range(u + 1, n) if abs(T[u, v]) > 0.5}
+    coloring = graphcolor.edge_coloring(graphcolor.InteractionGraph(n, support))
+    schedule = []
+    for c in range(coloring["count"]):
+        matched = [e for e, col in coloring["colors"].items() if col == c]
+        used = {v for e in matched for v in e}
+        cliques = [list(e) for e in sorted(matched)] + [[v] for v in range(n) if v not in used]
+        flip = sorted(e[0] for e in matched if T[e[0], e[1]] < 0)
+        schedule.append({"duration": 1.0, "cliques": cliques, "flip": flip})
+    note = None if coloring["exact"] else "edge coloring is heuristic; upper bound may be loose"
+    return {"schedule": schedule, "upper": float(coloring["count"]), "note": note}
+
+
+def test_gram_synthesis_support_matches_the_pair_loop():
+    # seeded targets with every support size from 0 to 20 edges on 7 to 9 nodes,
+    # 12 edges being the exact edge coloring's limit, and the random 0/+-1 ones
+    rng = np.random.default_rng(42)
+    targets = [np.zeros((n, n)) for n in (1, 2, 5)]
+    targets += [_random_signed_target(rng, int(rng.integers(2, 10))) for _ in range(40)]
+    for edges in range(21):
+        for n in (7, 8, 9):
+            T = np.zeros((n, n))
+            k, l = np.triu_indices(n, 1)
+            pick = rng.permutation(len(k))[:edges]
+            T[k[pick], l[pick]] = rng.choice([-1.0, 1.0], edges)
+            targets.append(T + T.T)
+    for T in targets:
+        rep = harmonic.gram_synthesis_report(T)
+        assert {k: rep[k] for k in ("schedule", "upper", "note")} == _loop_support_report(T)
+
+
 def test_gram_synthesis_refuses_an_empty_target():
     with pytest.raises(ValueError, match="at least one node"):
         harmonic.gram_synthesis_report(np.zeros((0, 0)))

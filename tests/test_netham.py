@@ -158,6 +158,39 @@ def test_embed_terms_matches_the_term_loop_bit_for_bit(case):
     assert np.array_equal(got, want)
 
 
+def _zero_part_models(n, d, seed):
+    """Models whose J, r or both are exactly zero, and one coupling a single pair alone."""
+    h, m = netham.random_model(n, d, seed), d * d - 1
+    one = np.zeros_like(h.J)
+    one[:m, m:2 * m], one[m:2 * m, :m] = h.J[:m, m:2 * m], h.J[m:2 * m, :m]
+    zeros = (np.zeros_like(h.J), np.zeros_like(h.r))
+    return {"J zero": (zeros[0], h.r), "r zero": (h.J, zeros[1]), "both zero": zeros,
+            "one pair": (one, zeros[1])}
+
+
+@pytest.mark.parametrize("n,d", [(5, 2), (4, 3), (3, 4)])
+def test_zero_parts_build_nothing_and_change_no_bit(n, d, monkeypatch):
+    # a part that is exactly zero is neither multiplied out nor embedded; every
+    # model is bit for bit the term loop over every pair and node operator,
+    # zero operators included, built by the products assemble documents
+    m = d * d - 1
+    flat = netham.gell_mann_basis(d).reshape(m, -1)
+    k, l = np.triu_indices(n, 1)
+    calls = []
+    embed = netham.embed_terms
+    monkeypatch.setattr(netham, "embed_terms", lambda *a: calls.append(a) or embed(*a))
+    for kind, (J, r) in _zero_part_models(n, d, n + d).items():
+        h = netham.PairHamiltonian(n, d, J, r)
+        calls.clear()
+        got = netham.assemble(h)
+        assert len(calls) == (J.any() + r.any()), kind
+        ops = flat.T @ (2.0 * J.reshape(n, m, n, m)[k, :, l, :]) @ flat
+        ops = ops.reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+        terms = [*zip(zip(k, l), ops), *zip(((x,) for x in range(n)), r.reshape(n, m) @ flat)]
+        want = oracle.embed_terms_loop(n, d, terms)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), kind
+
+
 def test_the_scatter_needs_under_an_eighth_of_h_beside_it():
     # 3^7 with dense pair ops is the cap size with the most writes per entry of H
     h = netham.random_model(7, 3, 0)
@@ -172,12 +205,14 @@ def test_the_scatter_needs_under_an_eighth_of_h_beside_it():
 
 
 def test_dense_builds_above_the_cap_are_refused_before_allocating():
-    # a 2^13-wide complex matrix would take 1 GiB
+    # a 2^13-wide complex matrix would take 1 GiB, the zero model's included
     h, C = netham.random_model(13, 2, 0), harmonic.random_network(13, 2, 0).C
     sch = scheme.decoupling_scheme(13, 2)
+    zero = netham.PairHamiltonian(13, 2, np.zeros_like(h.J), np.zeros_like(h.r))
     tracemalloc.start()
     try:
-        for build in (lambda: netham.assemble(h), lambda: harmonic.coupling_hamiltonian(C, 13, 2),
+        for build in (lambda: netham.assemble(h), lambda: netham.assemble(zero),
+                      lambda: harmonic.coupling_hamiltonian(C, 13, 2),
                       lambda: scheme.average_hamiltonian(h, sch)):
             with pytest.raises(ValueError, match="exceeds 4096"):
                 build()

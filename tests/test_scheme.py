@@ -661,6 +661,31 @@ def test_one_table_steps_take_only_the_labels_that_depart(d):
         assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
 
 
+def _live_tables(sch, s):
+    """The anchored tables D_kl of the pairs k < l whose table is not zero."""
+    D4, _ = scheme._anchored_gram(sch.pulses, s, None)
+    return [D4[k, :, l] for k, l in zip(*np.triu_indices(sch.n, 1)) if D4[k, :, l].any()]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [4, 7, 10, 17])
+def test_synthesized_schemes_have_one_live_table(n, d):
+    # the law that keeps average_model on its one-table path, Y formed once a
+    # chunk: decoupling has no live pair, and the live pairs of time reversal,
+    # of a selective scheme (its kept pair) and of a coloured ring (pairs of
+    # one colour, which share a balanced array row) share exactly one table
+    s = d * d
+    assert _live_tables(scheme.decoupling_scheme(n, d), s) == []
+    ring = graphcolor.InteractionGraph(n, {(k, (k + 1) % n) for k in range(n)})
+    same_colour = n // 2 * (n // 2 - 1) if n % 2 == 0 else None     # two colours when even
+    for sch, count in ((scheme.inversion_scheme(n, d), n * (n - 1) // 2),
+                       (scheme.selective_scheme(n, d, [0, 3]), 1),
+                       (graphcolor.colored_decoupling_scheme(ring, d), same_colour)):
+        tables = _live_tables(sch, s)
+        assert count is None or len(tables) == count
+        assert len(tables) > 0 and len({t.tobytes() for t in tables}) == 1
+
+
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_selective_scheme_removes_blocks_exactly(d):
     # a kept node against an array row has a table u_a + v_b, and two array
