@@ -164,16 +164,6 @@ def _load_like(path: str, model, load):
     return target
 
 
-def _graph_supported_model(g, d: int, seed: int) -> netham.PairHamiltonian:
-    # same-color nodes share pulses, so couplings must live on graph edges
-    model = netham.random_model(g.n, d, seed)
-    edges = np.zeros((g.n, 1, g.n, 1))
-    for u, v in g.edges:
-        edges[u, 0, v, 0] = edges[v, 0, u, 0] = 1.0
-    model.J.reshape(g.n, model.m, g.n, model.m)[...] *= edges    # in place, through a view
-    return model
-
-
 def _write_and_finish(run: _Run, args, ok: bool, to_json, rows) -> int:
     """Write a certified result to --out, to_json() as JSON or the label rows
     rows() as CSV, record it, and finish the run; a failed one writes nothing."""
@@ -198,7 +188,8 @@ def cmd_decouple(args) -> int:
     _check_coefficients(g.n if g else args.n, args.d, pulses=True)
     if g:
         sch = graphcolor.colored_decoupling_scheme(g, args.d)
-        model = _graph_supported_model(g, args.d, args.seed)
+        # same-color nodes share pulses, so couplings must live on graph edges
+        model = netham._seeded_model(g.n, args.d, args.seed, sorted(g.edges))
     else:
         sch = scheme.decoupling_scheme(args.n, args.d)
         model = netham.random_model(args.n, args.d, args.seed)

@@ -26,7 +26,7 @@ from . import gf, netham
 
 OA_SIZE_CAP = 2 ** 24
 PRODUCT_SIZE_CAP = 10 ** 6
-_BAND_ENTRIES = 1 << 22     # entries: at most a _pair_tables band factor, at least a Gram chunk
+_BAND_ENTRIES = 1 << 22     # entries: at most a _pair_tables band factor
 
 
 @dataclass(eq=False)

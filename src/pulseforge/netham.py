@@ -200,11 +200,17 @@ def frobenius_norm(h: PairHamiltonian) -> float:
 
 
 def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
-    """Seeded dense model with coupling and local entries in [-1, 1]."""
+    """Seeded model coupling every node pair, with coupling and local entries in
+    [-1, 1]: one m x m block per pair k < l, in row-major order, then r."""
+    return _seeded_model(n, d, seed, _pairs(n))
+
+
+def _seeded_model(n: int, d: int, seed: int, pairs) -> PairHamiltonian:
+    """Seeded model coupling only the (P, 2) node pairs k < l given, in their order:
+    np.random.default_rng(seed) draws one m x m block in [-1, 1] per pair, then r."""
     rng = np.random.default_rng(seed)
     m = d * d - 1
-    # one draw for every pair block, in the row-major order of the pairs k < l
-    k, l = _pairs(n).T
+    k, l = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
     blocks = rng.uniform(-1.0, 1.0, size=(k.size, m, m))
     J = np.zeros((m * n, m * n))
     J4 = J.reshape(n, m, n, m)

@@ -94,6 +94,45 @@ def test_verify_refuses_a_full_model_against_a_graph_scheme(capsys, tmp_path):
     assert code == 1 and rep["ok"] is False and rep["residuals"]["verify"] > 1e-3
 
 
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("edges", [{(k, (k + 1) % 6) for k in range(6)},
+                                   {(4, 1), (0, 5), (3, 2), (0, 2)}, set()])
+def test_decouple_graph_draws_only_the_edge_blocks(capsys, tmp_path, monkeypatch, d, edges):
+    # the seeded model couples the graph's edges alone: one m x m block per
+    # edge, in sorted edge order, then r, from one generator; every other
+    # block is exactly zero.  The scheme must refuse that model with any one
+    # block off the graph set nonzero, unless the scheme decouples that pair
+    # anyway (the two nodes differ in colour, so their rows differ)
+    g = graphcolor.InteractionGraph(6, edges)
+    gpath = tmp_path / "graph.json"
+    gpath.write_text(json.dumps(graphcolor.graph_to_json(g)))
+    seen = []
+    verify = scheme.verify_scheme
+    monkeypatch.setattr(scheme, "verify_scheme", lambda *a: seen.append(a) or verify(*a))
+    code, rep = run(capsys, "decouple", "--d", str(d), "--graph", str(gpath), "--seed", "7")
+    assert code == 0 and rep["residuals"]["decouple"] == 0.0
+    (model, sch, _), = seen
+    m = d * d - 1
+    J4 = model.J.reshape(6, m, 6, m).transpose(0, 2, 1, 3)      # (k, l, e, f)
+    rng = np.random.default_rng(7)
+    for u, v in sorted(g.edges):
+        block = rng.uniform(-1.0, 1.0, (m, m))
+        assert np.array_equal(J4[u, v], block) and np.array_equal(J4[v, u], block.T)
+    assert np.array_equal(model.r, rng.uniform(-1.0, 1.0, 6 * m))
+    off = [(k, l) for k in range(6) for l in range(6) if (min(k, l), max(k, l)) not in g.edges]
+    assert not J4[tuple(zip(*off))].any()
+    same_colour = 0
+    for k, l in off:
+        if k < l:
+            coupled = copy.deepcopy(model)
+            coupled.J.reshape(6, m, 6, m)[k, :, l, :] = 0.5
+            coupled.J.reshape(6, m, 6, m)[l, :, k, :] = 0.5
+            shared = bool((sch.pulses[k] == sch.pulses[l]).all())
+            same_colour += shared
+            assert scheme.verify_scheme(coupled, sch, 0.0)["ok"] is not shared, (k, l)
+    assert same_colour > 0
+
+
 def test_decouple_missing_n(capsys):
     code, _ = run(capsys, "decouple", "--d", "2")
     assert code == 2
@@ -374,8 +413,9 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # the constructions allocate before any constructor runs
     for module, name in ((harmonic, "fourier_inversion"), (harmonic, "random_network"),
-                         (netham, "random_model"), (netham, "model_from_json"),
-                         (scheme, "decoupling_scheme"), (scheme, "inversion_scheme"),
+                         (netham, "random_model"), (netham, "_seeded_model"),
+                         (netham, "model_from_json"), (scheme, "decoupling_scheme"),
+                         (scheme, "inversion_scheme"),
                          (graphcolor, "colored_decoupling_scheme"), (bounds, "bound_report")):
         monkeypatch.setattr(module, name, refuse)
     too_big = [["decouple", "--n", "1366", "--d", "2"],
@@ -408,7 +448,7 @@ def test_unsupported_qudit_d_refused_before_any_build(capsys, tmp_path, monkeypa
     def refuse(*args):
         raise AssertionError("built before the d check")
     for module, name in ((designs, "smallest_oa_for"), (netham, "random_model"),
-                         (netham, "model_from_json")):
+                         (netham, "_seeded_model"), (netham, "model_from_json")):
         monkeypatch.setattr(module, name, refuse)
     for argv in (["decouple", "--n", "170", "--d", "5"],
                  ["decouple", "--d", "5", "--graph", str(gpath)],
@@ -428,8 +468,9 @@ def test_unsupported_qudit_d_refused_before_any_build(capsys, tmp_path, monkeypa
                                   ["verify", "--model", "MODEL", "--scheme", "SCHEME",
                                    "--target", "invert"]])
 def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, argv):
-    # a model is checked where it is read; the models the library draws, the
-    # --graph mask and the average check no (mn)^2 coupling matrix at all
+    # a model is checked where it is read; the models the library draws, on
+    # every pair or on a graph's edges alone, and the average check no (mn)^2
+    # coupling matrix at all
     files = {"GRAPH": tmp_path / "graph.json", "MODEL": tmp_path / "model.json",
              "SCHEME": tmp_path / "sch.json"}
     g = graphcolor.InteractionGraph(6, {(k, k + 3) for k in range(3)} | {(0, 4), (1, 5)})

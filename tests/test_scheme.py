@@ -520,12 +520,13 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     h.J.reshape(n, h.m, n, h.m).transpose(0, 2, 1, 3)[zero | zero.T] = 0.0
     with pytest.MonkeyPatch.context() as mp:
         if narrow:
-            mp.setattr(designs, "_BAND_ENTRIES", 1)
+            mp.setattr(scheme, "_GRAM_ENTRIES", 1)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
         avg = scheme.average_model(h, sch)
     J_ref, r_ref = _loop_average(h, sch)
-    # exactly what the unchecked model promises: symmetric, zero diagonal blocks, finite
-    assert np.array_equal(avg.J, avg.J.T)
+    # exactly what the unchecked model promises: symmetric to the sign of a zero,
+    # zero diagonal blocks, finite
+    assert avg.J.tobytes() == avg.J.T.tobytes()
     nodes = np.arange(n)
     assert not avg.J.reshape(n, h.m, n, h.m)[nodes, :, nodes, :].any()
     assert np.isfinite(avg.J).all() and np.isfinite(avg.r).all()
