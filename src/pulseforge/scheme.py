@@ -47,6 +47,7 @@ RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SNAP_TOL = 1e-12        # adjoint entries this close to an integer are set to it
 _APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per chunk of average_model
+_STRIP_ENTRIES = 1 << 18  # entries of J per strip of average_model's mirror
 _GRAM_ENTRIES = 1 << 22   # entries of A, at least, in a column chunk of _anchored_gram
 
 
@@ -184,9 +185,9 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     where D departs, and walks one list of the pairs l > k whose D is not
     zero in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
     Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T, Y once if
-    a chunk's pairs share one D and every node one basis.  Each block and its
-    transpose land by one scatter, so the average is exactly symmetric with
-    zero diagonal blocks.
+    a chunk's pairs share one D and every node one basis.  Blocks land above
+    the diagonal; if one did, J is mirrored once, in strips of _STRIP_ENTRIES
+    entries, so the average is exactly symmetric with zero diagonal blocks.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -209,8 +210,8 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     if not D4.any():                # no pair has a table that counts
         return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
     Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
-    chunk = max(1, _APPLY_ENTRIES // (s * m * m))     # pairs
-    cell, one = np.arange(m)[:, None], slice(None if others else 1)     # one basis, one R
+    chunk, strip = max(1, _APPLY_ENTRIES // (s * m * m)), max(1, _STRIP_ENTRIES // (n * m))
+    cell, one, wrote = np.arange(m)[:, None], slice(None if others else 1), False # one basis, one R
     nz = np.einsum("kalb,kalb->ab", D4, D4) != 0    # (a, b): where D departs
     a, b = (slice(None) if x.all() else x.nonzero()[0] for x in (nz.any(1), nz.any(0)))
     live = np.triu(np.einsum("kalb,kalb->kl", *(D4[:, a][..., b],) * 2), 1).ravel().nonzero()[0]
@@ -227,10 +228,10 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
         Z = Y.swapaxes(1, 2).reshape(g, -1, m) @ HJ.reshape(m, g, -1).transpose(1, 0, 2)
         Z = Z.reshape(g, m, -1, len(k) // g, m).swapaxes(2, 3)    # (g, x, pair, b, f)
         blk = Z.reshape(len(Rl), -1, Rl[0].size // m) @ Rl.reshape(len(Rl), -1, m) / total
-        blk = blk.reshape(g, m, -1, m).swapaxes(1, 2)     # (g, pair, e, f)
-        # J_kl by its rows e and J_lk = J_kl^T by its rows f, a pair's rows in turn
-        rows = np.stack((at, cell * n + (l * m * n + k))).reshape(2, m, g, -1).transpose(0, 2, 3, 1)
-        Jrows[rows] = np.stack((blk, blk.swapaxes(2, 3))).view(Jrows.dtype)[..., 0]
+        Jrows[at.reshape(m, g, -1).swapaxes(0, 1)] = blk.view(Jrows.dtype).reshape(g, m, -1)
+        wrote = True
+    for e in range(0, n * m, strip) if wrote else ():   # mirror J once, in strips
+        J[e:, e:e + strip] += J[e:e + strip, e:].T
     return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
 
 

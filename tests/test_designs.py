@@ -269,8 +269,9 @@ def test_verify_oa_matches_the_pair_loop_on_every_single_entry_change(s, rows, m
 @given(n=st.integers(1, 9), s=st.integers(2, 5), N=st.integers(1, 80), rows=st.integers(1, 4),
        last=st.booleans(), equal=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_pair_tables_match_a_bincount_loop(n, s, N, rows, last, equal, seed):
-    # one chunk budget, (rows * s)^2: _pair_tables counts label pairs w in bands
-    # of `rows` rows and column chunks of min(rows, n) * s; _anchored_gram gives
+    # one chunk budget, (rows * s)^2, for both engines: _pair_tables counts label
+    # pairs w in bands of `rows` rows and column chunks of min(rows, n) * s
+    # (designs._BAND_ENTRIES); _anchored_gram (scheme._GRAM_ENTRIES) gives
     # D = P^T w P with P = [I; -1], for every pair, and the node tables P^T w_k,
     # in column chunks of at least n(s - 1), so one chunk or several.  Labels
     # come from a random alphabet, with label s in it or not, so some labels
@@ -292,6 +293,7 @@ def test_pair_tables_match_a_bincount_loop(n, s, N, rows, last, equal, seed):
     seen = np.zeros((n, n), dtype=bool)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(designs, "_BAND_ENTRIES", (rows * s) ** 2)
+        mp.setattr(scheme, "_GRAM_ENTRIES", (rows * s) ** 2)
         for k, l, tables in designs._pair_tables(labels, s):
             for i, j in np.ndindex(*tables.shape[:2]):
                 assert np.array_equal(tables[i, j], counts(k + i, l + j))

@@ -491,7 +491,8 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     # nodes share one standard basis or have their own conjugated one; the
     # anchored Gram sums column chunks of n * (d^2 - 1) intervals (narrow), so
     # more than one when N is larger, or takes every interval at once, and
-    # blocks are applied one pair at a time or all at once.
+    # blocks are applied one pair at a time or all at once, and mirrored one
+    # row at a time or all at once.
     # Pulse rows are random labels, or rows of a strength-2 array, some
     # repeated and some all-identity, so that one chunk mixes zero anchored
     # tables (distinct rows, an identity row against an array row), ones on
@@ -522,6 +523,7 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
         if narrow:
             mp.setattr(scheme, "_GRAM_ENTRIES", 1)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
+        mp.setattr(scheme, "_STRIP_ENTRIES", apply)
         avg = scheme.average_model(h, sch)
     J_ref, r_ref = _loop_average(h, sch)
     # exactly what the unchecked model promises: symmetric to the sign of a zero,
