@@ -277,6 +277,7 @@ def cmd_signs(args) -> int:
         design = designs.design_from_json(_load_json(args.from_oa))
         if not isinstance(design, designs.OrthogonalArray):
             raise ValueError("--from-oa expects an orthogonal-array file")
+        _check_coefficients(design.n, 2)    # each array row is one qubit
         st = signs.oa_to_signs(design)
     rep = signs.verify_signs(st)
     run.report["n"] = st.n

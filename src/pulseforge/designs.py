@@ -52,13 +52,6 @@ class OrthogonalArray:
         if self.s < 1 or self.lam != self.N // self.s ** 2:
             raise ValueError(f"lambda {self.lam} is not N // s^2 for N = {self.N}, s = {self.s}")
 
-    @classmethod
-    def _built(cls, n: int, N: int, s: int, lam: int, entries: np.ndarray) -> OrthogonalArray:
-        """An array built as an n x N int matrix of labels in [1, s]; not checked."""
-        oa = object.__new__(cls)
-        oa.n, oa.N, oa.s, oa.lam, oa.entries = n, N, s, lam, entries
-        return oa
-
 
 @dataclass(eq=False)
 class DifferenceScheme:
@@ -122,7 +115,7 @@ def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
     entries = mul[G[0]]
     for t in range(1, i):
         entries = add[entries[:, None, :], mul[G[t]][:, :, None]].reshape(G.shape[1], -1)
-    return OrthogonalArray._built(G.shape[1], N, s, s ** (i - 2), np.add(entries, 1, dtype=int))
+    return OrthogonalArray(G.shape[1], N, s, s ** (i - 2), np.add(entries, 1, dtype=int))
 
 
 @functools.lru_cache(maxsize=16)
@@ -141,7 +134,7 @@ def product_oa(n: int, s: int) -> OrthogonalArray:
         raise ValueError("need n >= 1 and s >= 2")
     entries = mixed_product_array([s] * n)
     N = entries.shape[1]
-    return OrthogonalArray._built(n, N, s, N // s ** 2, entries)
+    return OrthogonalArray(n, N, s, N // s ** 2, entries)
 
 
 def mixed_product_array(sizes) -> np.ndarray:
@@ -190,7 +183,7 @@ def normalize_oa(oa: OrthogonalArray) -> OrthogonalArray:
         e = (hi - fhi) % r * r + (lo - flo) % r
     else:
         e = (e - first) % oa.s
-    return OrthogonalArray._built(oa.n, oa.N, oa.s, oa.lam, e + 1)
+    return OrthogonalArray(oa.n, oa.N, oa.s, oa.lam, e + 1)
 
 
 def cyclic_difference_scheme(u: int, n: int) -> DifferenceScheme:

@@ -67,22 +67,11 @@ class PulseScheme:
             raise ValueError("pulse matrix must be n x N")
         if len(self.bases) != self.n:
             raise ValueError("need one basis per node")
-        hi = np.array([b.d * b.d for b in self.bases])
-        out = (self.pulses.min(axis=1) < 1) | (self.pulses.max(axis=1) > hi)
-        if out.any():
-            k = int(out.argmax())
-            raise ValueError(f"pulse labels of node {k} out of [1, {hi[k]}]")
+        lo, top = self.pulses.min(axis=1).tolist(), self.pulses.max(axis=1).tolist()
+        for k, b in enumerate(self.bases):
+            if lo[k] < 1 or top[k] > b.d * b.d:
+                raise ValueError(f"pulse labels of node {k} out of [1, {b.d * b.d}]")
         check_overhead(self.target_overhead, "target_overhead")
-
-    @classmethod
-    def _built(cls, n: int, N: int, times: np.ndarray, pulses: np.ndarray, bases: list,
-               target_overhead: float) -> PulseScheme:
-        """A scheme built with valid times, an n x N int matrix of labels in
-        [1, d^2] and one basis per node; not checked."""
-        sch = object.__new__(cls)
-        sch.n, sch.N, sch.times, sch.pulses = n, N, times, pulses
-        sch.bases, sch.target_overhead = bases, target_overhead
-        return sch
 
     @property
     def dims(self) -> list:
@@ -95,7 +84,7 @@ def check_times(times, N: int) -> np.ndarray:
     times = np.asarray(times, dtype=float)
     if times.shape != (N,):
         raise ValueError("times must have length N")
-    if not np.all(times > 0):
+    if not times.min(initial=math.inf) > 0:
         raise ValueError("interval durations must be positive")
     if not abs(times.sum() - 1.0) <= _TIME_TOL:
         raise ValueError("interval durations must sum to 1")
@@ -244,11 +233,10 @@ def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.
 
 def _pauli_scheme(pulses: np.ndarray, d: int, overhead: float = 1.0) -> PulseScheme:
     """The scheme of an n x N int pulse matrix of labels in [1, d^2] on the
-    shared generalized Pauli basis of d, every interval of equal time; the
-    callers build the matrix valid, so it is not checked again."""
+    shared generalized Pauli basis of d, every interval of equal time."""
     n, N = pulses.shape
-    return PulseScheme._built(n, N, np.full(N, 1.0 / N), pulses,
-                              [error_basis.generalized_pauli_basis(d)] * n, overhead)
+    return PulseScheme(n, N, np.full(N, 1.0 / N), pulses,
+                       [error_basis.generalized_pauli_basis(d)] * n, overhead)
 
 
 def decoupling_scheme(n: int, d: int) -> PulseScheme:

@@ -405,6 +405,9 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
     sch, phases = tmp_path / "sch.json", tmp_path / "phases.json"
     sch.write_text(json.dumps(scheme.scheme_to_json(scheme.decoupling_scheme(2, 2))))
     phases.write_text(json.dumps(harmonic.phase_scheme_to_json(harmonic.fourier_inversion(13))))
+    oapath = tmp_path / "oa.json"     # 1366 qubits: 3 * 1366 sign rows
+    oapath.write_text(json.dumps({"kind": "oa", "n": 1366, "N": 16, "s": 4, "lambda": 1,
+                                  "entries": [[j % 4 + 1 for j in range(16)]] * 1366}))
 
     def refuse(*args):
         raise AssertionError("built before the size check")
@@ -416,7 +419,8 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
                          (netham, "random_model"), (netham, "_seeded_model"),
                          (netham, "model_from_json"), (scheme, "decoupling_scheme"),
                          (scheme, "inversion_scheme"),
-                         (graphcolor, "colored_decoupling_scheme"), (bounds, "bound_report")):
+                         (graphcolor, "colored_decoupling_scheme"), (bounds, "bound_report"),
+                         (signs, "oa_to_signs")):
         monkeypatch.setattr(module, name, refuse)
     too_big = [["decouple", "--n", "1366", "--d", "2"],
                ["decouple", "--d", "4", "--graph", str(gpath)],
@@ -424,7 +428,8 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
                ["invert", "--harmonic", "--n", "513"],
                ["verify", "--model", str(mpath), "--scheme", str(sch), "--target", "zero"],
                ["verify", "--model", str(net), "--scheme", str(phases), "--target", "zero"],
-               ["bound", "--model", str(mpath), "--invert", "--rescale-search", "100"]]
+               ["bound", "--model", str(mpath), "--invert", "--rescale-search", "100"],
+               ["signs", "--from-oa", str(oapath)]]
     too_few_levels = [["decouple", "--n", "100000", "--d", "1"]]
     too_few_levels += [["invert", "--harmonic", "--d", d, "--n", "100000"] for d in ("1", "0", "-2")]
     for argv in too_big + too_few_levels:

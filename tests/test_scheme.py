@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pulseforge import designs, error_basis, graphcolor, netham, scheme
+from pulseforge import designs, error_basis, graphcolor, netham, scheme, signs
 
 import oracle
 
@@ -719,16 +719,27 @@ def test_scheme_names_the_first_node_with_a_label_out_of_range(pulses, message):
         scheme.PulseScheme(3, 2, [0.5, 0.5], pulses, bases)
 
 
-def test_synthesized_schemes_skip_the_label_checks(monkeypatch):
+def test_synthesized_schemes_and_arrays_pass_the_label_checks(monkeypatch):
+    # every synthesizer goes through the checked constructors, so it reads its
+    # labels through netham.numbers, as a scheme or design file does
     calls = []
     numbers = netham.numbers
     monkeypatch.setattr(netham, "numbers", lambda *a, **k: calls.append(a[1]) or numbers(*a, **k))
+
+    def reads(build):
+        calls.clear()
+        build()
+        return calls[:]
+    ring = graphcolor.InteractionGraph(5, {(k, (k + 1) % 5) for k in range(5)})
     for d in (2, 3, 4):
-        scheme.decoupling_scheme(6, d)
-        scheme.inversion_scheme(6, d)
-    designs.normalize_oa(designs.product_oa(3, 4))
-    assert calls == []
-    basis = error_basis.generalized_pauli_basis(2)
+        for build in (lambda: scheme.decoupling_scheme(6, d), lambda: scheme.inversion_scheme(6, d),
+                      lambda: scheme.selective_scheme(6, d, [0, 3]),
+                      lambda: graphcolor.colored_decoupling_scheme(ring, d)):
+            assert reads(build) == ["entries", "pulses"], d
+    triple, oa = signs.spread_signs(2), designs.product_oa(3, 4)
+    assert reads(lambda: signs.signs_to_pulse_scheme(triple)) == ["pulses"]
+    for build in (lambda: designs.rao_hamming_oa(4, 2), lambda: designs.product_oa(3, 4),
+                  lambda: designs.normalize_oa(oa)):
+        assert reads(build) == ["entries"]
     with pytest.raises(ValueError, match=r"pulse labels of node 0 out of \[1, 4\]"):
-        scheme.PulseScheme(1, 2, [0.5, 0.5], [[1, 5]], [basis])
-    assert calls == ["pulses"]
+        scheme._pauli_scheme(np.array([[1, 5]]), 2)
