@@ -1,11 +1,12 @@
 """Command-line frontend: synthesize, bound and verify pulse schemes.
 
-Every synthesis command certifies its output against a seeded random
-model before anything is written, so a file on disk is always a
-verified scheme.  Every request, qudit or oscillator (d levels), is
-bounded by its (d^2-1) n coefficient dimension at netham.HILBERT_CAP.
-Exit codes: 0 success, 1 verification failure, 2 usage or input
-error.
+Every synthesis command but signs certifies its output against a
+seeded random model before anything is written, so a file on disk is
+always a verified scheme; signs draws nothing at random and writes
+only a triple verify_signs passes.  Every request, qudit or oscillator
+(d levels), is bounded by its (d^2-1) n coefficient dimension at
+netham.HILBERT_CAP.  Exit codes: 0 success, 1 verification failure, 2
+usage or input error.
 """
 
 from __future__ import annotations
@@ -282,8 +283,8 @@ def cmd_signs(args) -> int:
     rep = signs.verify_signs(st)
     run.report["n"] = st.n
     run.report["N"] = st.N
-    run.report["violations"] = rep["violations"][:16]
-    run.report["residuals"]["sign_checks"] = float(len(rep["violations"]))
+    run.report["violations"] = rep["violations"]
+    run.report["residuals"]["sign_checks"] = float(rep["count"])
     return _write_and_finish(run, args, rep["ok"], lambda: signs.signs_to_json(st),
                              lambda: np.vstack([st.Sx, st.Sy, st.Sz]))
 

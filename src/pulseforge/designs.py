@@ -10,7 +10,7 @@ from the plain label-pair counts of _pair_tables, taken in row bands.
 Symbols of an orthogonal array are labels 1..s so they can double as
 indices into a unitary basis; difference schemes use residues 0..u-1.
 The linear arrays are digit arithmetic plus lookups in the GF(s) tables
-of :mod:`pulseforge.gf`, kept with the field vectors once per (s, i);
+of :mod:`pulseforge.gf`, kept with the array's rows once per (s, i);
 normal forms are label arithmetic in Z_r x Z_r (s = r^2) or Z_s.
 """
 
@@ -109,23 +109,30 @@ def _rao_hamming_rows(s: int, i: int, n: int | None) -> OrthogonalArray:
     full = (N - 1) // (s - 1)
     if full * N > OA_SIZE_CAP:
         raise ValueError(f"n*N = {full * N} entries exceed the {OA_SIZE_CAP} cap")
-    add, mul, _, G = _linear_parts(s, i)
+    entries = _linear_entries(s, i, n)
+    return OrthogonalArray(len(entries), N, s, s ** (i - 2), np.add(entries, 1, dtype=int))
+
+
+def _linear_entries(s: int, i: int, n: int | None) -> np.ndarray:
+    """<g_k, c_j>, (n, s^i) field encodings in the narrowest dtype, for the first n (all
+    for None) normalized rows g_k of field_vectors(s, i), i >= 1, and every column c_j."""
+    add, mul, G = _linear_parts(s, i)
     G = G[:, :n]
     # over digits 0..t, column j + s^t c is column j's sum over 0..t-1 plus G_t * c
     entries = mul[G[0]]
     for t in range(1, i):
         entries = add[entries[:, None, :], mul[G[t]][:, :, None]].reshape(G.shape[1], -1)
-    return OrthogonalArray(G.shape[1], N, s, s ** (i - 2), np.add(entries, 1, dtype=int))
+    return entries
 
 
 @functools.lru_cache(maxsize=16)
 def _linear_parts(s: int, i: int) -> tuple:
-    """(add, mul, C, G): gf.tables of GF(s) and field_vectors(s, i), built once per
-    (s, i), read-only, in the narrowest dtype so the (n, N) temporaries stay small."""
-    add, mul, C, G = (a.astype(np.min_scalar_type(s - 1))
-                      for a in (*gf.tables(gf.field_for_order(s)), *field_vectors(s, i)))
-    add.flags.writeable = mul.flags.writeable = C.flags.writeable = G.flags.writeable = False
-    return add, mul, C, G
+    """(add, mul, G): gf.tables of GF(s) and field_vectors(s, i)'s normalized rows, built
+    once per (s, i), read-only, in the narrowest dtype so the (n, N) temporaries stay small."""
+    add, mul, G = (a.astype(np.min_scalar_type(s - 1))
+                   for a in (*gf.tables(gf.field_for_order(s)), field_vectors(s, i)[1]))
+    add.flags.writeable = mul.flags.writeable = G.flags.writeable = False
+    return add, mul, G
 
 
 def product_oa(n: int, s: int) -> OrthogonalArray:

@@ -6,9 +6,10 @@ three n x N sign matrices (one per Pauli axis).  Decoupling needs
 every pair of the 3n rows orthogonal and every row balanced; the
 entrywise product Sx*Sy = Sz is forced by the conjugation table.
 
-Triples come from two sources: relabeling a strength-2 array over four
-symbols, or the line partition of F4^m, whose character map phi turns
-each line into three rows of a real Hadamard matrix.
+Triples come from one source: relabeling a strength-2 array over four
+symbols.  The line partition of F4^m is the linear array over GF(4)
+relabeled, with sigma_x and sigma_y swapped and the columns in
+digit-reversed order.
 """
 
 from __future__ import annotations
@@ -33,14 +34,10 @@ SIGN_TABLE = {
 # identically); 0 marks the four patterns with sx * sy != sz
 _LABEL_OF_SIGN_BITS = np.array([1, 0, 0, 3, 0, 4, 2, 0])
 
-# phi: F4 -> rows of the order-4 Hadamard matrix, indexed by the fixed
-# field-element encoding [0, 1, w, w^2]
-PHI = np.array([
-    (1, 1, 1, 1),
-    (1, -1, -1, 1),
-    (1, -1, 1, -1),
-    (1, 1, -1, -1),
-])
+# SIGN_TABLE's y, x and z rows, read-only: Sx, Sy, Sz of the line partition at
+# a field entry [0, 1, w, w^2], and Sy, Sx, Sz of an array at a symbol 1..4
+_SIGN_ROWS = np.array([SIGN_TABLE[axis] for axis in "yxz"])
+_SIGN_ROWS.flags.writeable = False
 
 
 @dataclass(eq=False)
@@ -69,55 +66,49 @@ def oa_to_signs(oa: designs.OrthogonalArray) -> SignTriple:
     """
     if oa.s != 4:
         raise ValueError("need a four-symbol array")
-    lut = {axis: np.array(t) for axis, t in SIGN_TABLE.items()}
-    idx = oa.entries - 1
-    return SignTriple(oa.n, oa.N, lut["x"][idx], lut["y"][idx], lut["z"][idx])
+    Sy, Sx, Sz = _SIGN_ROWS.take(oa.entries - 1, axis=1)
+    return SignTriple(oa.n, oa.N, Sx, Sy, Sz)
 
 
 def spread_signs(m: int) -> SignTriple:
     """Sign triple from the line partition of F4^m.
 
-    The (4^m-1)/3 lines partition the nonzero vectors into triples
-    {v, w*v, w^2*v}; mapping each vector through the coordinatewise
-    character phi gives all distinct non-constant rows of the 2m-fold
-    tensor power of the 2x2 Hadamard matrix, pairwise orthogonal by
-    construction.
+    The (4^m-1)/3 lines {v, w*v, w^2*v} partition the nonzero vectors;
+    line v gives rows chi(<w v, c>), chi(<w^2 v, c>), chi(<v, c>) over
+    all c, chi the additive character of F4 that is -1 at 1 and w: all
+    distinct non-constant rows of the 2m-fold tensor power of the 2x2
+    Hadamard matrix, pairwise orthogonal.  So Sx, Sy, Sz are SIGN_TABLE's
+    y, x, z rows read at the linear GF(4) array's entry <v, c>, column j
+    taking c with j's base-4 digits reversed (first coordinate highest).
     """
     if not 1 <= m <= 4:
         raise ValueError("m out of supported range [1, 4]")
-    _, mul, digits, reps = designs._linear_parts(4, m)
-    N, n = 4 ** m, reps.shape[1]        # (4^m - 1) / 3 lines
-
-    def rows(v):
-        # kron over coordinates: coordinate t picks the column's base-4
-        # digit m-1-t, the first factor being the most significant
-        out = np.ones((n, N), dtype=int)
-        for t in range(m):
-            out *= PHI[v[t][:, None], digits[m - 1 - t]]
-        return out
-
-    # w and w^2 encode as 2 and 3
-    Sx, Sy, Sz = rows(mul[2, reps]), rows(mul[3, reps]), rows(reps)
-    return SignTriple(n, N, Sx, Sy, Sz)
+    entries = designs._linear_entries(4, m, None)
+    Sx, Sy, Sz = _SIGN_ROWS.take(entries[:, np.arange(4 ** m).reshape((4,) * m).T.ravel()], axis=1)
+    return SignTriple(len(entries), 4 ** m, Sx, Sy, Sz)
 
 
 def verify_signs(st: SignTriple) -> dict:
-    """Check Schur product, 3n-row orthogonality and zero row sums."""
-    violations = []
-    for k, j in np.argwhere(st.Sx * st.Sy != st.Sz)[:16]:
-        violations.append({"kind": "schur", "row": int(k), "column": int(j)})
+    """Check Schur product, 3n-row orthogonality and zero row sums.
+
+    count is the number of violations; the list holds the first 16: Schur
+    breaks by (row, column), then non-orthogonal row pairs i < j in
+    row-major order, then nonzero row sums.
+    """
     # in floats the Gram product runs in BLAS; sums of +-1 are exact there
     rows = np.vstack([st.Sx, st.Sy, st.Sz]).astype(float)
     tags = [(axis, k) for axis in ("x", "y", "z") for k in range(st.n)]
-    G = rows @ rows.T
-    for i, j in np.argwhere(np.triu(G, 1)):
-        violations.append({"kind": "orthogonality",
-                           "rows": (tags[i], tags[j]),
-                           "dot": int(G[i, j])})
-    sums = rows.sum(axis=1)
-    for i in np.flatnonzero(sums):
-        violations.append({"kind": "row_sum", "row": tags[i], "sum": int(sums[i])})
-    return {"ok": not violations, "violations": violations}
+    G, sums = rows @ rows.T, rows.sum(axis=1)
+    G[np.arange(len(G))[:, None] >= np.arange(len(G))] = 0      # keep the pairs i < j
+    schur, pairs, unbalanced = (np.flatnonzero(a) for a in (st.Sx * st.Sy != st.Sz, G, sums))
+    violations = [{"kind": "schur", "row": k, "column": j}
+                  for k, j in zip(*(a.tolist() for a in np.divmod(schur[:16], st.N)))]
+    violations += [{"kind": "orthogonality", "rows": (tags[i], tags[j]), "dot": int(G[i, j])}
+                   for i, j in zip(*np.divmod(pairs[:16 - len(violations)], len(G)))]
+    violations += [{"kind": "row_sum", "row": tags[i], "sum": int(sums[i])}
+                   for i in unbalanced[:16 - len(violations)]]
+    count = schur.size + pairs.size + unbalanced.size
+    return {"ok": not count, "count": count, "violations": violations}
 
 
 def signs_to_pulse_scheme(st: SignTriple) -> scheme.PulseScheme:

@@ -282,6 +282,19 @@ def test_signs_from_oa(capsys, tmp_path):
     assert (rep["n"], rep["N"]) == (5, 16)
 
 
+def test_signs_reports_the_count_and_lists_16(capsys, tmp_path):
+    # 40 copies of one row: each pair of copies is one orthogonality violation
+    # per axis, so the report lists 16 of 3 * 40 * 39 / 2
+    path = tmp_path / "oa.json"
+    path.write_text(json.dumps({"kind": "oa", "n": 40, "N": 16, "s": 4, "lambda": 1,
+                                "entries": [[j % 4 + 1 for j in range(16)]] * 40}))
+    code, rep = run(capsys, "signs", "--from-oa", str(path))
+    assert code == 1
+    assert rep["residuals"]["sign_checks"] == 2340.0
+    assert rep["violations"] == [{"kind": "orthogonality", "rows": [["x", 0], ["x", l]], "dot": 16}
+                                 for l in range(1, 17)]
+
+
 def test_signs_flag_exclusivity(capsys, tmp_path):
     code, _ = run(capsys, "signs")
     assert code == 2

@@ -23,8 +23,13 @@ PINNED = {
     (3, 5): ("26bee520f35c805933b71d02b57f49ea497483a257ff69b1d456bf3905d13cca",
              "cdf0931c2a852fbbcee76e747abceb79ec9ced848c6252d80641fdc6ff4b1a76"),
 }
-# Sx, Sy, Sz of spread_signs(4), stacked by rows
-PINNED_SPREAD_4 = "0e899a21f5a54c98f7fa77c156348db1840eeeeef33303910d4914c334f09ec7"
+# Sx, Sy, Sz of spread_signs(m), stacked by rows; test_single_line_rows_frozen
+# in test_signs.py gives m = 1 entry by entry
+PINNED_SPREAD = {
+    2: "a2605ef479cb3b1fb572a6bd34667d354cbe682e1f14ef1fd163d0f60b7190e1",
+    3: "555c8c7f611a7168370da201472ab644f7cc3a46e6a879da458942af66d86955",
+    4: "0e899a21f5a54c98f7fa77c156348db1840eeeeef33303910d4914c334f09ec7",
+}
 PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9]
 
 
@@ -160,8 +165,9 @@ def test_constructions_match_pinned_digests(s, i):
 
 
 def test_spread_signs_match_pinned_digest():
-    st4 = signs.spread_signs(4)
-    assert _digest(np.vstack([st4.Sx, st4.Sy, st4.Sz])) == PINNED_SPREAD_4
+    for m, want in PINNED_SPREAD.items():
+        st = signs.spread_signs(m)
+        assert _digest(np.vstack([st.Sx, st.Sy, st.Sz])) == want, m
 
 
 @settings(max_examples=30)

@@ -71,6 +71,7 @@ def _shared_arrays():
         yield from gf.tables(gf.field_for_order(q))
     for s, i in ((4, 1), (4, 6), (9, 4), (16, 3), (251, 2)):
         yield from designs._linear_parts(s, i)
+    yield signs._SIGN_ROWS
     for n in range(2, 7):
         yield netham._pairs(n)
         yield from _tables(n, 2, netham._pairs(n))

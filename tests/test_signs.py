@@ -148,6 +148,43 @@ def test_verify_signs_locates_orthogonality_break():
     assert [v for v in rep["violations"] if v["kind"] == "orthogonality"] == want
 
 
+def _all_violations(st):
+    # every violation, one by one, in the order verify_signs lists them
+    rows = np.vstack([st.Sx, st.Sy, st.Sz])
+    tags = [(axis, k) for axis in "xyz" for k in range(st.n)]
+    return ([{"kind": "schur", "row": k, "column": j} for k in range(st.n) for j in range(st.N)
+             if st.Sx[k, j] * st.Sy[k, j] != st.Sz[k, j]]
+            + [{"kind": "orthogonality", "rows": (tags[i], tags[j]), "dot": int(rows[i] @ rows[j])}
+               for i in range(3 * st.n) for j in range(i + 1, 3 * st.n) if rows[i] @ rows[j]]
+            + [{"kind": "row_sum", "row": tags[i], "sum": int(rows[i].sum())}
+               for i in range(3 * st.n) if rows[i].sum()])
+
+
+def test_verify_signs_counts_every_schur_break():
+    # flipping all of Sz breaks the product at each of the 5 x 16 entries and
+    # keeps every dot product and row sum at zero
+    st = signs.spread_signs(2)
+    st.Sz = -st.Sz
+    rep = signs.verify_signs(st)
+    assert rep["count"] == 80 and not rep["ok"]
+    assert rep["violations"] == [{"kind": "schur", "row": 0, "column": j} for j in range(16)]
+
+
+@pytest.mark.parametrize("pattern", [[1, 2, 3, 4], [1, 1, 2, 2], [1, 2, 1, 3]])
+def test_verify_signs_counts_all_and_lists_the_first_16(pattern):
+    # repeated rows break orthogonality; unbalanced ones break the row sums;
+    # a broken Sz breaks the product too
+    oa = designs.OrthogonalArray(4, 16, 4, 1, [pattern * 4] * 4)
+    for st in (signs.oa_to_signs(oa), signs.spread_signs(2)):
+        st.Sz = st.Sz.copy()
+        st.Sz[1, ::5] = 1
+        want = _all_violations(st)
+        rep = signs.verify_signs(st)
+        assert rep == {"ok": False, "count": len(want), "violations": want[:16]}
+    st = signs.spread_signs(3)
+    assert signs.verify_signs(st) == {"ok": True, "count": 0, "violations": []}
+
+
 def test_verify_signs_row_sum_break():
     st = signs.spread_signs(1)
     st.Sx = np.ones_like(st.Sx)
