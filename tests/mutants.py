@@ -12,8 +12,7 @@ its old text does not occur exactly once (a refactor moved the code:
 update the mutant), or if pytest ends in any other way (a mutant that
 breaks collection tests nothing).  Standard library only:
 
-    python tests/mutants.py          # every mutant
-    python tests/mutants.py 5 10     # mutants by number, from 1
+    python tests/mutants.py
 """
 
 from __future__ import annotations
@@ -150,23 +149,22 @@ def run(mutant: Mutant) -> tuple[bool, str]:
     return False, f"pytest exited {done.returncode}:\n{done.stdout[-2000:]}{done.stderr[-2000:]}"
 
 
-def main(argv: list[str]) -> int:
-    numbers = [int(a) for a in argv] or range(1, len(MUTANTS) + 1)
-    modules = sorted({module for number in numbers for module in MUTANTS[number - 1].tests})
+def main() -> int:
+    modules = sorted({module for mutant in MUTANTS for module in mutant.tests})
     done = run_modules(ROOT / "src", modules)
     if done.returncode:
         print(f"{', '.join(modules)} fail on src/ as it is:\n{done.stdout[-2000:]}{done.stderr}")
         return 1
     failed = 0
-    for number in numbers:
-        mutant, start = MUTANTS[number - 1], time.perf_counter()
+    for number, mutant in enumerate(MUTANTS, 1):
+        start = time.perf_counter()
         killed, detail = run(mutant)
         print(f"mutant {number:2d} ({mutant.why}): {'killed' if killed else 'NOT KILLED'}, "
               f"{detail} [{time.perf_counter() - start:.1f} s]", flush=True)
         failed += not killed
-    print(f"{len(numbers) - failed} of {len(numbers)} mutants killed")
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
