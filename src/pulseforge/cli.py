@@ -237,7 +237,7 @@ def cmd_bound(args) -> int:
     trials = 1 if args.rescale_search is None else args.rescale_search
     rep = bounds.bound_report(Jt, model.J, model.n, trials=trials,
                               seed=args.seed)
-    run.report.update(rep)
+    run.report.update(rep, target="-J" if args.invert else "J")     # what tau_min bounds
     return run.finish(True)
 
 

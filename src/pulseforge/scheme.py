@@ -15,9 +15,12 @@ The adjoint matrices of any unitary error basis sum to zero (the basis
 averages every traceless operator away), so a table w counts only through
 D = P^T w P, P = [I; -1]: one Gram for the whole scheme, summed over column
 chunks, of indicator rows anchored on the last label, which drops out of
-every table and adjoint layout.  The engine walks one list of the pairs whose
-D is nonzero: tables u_a + v_b, as a strength-2 array's, give exact zeros at
-every d, and time reversal's scale H by -1/(N-1).
+every table and adjoint layout.  Tables u_a + v_b, as a strength-2 array's,
+anchor to zero and give exact zeros at every d.  Where every table lies on
+the identity pair and label 1 acts as exactly I, as in time reversal (which
+scales H by -1/(N-1)) and selective recoupling, the average is one blockwise
+scaling of J and r, with the bits the general route gives; that route walks
+one list of the pairs whose D is nonzero.
 The shared basis's adjoint layouts are built once per process, a custom
 basis's per call.  average_hamiltonian() realizes the average as a dense
 matrix; the d^n conjugation average it is tested against lives with the
@@ -124,16 +127,24 @@ def _adjoint_matrices(basis) -> np.ndarray:
 
 
 def _layouts(R: np.ndarray) -> tuple:
-    """(Ra, Rb) of adjoint matrices R less label s: Ra[a] = R[a].ravel(), Rb[a] = R[a].T."""
-    return R[:-1].reshape(len(R) - 1, -1), np.ascontiguousarray(R[:-1].transpose(0, 2, 1))
+    """(Ra, Rb, one) of adjoint matrices R less label s: Ra[a] = R[a].ravel(),
+    Rb[a] = R[a].T, and whether label 1 acts as exactly I, bit for bit."""
+    return (R[:-1].reshape(len(R) - 1, -1), np.ascontiguousarray(R[:-1].transpose(0, 2, 1)),
+            bool((R[0] == np.eye(len(R[0]))).all()))
 
 
 @functools.cache
 def _standard_adjoint(d: int) -> tuple:
     """_layouts of the generalized Pauli basis of d, built once and read-only."""
-    Ra, Rb = _layouts(_adjoint_matrices(error_basis.generalized_pauli_basis(d)))
+    Ra, Rb, one = _layouts(_adjoint_matrices(error_basis.generalized_pauli_basis(d)))
     Ra.flags.writeable = Rb.flags.writeable = False
-    return Ra, Rb
+    return Ra, Rb, one
+
+
+def _on_label_one(tables: np.ndarray, first: np.ndarray) -> bool:
+    """Whether anchored tables lie on label 1 alone: first, their slice on label 1
+    (on the identity pair, for pair tables), holds every nonzero entry."""
+    return np.count_nonzero(tables) == np.count_nonzero(first)
 
 
 def _anchored_gram(pulses: np.ndarray, s: int, weights: np.ndarray | None) -> tuple:
@@ -177,6 +188,18 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     a chunk's pairs share one D and every node one basis.  Blocks land above
     the diagonal; if one did, J is mirrored once, in strips of _STRIP_ENTRIES
     entries, so the average is exactly symmetric with zero diagonal blocks.
+
+    One exit skips the walk: when label 1 acts as exactly I on every node and
+    every D_kl is C_kl e_1 e_1^T (time reversal gives C = -1 in counts, the
+    kept pair of selective recoupling C = N, every other pair 0), the average
+    is J_kl C_kl / total, computed as J times C, then + 0.0, then / total.
+    That order keeps the walk's bits: there Y = C_kl I exactly, Z = C_kl J_kl
+    rounds once and the block is Z I / total; + 0.0 turns a zero product's
+    -0.0 into the +0.0 the walk leaves.  A Gram of counts is exactly
+    symmetric, one of weights only to rounding, so there C is read from the
+    pairs l > k, as the walk reads D: the average is as symmetric as J.  Node
+    tables on label 1 alone likewise give r_k node[k, 0] / total, + 0.0, from
+    the walk's fl(node[k, 0] / total) I.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -186,18 +209,34 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     n, m, s = hmodel.n, hmodel.m, hmodel.d * hmodel.d
     adjoint = {key: _standard_adjoint(b.d) if b is error_basis.generalized_pauli_basis(b.d)
                else _layouts(_adjoint_matrices(b)) for key, b in adjoint.items()}
-    (Ra, Rb), *others = adjoint.values()            # per-node copies, or one basis's views
+    eye = all(x[2] for x in adjoint.values())      # label 1 acts as exactly I on every node
+    (Ra, Rb, _), *others = adjoint.values()         # per-node copies, or one basis's views
     Ra, Rb = (np.array([adjoint[id(b)][x] for b in sch.bases]) if others
               else np.ndarray((n, *y.shape), y.dtype, y, strides=(0, *y.strides))
               for x, y in enumerate((Ra, Rb)))
     total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
     D4, node = _anchored_gram(sch.pulses, s, weights)   # (k, a, l, b), (k, a)
     J, Hrows, nodes = np.zeros(hmodel.J.shape), hmodel.J.reshape(-1, m), np.arange(n)
-    r = (((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
-         if node.any() else np.zeros(n * m))        # zero node tables: r averages to zeros
+    if not node.any():              # zero node tables: r averages to zeros
+        r = np.zeros(n * m)
+    elif eye and _on_label_one(node, node[:, 0]):   # r_k scaled by node[k, 0] / total
+        r = (hmodel.r.reshape(n, m) * (node[:, :1] / total)).ravel() + 0.0
+    else:
+        r = ((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
     D4[nodes, :, nodes] = 0.0       # a node is no pair of its own
     if not D4.any():                # no pair has a table that counts
         return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
+    C = D4[:, 0, :, 0]              # (k, l): each pair's table on the identity pair
+    # node 0's tables first: those of a coloured ring or random labels leave the
+    # identity pair there, so the full count is skipped
+    if eye and _on_label_one(D4[0], C[0]) and _on_label_one(D4, C):   # J_kl C_kl / total
+        if weights is not None:     # a Gram of weights is symmetric to rounding: take l > k
+            C = np.triu(C)
+            C += C.T
+        J = hmodel.J.reshape(n, m, n, m) * C[:, None, :, None]
+        J += 0.0
+        J /= total
+        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J.reshape(n * m, -1), r)
     Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
     chunk, strip = max(1, _APPLY_ENTRIES // (s * m * m)), max(1, _STRIP_ENTRIES // (n * m))
     cell, one, wrote = np.arange(m)[:, None], slice(None if others else 1), False # one basis, one R

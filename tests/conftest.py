@@ -1,13 +1,17 @@
 import re
 import tempfile
 
-from hypothesis import settings
+from hypothesis import Phase, settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 # property tests draw the same examples on every run and keep no example
 # database, so the suite stays deterministic
 settings.register_profile("deterministic", derandomize=True, database=None,
                           deadline=None)
+# tests/mutants.py needs only to see a test fail, so it skips shrinking the
+# failing example (--hypothesis-profile=mutants)
+settings.register_profile("mutants", settings.get_profile("deterministic"),
+                          phases=(Phase.explicit, Phase.reuse, Phase.generate))
 settings.load_profile("deterministic")
 
 

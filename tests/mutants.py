@@ -4,9 +4,12 @@ Each mutant names a file under src/, the exact old text (which must occur
 there exactly once), the new text, the test modules that must catch it,
 and why the fault matters.  For each mutant the runner copies src/ to a
 temporary directory, applies the mutant there and runs those modules
-against the copy with ``pytest -x -q -p no:cacheprovider``; the tree
-itself is never written.  A mutant is killed when pytest reports a failed
-test (exit 1).  The runner exits 1 if those modules fail on src/ as it
+against the copy with ``pytest -x -q -p no:cacheprovider`` and the
+hypothesis profile ``mutants`` (tests/conftest.py: no shrinking of a
+failing example, which a kill does not need); the tree itself is never
+written.  Mutants run side by side, one pytest process on each of up
+to four CPUs.  A mutant is killed when pytest reports a failed test
+(exit 1).  The runner exits 1 if those modules fail on src/ as it
 is (such a failure would kill every mutant), if any mutant survives, if
 its old text does not occur exactly once (a refactor moved the code:
 update the mutant), or if pytest ends in any other way (a mutant that
@@ -23,6 +26,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
@@ -75,6 +79,41 @@ MUTANTS = (
            "residual = float(num) if scale > 0",
            ("test_scheme.py",),
            "the residual is no longer relative to the model's norm"),
+    Mutant("pulseforge/scheme.py",
+           "if not HJ.any():",
+           "if not HJ[:, 0].any():",
+           ("test_scheme.py",),
+           "a chunk is skipped when its first pair's coupling block is zero"),
+    Mutant("pulseforge/scheme.py",
+           "A.copy() if len(A) > A.shape[1] else A",
+           "A[::-1].copy() if len(A) > A.shape[1] else A",
+           ("test_scheme.py",),
+           "the Gram's copy of a narrow chunk holds its rows in reverse order"),
+    Mutant("pulseforge/scheme.py",
+           "and _on_label_one(D4, C):",
+           "and _on_label_one(D4[0, :, 1], C[0, 1]):",
+           ("test_scheme.py",),
+           "the blockwise exit reads the table of pair (0, 1) alone"),
+    Mutant("pulseforge/scheme.py",
+           "bool((R[0] == np.eye(len(R[0]))).all())",
+           "True",
+           ("test_scheme.py",),
+           "the blockwise exit is taken where label 1 does not act as exactly I"),
+    Mutant("pulseforge/scheme.py",
+           "        J += 0.0\n",
+           "",
+           ("test_scheme.py",),
+           "the blockwise exit leaves -0.0 where the walk leaves +0.0 in J"),
+    Mutant("pulseforge/scheme.py",
+           ".ravel() + 0.0",
+           ".ravel()",
+           ("test_scheme.py",),
+           "the node tables' exit leaves -0.0 where the walk leaves +0.0 in r"),
+    Mutant("pulseforge/scheme.py",
+           "* C[:, None, :, None]\n        J += 0.0\n        J /= total",
+           "* (C[:, None, :, None] / total)\n        J += 0.0",
+           ("test_scheme.py",),
+           "the blockwise exit divides by the total before it multiplies, rounding twice"),
     Mutant("pulseforge/cli.py",
            "except (ValueError, OSError) as e:",
            "except OSError as e:",
@@ -126,7 +165,7 @@ MUTANTS = (
 def run_modules(src: Path, modules) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     return subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                           *(f"tests/{module}" for module in modules)],
+                           "--hypothesis-profile=mutants", *(f"tests/{module}" for module in modules)],
                           cwd=ROOT, env=env, capture_output=True, text=True)
 
 
@@ -150,19 +189,24 @@ def run(mutant: Mutant) -> tuple[bool, str]:
 
 
 def main() -> int:
+    begin = time.perf_counter()
     modules = sorted({module for mutant in MUTANTS for module in mutant.tests})
     done = run_modules(ROOT / "src", modules)
     if done.returncode:
         print(f"{', '.join(modules)} fail on src/ as it is:\n{done.stdout[-2000:]}{done.stderr}")
         return 1
-    failed = 0
-    for number, mutant in enumerate(MUTANTS, 1):
+    def timed(mutant: Mutant) -> tuple[bool, str, float]:
         start = time.perf_counter()
-        killed, detail = run(mutant)
-        print(f"mutant {number:2d} ({mutant.why}): {'killed' if killed else 'NOT KILLED'}, "
-              f"{detail} [{time.perf_counter() - start:.1f} s]", flush=True)
-        failed += not killed
-    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed")
+        return (*run(mutant), time.perf_counter() - start)
+    failed = 0
+    with ThreadPoolExecutor(min(4, os.cpu_count() or 1)) as pool:
+        for number, (mutant, (killed, detail, seconds)) in enumerate(
+                zip(MUTANTS, pool.map(timed, MUTANTS)), 1):
+            print(f"mutant {number:2d} ({mutant.why}): {'killed' if killed else 'NOT KILLED'}, "
+                  f"{detail} [{seconds:.1f} s]", flush=True)
+            failed += not killed
+    print(f"{len(MUTANTS) - failed} of {len(MUTANTS)} mutants killed "
+          f"in {time.perf_counter() - begin:.0f} s")
     return 1 if failed else 0
 
 

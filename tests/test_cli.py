@@ -178,10 +178,13 @@ def test_bound_complete_zz(capsys, tmp_path):
     assert code == 0
     assert rep["tau_min"] == pytest.approx(3.0, abs=1e-9)
     assert rep["inversion_bound"] == pytest.approx(3.0, abs=1e-9)
+    assert rep["target"] == "-J"
 
+    # without --invert the target is the model's own J
     code, rep = run(capsys, "bound", "--model", path)
     assert code == 0
     assert rep["tau_min"] == pytest.approx(1.0, abs=1e-9)
+    assert rep["target"] == "J"
 
 
 def test_bound_rescale_search(capsys, tmp_path):

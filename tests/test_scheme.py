@@ -662,6 +662,84 @@ def test_one_table_steps_take_only_the_labels_that_depart(d):
         J, r = _pair_loop_reference(h, sch, np.array([R] * n))
         assert np.array_equal(avg.J, avg.J.T)
         assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
+    assert scheme._layouts(R)[2] is False       # so the walk, not the blockwise exit, ran
+
+
+def _average_and_exit(h, sch):
+    """average_model's result, and whether it scaled J blockwise: its test that
+    every pair table lies on the identity pair ran and passed."""
+    passed, test = [], scheme._on_label_one
+
+    def spy(tables, first):
+        ok = test(tables, first)
+        if tables.ndim == 4:
+            passed.append(ok)
+        return ok
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "_on_label_one", spy)
+        avg = scheme.average_model(h, sch)
+    return avg, passed == [True]
+
+
+def _walked(h, sch):
+    """average_model with no table taken to lie on label 1 alone: the walk, for J and r."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scheme, "_on_label_one", lambda *_: False)
+        return scheme.average_model(h, sch)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 5, 13, 40])
+def test_identity_pair_exit_gives_the_walks_bits(n, d):
+    # time reversal's pair tables are all -e1 e1^T in counts, and selective
+    # recoupling's N e1 e1^T on the kept pair and zero elsewhere; all-identity
+    # rows at unequal times give weights on the identity pair alone.  Label 1
+    # acts as exactly I, so J and r are scaled blockwise, with the walk's bits.
+    # One kept node leaves no pair table at all, only its node table.
+    # Zero couplings and local terms must give +0.0, as the walk's zeros do
+    h = netham.random_model(n, d, n * d)
+    h.J.reshape(n, h.m, n, h.m)[[0, 1], :, [1, 0]] = 0.0
+    h.r[::3] = 0.0
+    times = np.random.default_rng(n).uniform(0.1, 1.0, 6)
+    basis = error_basis.generalized_pauli_basis(d)
+    for sch, scales in ((scheme.inversion_scheme(n, d), True),
+                        (scheme.selective_scheme(n, d, [0]), False),
+                        (scheme.selective_scheme(n, d, [0, n - 1]), True),
+                        (scheme.PulseScheme(n, 6, times / times.sum(), np.ones((n, 6), dtype=int),
+                                            [basis] * n), True)):
+        avg, scaled = _average_and_exit(h, sch)
+        walk = _walked(h, sch)
+        assert scaled is scales
+        assert avg.J.tobytes() == walk.J.tobytes() and avg.r.tobytes() == walk.r.tobytes()
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_identity_pair_exit_matches_the_pair_loop(d):
+    # one changed entry of time reversal, on node 3, leaves the tables of the
+    # pairs among nodes 0-2 on the identity pair and moves the others off it,
+    # and a repeated row of selective recoupling moves one pair's table off it
+    # while node 0's stay on it: the walk.  Per-node rotated bases keep label 1
+    # exactly I (entries snap to integers): the exit, as for all-identity rows
+    # at unequal times
+    n, rng = 5, np.random.default_rng(d)
+    h = netham.random_model(n, d, d)
+    inv, sel = scheme.inversion_scheme(n, d), scheme.selective_scheme(n, d, [0, 1])
+    pulses, repeated = inv.pulses.copy(), sel.pulses.copy()
+    pulses[3, 2] = pulses[3, 2] % (d * d) + 1
+    repeated[3] = repeated[2]
+    times = rng.uniform(0.1, 1.0, 7)
+    rotated = [_conjugated_basis(d, rng) for _ in range(n)]
+    for sch, scales in (
+            (scheme.PulseScheme(n, inv.N, inv.times, pulses, inv.bases), False),
+            (scheme.PulseScheme(n, sel.N, sel.times, repeated, sel.bases), False),
+            (scheme.PulseScheme(n, inv.N, inv.times, inv.pulses, rotated), True),
+            (scheme.PulseScheme(n, 7, times / times.sum(), np.ones((n, 7), dtype=int),
+                                rotated), True)):
+        avg, scaled = _average_and_exit(h, sch)
+        J, r = _loop_average(h, sch)
+        assert scaled is scales
+        assert np.array_equal(avg.J, avg.J.T)
+        assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
 
 
 def _live_tables(sch, s):

@@ -34,6 +34,7 @@ def test_repeated_calls_return_the_same_object():
         assert netham.gell_mann_basis(d) is netham.gell_mann_basis(d)
         assert netham._gell_mann(d) is netham.gell_mann_basis(d)
         assert scheme._standard_adjoint(d) is scheme._standard_adjoint(d)
+        assert scheme._standard_adjoint(d)[2] is True       # label 1 acts as exactly I
         assert designs._linear_parts(d * d, 2) is designs._linear_parts(d * d, 2)
     for p, k in ((2, 1), (2, 2), (3, 2), (2, 3), (7, 1)):
         spec = gf.field_new(p, k)
@@ -66,7 +67,7 @@ def _shared_arrays():
     for d in (2, 3, 4):
         yield from netham.gell_mann_basis(d)
         yield netham.gell_mann_basis(d)
-        yield from scheme._standard_adjoint(d)
+        yield from scheme._standard_adjoint(d)[:2]
     for q in (2, 4, 9, 16, 251):
         yield from gf.tables(gf.field_for_order(q))
     for s, i in ((4, 1), (4, 6), (9, 4), (16, 3), (251, 2)):
