@@ -29,10 +29,9 @@ from . import netham    # the size cap, models and loaders most commands use
 
 def _env_seed() -> int:
     value = os.environ.get("PULSEFORGE_SEED", "0")
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"PULSEFORGE_SEED must be an integer, got {value!r}") from None
+    if not value.strip().isdecimal():      # digits alone: no sign, so no negative seed
+        raise ValueError(f"PULSEFORGE_SEED must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _digest(path: str) -> str:
@@ -356,6 +355,8 @@ def _check_flags(args) -> str | None:
         return "decouple needs exactly one of --n or --graph"
     if args.command == "invert" and not args.harmonic and args.d is None:
         return "invert needs --d unless --harmonic"
+    if (getattr(args, "seed", None) or 0) < 0:
+        return "--seed needs a non-negative integer"
     if args.command == "bound" and (args.rescale_search or 0) < 0:
         return "--rescale-search needs K >= 0"
     if args.command == "signs" and (args.m is None) == (args.from_oa is None):

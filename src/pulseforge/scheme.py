@@ -181,13 +181,13 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     any u_a + v_b may be taken from a table, so each is anchored on label s,
     which drops out of tables and R alike: D = P^T w P and P^T w_k, with
     P = [I; -1], are one Gram of anchored indicator rows over the whole
-    scheme and their sums, from _anchored_gram.  The engine takes the labels
-    where D departs, and walks one list of the pairs l > k whose D is not
-    zero in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
-    Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T, Y once if
-    a chunk's pairs share one D and every node one basis.  Blocks land above
-    the diagonal; if one did, J is mirrored once, in strips of _STRIP_ENTRIES
-    entries, so the average is exactly symmetric with zero diagonal blocks.
+    scheme and their sums, from _anchored_gram.  The engine walks one list
+    of the pairs l > k whose D is not zero, read off D above the diagonal
+    alone, in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
+    per pair Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T.
+    Blocks land above the diagonal; if one did, J is mirrored once, in
+    strips of _STRIP_ENTRIES entries, so the average is exactly symmetric
+    with zero diagonal blocks.
 
     One exit skips the walk: when label 1 acts as exactly I on every node and
     every D_kl is C_kl e_1 e_1^T (time reversal gives C = -1 in counts, the
@@ -240,23 +240,19 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
     chunk, strip = max(1, _APPLY_ENTRIES // (s * m * m)), max(1, _STRIP_ENTRIES // (n * m))
     cell, one, wrote = np.arange(m)[:, None], slice(None if others else 1), False # one basis, one R
-    nz = np.einsum("kalb,kalb->ab", D4, D4) != 0    # (a, b): where D departs
-    a, b = (slice(None) if x.all() else x.nonzero()[0] for x in (nz.any(1), nz.any(0)))
-    live = np.triu(np.einsum("kalb,kalb->kl", *(D4[:, a][..., b],) * 2), 1).ravel().nonzero()[0]
+    live = np.triu(np.einsum("kalb,kalb->kl", D4, D4), 1).ravel().nonzero()[0]
     for c in range(0, len(live), chunk):        # the pairs l > k whose D is not zero
         k, l = np.divmod(live[c:c + chunk], n)
         at = cell * n + (k * m * n + l)         # (e, pair): the rows of J_kl, and of D_kl
         HJ = Hrows.take(at, axis=0)
         if not HJ.any():
             continue                # zero blocks average to exact zeros
-        D = D4.reshape(-1, m).take(at[a], axis=0)[..., b].astype(float)     # counts: float32
-        g = 1 if not others and (D[:, 1:] == D[:, :-1]).all() else len(k)   # one D: Y once
-        D, Rk, Rl = D[:, :g].transpose(1, 2, 0), Ra[k[one]][:, a], Rb[l[one]][:, b]
-        Y = (D.reshape(len(Rk), -1, D.shape[2]) @ Rk).reshape(g, -1, m, m)    # (g, b, x, e)
-        Z = Y.swapaxes(1, 2).reshape(g, -1, m) @ HJ.reshape(m, g, -1).transpose(1, 0, 2)
-        Z = Z.reshape(g, m, -1, len(k) // g, m).swapaxes(2, 3)    # (g, x, pair, b, f)
-        blk = Z.reshape(len(Rl), -1, Rl[0].size // m) @ Rl.reshape(len(Rl), -1, m) / total
-        Jrows[at.reshape(m, g, -1).swapaxes(0, 1)] = blk.view(Jrows.dtype).reshape(g, m, -1)
+        D = D4.reshape(-1, m).take(at, axis=0).astype(float).transpose(1, 2, 0)  # counts: float32
+        Rk, Rl = Ra[k[one]], Rb[l[one]]
+        Y = (D.reshape(len(Rk), -1, m) @ Rk).reshape(len(k), m, m, m)     # (pair, b, x, e)
+        Z = Y.swapaxes(1, 2).reshape(len(k), -1, m) @ HJ.transpose(1, 0, 2)   # (pair, x, b, f)
+        blk = Z.reshape(len(Rl), -1, m * m) @ Rl.reshape(len(Rl), -1, m) / total
+        Jrows[at.T] = blk.view(Jrows.dtype).reshape(len(k), m)
         wrote = True
     for e in range(0, n * m, strip) if wrote else ():   # mirror J once, in strips
         J[e:, e:e + strip] += J[e:e + strip, e:].T

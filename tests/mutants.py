@@ -85,6 +85,16 @@ MUTANTS = (
            ("test_scheme.py",),
            "a chunk is skipped when its first pair's coupling block is zero"),
     Mutant("pulseforge/scheme.py",
+           'np.triu(np.einsum("kalb,kalb->kl", D4, D4), 1)',
+           'np.tril(np.einsum("kalb,kalb->kl", D4, D4), -1)',
+           ("test_scheme.py",),
+           "the walk takes the pairs l < k, below the diagonal"),
+    Mutant("pulseforge/scheme.py",
+           'np.einsum("kalb,kalb->kl", D4, D4)',
+           'np.einsum("kalb,kalb->kl", D4[:, :1, :, :1], D4[:, :1, :, :1])',
+           ("test_scheme.py",),
+           "the liveness pass reads label 1 alone, so pairs whose table leaves it are dropped"),
+    Mutant("pulseforge/scheme.py",
            "A.copy() if len(A) > A.shape[1] else A",
            "A[::-1].copy() if len(A) > A.shape[1] else A",
            ("test_scheme.py",),

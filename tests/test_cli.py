@@ -374,10 +374,27 @@ def test_bad_seed_env_is_an_input_error(capsys, monkeypatch):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [
-        "error: PULSEFORGE_SEED must be an integer, got 'abc'"]
+        "error: PULSEFORGE_SEED must be a non-negative integer, got 'abc'"]
     # the variable is not read when --seed is given
     code, rep = run(capsys, "decouple", "--n", "3", "--d", "2", "--seed", "1")
     assert code == 0 and rep["options"]["seed"] == 1
+
+
+def test_negative_seed_is_refused_by_name(capsys, tmp_path, monkeypatch):
+    # numpy would refuse it too, but with a message that names no input
+    mpath = write_model(tmp_path, netham.random_model(2, 2, seed=1))
+    for argv in (["decouple", "--n", "3", "--d", "2"], ["invert", "--n", "3", "--d", "2"],
+                 ["invert", "--n", "3", "--harmonic"], ["bound", "--model", mpath]):
+        assert cli.main(argv + ["--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "usage error: --seed needs a non-negative integer\n"
+        with monkeypatch.context() as mp:
+            mp.setenv("PULSEFORGE_SEED", "-1")
+            assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: PULSEFORGE_SEED must be a non-negative integer, got '-1'\n"
 
 
 def test_commands_that_draw_nothing_at_random_take_no_seed(capsys, tmp_path, monkeypatch):

@@ -642,12 +642,12 @@ def test_inversion_scales_the_model(n, d):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_one_table_steps_take_only_the_labels_that_depart(d):
+def test_walk_matches_the_pair_loop_when_label_one_is_not_exactly_i(d):
     # time reversal gives every pair one anchored table, on the identity pair
     # alone; two kept nodes of a selective scheme give their pair such a table
     # and every other pair a zero one, which the list of pairs leaves out.
-    # Either way only label 1 enters the products; it is nudged off I
-    # (the adjoint matrices still sum to zero), so no product in it is exact
+    # Label 1 is nudged off I (the adjoint matrices still sum to zero), so the
+    # blockwise exit is not taken and the walk's products are not exact
     R = scheme._adjoint_matrices(error_basis.generalized_pauli_basis(d))
     R[0, 0, 1] += 1e-3
     R[1, 0, 1] -= 1e-3
@@ -663,6 +663,36 @@ def test_one_table_steps_take_only_the_labels_that_depart(d):
         assert np.array_equal(avg.J, avg.J.T)
         assert np.abs(avg.J - J).max() <= 1e-12 and np.abs(avg.r - r).max() <= 1e-12
     assert scheme._layouts(R)[2] is False       # so the walk, not the blockwise exit, ran
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_walk_reads_only_the_pairs_above_the_diagonal(d):
+    # the walk averages each pair l > k once and mirrors its block, so the
+    # Gram's tables below the diagonal must not count: NaN there would reach J
+    # through any product or liveness pass that read it.  One changed entry of
+    # a strength-2 array (equal times: counts) and the array at unequal times
+    # (weights) both leave live tables
+    n = 7
+    h = netham.random_model(n, d, d)
+    oa, gram = designs.smallest_oa_for(n, d * d), scheme._anchored_gram
+    pulses = oa.entries.copy()
+    pulses[3, 2] = pulses[3, 2] % (d * d) + 1
+    times = np.random.default_rng(d).uniform(0.1, 1.0, oa.N)
+    unequal = scheme.PulseScheme(n, oa.N, times / times.sum(), oa.entries,
+                                 [error_basis.generalized_pauli_basis(d)] * n)
+
+    def lower_nan(*args):
+        D4, node = gram(*args)
+        k, l = np.tril_indices(n, -1)
+        D4[k, :, l] = np.nan
+        return D4, node
+    for sch in (scheme._pauli_scheme(pulses, d), unequal):
+        want = scheme.average_model(h, sch)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scheme, "_anchored_gram", lower_nan)
+            got = scheme.average_model(h, sch)
+        assert want.J.any()
+        assert got.J.tobytes() == want.J.tobytes() and got.r.tobytes() == want.r.tobytes()
 
 
 def _average_and_exit(h, sch):
@@ -751,10 +781,11 @@ def _live_tables(sch, s):
 @pytest.mark.parametrize("d", [2, 3, 4])
 @pytest.mark.parametrize("n", [4, 7, 10, 17])
 def test_synthesized_schemes_have_one_live_table(n, d):
-    # the law that keeps average_model on its one-table path, Y formed once a
-    # chunk: decoupling has no live pair, and the live pairs of time reversal,
+    # the law behind average_model's blockwise exit and the rings' skipped
+    # chunks: decoupling has no live pair, and the live pairs of time reversal,
     # of a selective scheme (its kept pair) and of a coloured ring (pairs of
-    # one colour, which share a balanced array row) share exactly one table
+    # one colour, which share a balanced array row, and which a ring's model
+    # does not couple) share exactly one table
     s = d * d
     assert _live_tables(scheme.decoupling_scheme(n, d), s) == []
     ring = graphcolor.InteractionGraph(n, {(k, (k + 1) % n) for k in range(n)})
