@@ -124,6 +124,16 @@ MUTANTS = (
            "* (C[:, None, :, None] / total)\n        J += 0.0",
            ("test_scheme.py",),
            "the blockwise exit divides by the total before it multiplies, rounding twice"),
+    Mutant("pulseforge/netham.py",
+           "2.0 * h.d * r2",
+           "h.d * r2",
+           ("test_netham.py",),
+           "the norm weighs the local terms by d, not 2d"),
+    Mutant("pulseforge/netham.py",
+           "[nodes, :, nodes, :] != 0.0",
+           "[nodes[:1], :, nodes[:1], :] != 0.0",
+           ("test_netham.py",),
+           "the model check reads node 0's diagonal block alone"),
     Mutant("pulseforge/cli.py",
            "except (ValueError, OSError) as e:",
            "except OSError as e:",

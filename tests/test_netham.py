@@ -274,6 +274,14 @@ def test_model_validation():
         netham.assemble(netham.random_model(13, 2, 0))               # 2^13 > cap
 
 
+@pytest.mark.parametrize("node", [0, 2])
+def test_model_refuses_each_diagonal_block(node):
+    # one entry on node's own diagonal block, symmetric and finite
+    J, m = np.zeros((9, 9)), 3
+    J[node * m, node * m + 1] = J[node * m + 1, node * m] = 0.5
+    with pytest.raises(ValueError, match="^diagonal blocks of J must be zero"):
+        netham.PairHamiltonian(3, 2, J, np.zeros(9))
+
 def _symmetric_entry_points():
     """(name of the matrix, call on it, a valid matrix) for each library entry
     point that takes a real symmetric matrix."""
