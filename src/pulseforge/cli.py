@@ -232,9 +232,9 @@ def cmd_bound(args) -> int:
     doc = _load_json(args.model)
     _check_coefficients(*_model_size(doc))
     model = netham.model_from_json(doc)
-    Jt = -model.J if args.invert else model.J
+    J = model.J                     # built from the model's blocks, once
     trials = 1 if args.rescale_search is None else args.rescale_search
-    rep = bounds.bound_report(Jt, model.J, model.n, trials=trials,
+    rep = bounds.bound_report(-J if args.invert else J, J, model.n, trials=trials,
                               seed=args.seed)
     run.report.update(rep, target="-J" if args.invert else "J")     # what tau_min bounds
     return run.finish(True)

@@ -1,24 +1,24 @@
 """Pair-interaction network Hamiltonians on n nodes of dimension d.
 
-A model is stored coordinate-free: a real symmetric coupling matrix J
-of shape (m*n, m*n) with m = d^2-1, zero diagonal blocks, plus a local
-coefficient vector r.  Block (k, l) holds the coefficients of
-sigma_alpha^(k) sigma_beta^(l); the sum runs over ordered pairs k != l,
-so an unordered coupling appears twice, once as J_kl and once as its
-transpose.  assemble() realizes the model as a dense Hermitian matrix
-on the d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
-scheme.average_hamiltonian() and for the tests' dense references;
-frobenius_norm() gives that matrix's norm from the coefficients alone,
-which is how schemes are certified without it.  embed_terms() writes
-it, all nonzero entries at once; a model part (J or r) that is exactly
-zero builds nothing.  The index tables, the pair list and
-gell_mann_basis(d) are read-only arrays built once per size and shared.
-_check_symmetric() is the one check of a real symmetric input, and
-json_field() and numbers() are the one reader of the numbers a file or
-caller hands in: a missing field, and a ragged, ill-typed, non-finite or
-(for labels and sizes) fractional value, are refused there.  Every
-model passed in or read is checked, r included; random_model() and
-scheme.average_model() build theirs unchecked (PairHamiltonian._built()).
+A model is stored coordinate-free, as its pair terms: a sorted (P, 2)
+array of the node pairs k < l it couples, one real m x m block J_kl per
+pair (m = d^2-1) of the coefficients of sigma_alpha^(k) sigma_beta^(l),
+and a local coefficient vector r.  The dense symmetric (m*n, m*n) J, with
+each coupling once as J_kl and once as its transpose, exists only at the
+boundary: PairHamiltonian(n, d, J, r) takes one, the read-only .J builds
+one.  assemble() realizes the model as a dense Hermitian matrix on the
+d^n-dimensional Hilbert space, at most HILBERT_CAP wide, for
+scheme.average_hamiltonian() and the tests' dense references;
+frobenius_norm() gives its norm from the coefficients alone, which is how
+schemes are certified without it.  embed_terms() writes it, all nonzero
+entries at once; a zero part (blocks or r) builds nothing.  The index
+tables, the pair list and gell_mann_basis(d) are read-only arrays built
+once per size and shared.  _check_symmetric() is the one check of a real
+symmetric input, and json_field() and numbers() are the one reader of the
+numbers a file or caller hands in: a missing field, and a ragged,
+ill-typed, non-finite or (for labels and sizes) fractional value, are
+refused there.  Every model is checked, r included: a dense J by the
+constructor, blocks by PairHamiltonian.from_blocks().
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import itertools
 import reprlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,41 +87,56 @@ def _check_symmetric(M, name: str, tol: float = 1e-12) -> np.ndarray:
     return M
 
 
-@dataclass(eq=False)
 class PairHamiltonian:
-    """n-node model: symmetric J with zero diagonal blocks, local vector r."""
+    """n-node model: one m x m block per coupled node pair k < l, local vector r.
 
-    n: int
-    d: int
-    J: np.ndarray = field(repr=False)
-    r: np.ndarray = field(repr=False)
+    PairHamiltonian(n, d, J, r) takes the dense symmetric J with zero
+    diagonal blocks and keeps its blocks above the diagonal, one per pair."""
 
-    def __post_init__(self):
-        m, mn = self.m, self.m * self.n
-        self.r = numbers(self.r, "r")
-        if np.shape(self.J) != (mn, mn):
-            raise ValueError(f"J must be {mn}x{mn}")
-        if self.r.shape != (mn,):
-            raise ValueError(f"r must have length {mn}")
-        self.J = _check_symmetric(self.J, "J")
-        nodes = np.arange(self.n)
-        if np.any(self.J.reshape(self.n, m, self.n, m)[nodes, :, nodes, :] != 0.0):
+    def __init__(self, n: int, d: int, J, r):
+        m = d * d - 1
+        if np.shape(J) != (m * n, m * n):
+            raise ValueError(f"J must be {m * n}x{m * n}")
+        J4, nodes = _check_symmetric(J, "J").reshape(n, m, n, m), np.arange(n)
+        if np.any(J4[nodes, :, nodes, :] != 0.0):
             raise ValueError("diagonal blocks of J must be zero")
+        pairs = _pairs(n)
+        self._set(n, d, pairs, J4[pairs[:, 0], :, pairs[:, 1]], r)
 
     @classmethod
-    def _built(cls, n: int, d: int, J: np.ndarray, r: np.ndarray) -> PairHamiltonian:
-        """A model built finite, symmetric, zero on the diagonal blocks; not checked.
-
-        The library's one unchecked constructor, because the check reads all of
-        the (mn)^2 J: 0.23-0.42 s a model at the caps (1365, 2), (512, 3) and
-        (273, 4), one BLAS thread, and a cap command builds two models."""
-        h = object.__new__(cls)
-        h.n, h.d, h.J, h.r = n, d, J, r
+    def from_blocks(cls, n: int, d: int, pairs, blocks, r) -> PairHamiltonian:
+        """The model coupling the (P, 2) node pairs k < l, strictly increasing in
+        row-major order, by the (P, m, m) finite blocks; ValueError otherwise."""
+        h = cls.__new__(cls)
+        h._set(n, d, pairs, blocks, r)
         return h
+
+    def _set(self, n, d, pairs, blocks, r):
+        """Check and keep the parts of a model, however it was given."""
+        m, self.n, self.d = d * d - 1, n, d
+        self.pairs = numbers(pairs, "pairs", 2, whole=True)
+        self.blocks, self.r = numbers(blocks, "blocks", 3), numbers(r, "r")
+        if self.r.shape != (m * n,):
+            raise ValueError(f"r must have length {m * n}")
+        if self.pairs.shape[1:] != (2,) or self.blocks.shape != (len(self.pairs), m, m):
+            raise ValueError(f"need (P, 2) pairs and one {m}x{m} block per pair")
+        (k, l), key = self.pairs.T, self.pairs @ (n, 1)
+        if ((k < 0) | (k >= l) | (l >= n)).any() or (key[1:] <= key[:-1]).any():
+            raise ValueError(f"pairs must be node pairs k < l < {n}, strictly increasing")
 
     @property
     def m(self) -> int:
         return self.d * self.d - 1
+
+    @property
+    def J(self) -> np.ndarray:
+        """The dense symmetric (mn, mn) coupling matrix, built anew and read-only."""
+        n, m = self.n, self.m
+        J, (k, l) = np.zeros((n, m, n, m)), self.pairs.T
+        J[k, :, l] = self.blocks
+        J[l, :, k] = self.blocks.transpose(0, 2, 1)
+        J.flags.writeable = False
+        return J.reshape(n * m, n * m)
 
 
 @functools.lru_cache(maxsize=8)
@@ -175,18 +189,16 @@ def assemble(h: PairHamiltonian) -> np.ndarray:
     J and r are coordinates in the Gell-Mann basis of su(d).  One d^2 x d^2
     operator per pair, sigma_flat^T (2 J_kl) sigma_flat with its axes
     reordered from (i, j, k, l) to (i, k, j, l), then one d x d operator per
-    node, are embedded into one matrix, each part (J, r) only when nonzero.
+    node, are embedded into one matrix, each part (blocks, r) only when nonzero.
     """
     d, dd, m, n = h.d, h.d * h.d, h.m, h.n
     if d ** n > HILBERT_CAP:
         raise ValueError(f"Hilbert dimension d^n exceeds {HILBERT_CAP}")
     flat, H = _gell_mann(d).reshape(m, dd), np.zeros((d ** n, d ** n), dtype=complex)
-    if h.J.any():
-        pairs = _pairs(n)
+    if h.blocks.any():
         # ordered-pair convention: J_kl and its transpose both contribute
-        blocks = 2.0 * h.J.reshape(n, m, n, m)[pairs[:, 0], :, pairs[:, 1], :]
-        ops = (flat.T @ blocks @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
-        embed_terms(n, d, pairs, ops, H)
+        ops = (flat.T @ (2.0 * h.blocks) @ flat).reshape(-1, d, d, d, d).transpose(0, 1, 3, 2, 4)
+        embed_terms(n, d, h.pairs, ops, H)
     if h.r.any():
         embed_terms(n, d, np.arange(n)[:, None], h.r.reshape(n, m) @ flat, H)
     return H
@@ -196,11 +208,10 @@ def frobenius_norm(h: PairHamiltonian) -> float:
     """||assemble(h)||_F from the coefficients, without the dense build.
 
     Products of traceless basis elements on distinct nodes are
-    orthogonal, so ||H||_F^2 = d^(n-2) (16 sum_{k<l} ||J_kl||^2 + 2d ||r||^2);
-    each unordered pair sits in J twice.  np.vdot makes no (mn)^2 temporary.
+    orthogonal, so ||H||_F^2 = d^(n-2) (16 sum_{k<l} ||J_kl||^2 + 2d ||r||^2).
     """
-    J2, r2 = float(np.vdot(h.J, h.J)), float(np.vdot(h.r, h.r))
-    return float(np.sqrt(8.0 * J2 + 2.0 * h.d * r2) * np.sqrt(float(h.d)) ** (h.n - 2))
+    B2, r2 = float(np.vdot(h.blocks, h.blocks)), float(np.vdot(h.r, h.r))
+    return float(np.sqrt(16.0 * B2 + 2.0 * h.d * r2) * np.sqrt(float(h.d)) ** (h.n - 2))
 
 
 def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
@@ -210,18 +221,12 @@ def random_model(n: int, d: int, seed: int) -> PairHamiltonian:
 
 
 def _seeded_model(n: int, d: int, seed: int, pairs) -> PairHamiltonian:
-    """Seeded model coupling only the (P, 2) node pairs k < l given, in their order:
+    """Seeded model coupling only the (P, 2) node pairs k < l given, strictly increasing:
     np.random.default_rng(seed) draws one m x m block in [-1, 1] per pair, then r."""
     rng = np.random.default_rng(seed)
-    m = d * d - 1
-    k, l = np.asarray(pairs, dtype=np.intp).reshape(-1, 2).T
-    blocks = rng.uniform(-1.0, 1.0, size=(k.size, m, m))
-    J = np.zeros((m * n, m * n))
-    J4 = J.reshape(n, m, n, m)
-    J4[k, :, l, :] = blocks
-    J4[l, :, k, :] = blocks.transpose(0, 2, 1)
-    r = rng.uniform(-1.0, 1.0, size=m * n)
-    return PairHamiltonian._built(n, d, J, r)     # finite, mirrored, diagonal blocks never set
+    m, pairs = d * d - 1, np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    blocks = rng.uniform(-1.0, 1.0, size=(len(pairs), m, m))
+    return PairHamiltonian.from_blocks(n, d, pairs, blocks, rng.uniform(-1.0, 1.0, size=m * n))
 
 
 def model_to_json(h: PairHamiltonian) -> dict:

@@ -5,10 +5,10 @@ conjugated by basis element pulses[k][j] of its own unitary error
 basis.  The engine computes the algebraic average
 sum_j times[j] U_j^dag H U_j exactly (fast-control limit, no Trotter
 error) in coefficient space: each pulse acts on su(d) through a real
-adjoint matrix, so average_model() maps the model's coupling blocks and
-local vectors to those of the averaged model, built symmetric and not
-checked again, without touching the d^n-dimensional space, and
-verify_scheme() compares the result with a target model there.  The
+adjoint matrix, so average_model() maps the model's coupling blocks, one
+per coupled pair, and local vectors to those of the averaged model,
+without touching the d^n-dimensional space, and verify_scheme() compares
+the result with a target model there, over every pair either couples.  The
 average sees the pulses only through each node pair's time-weighted
 table of label pairs, applied by one route for every d and every basis.
 The adjoint matrices of any unitary error basis sum to zero (the basis
@@ -19,8 +19,8 @@ every table and adjoint layout.  Tables u_a + v_b, as a strength-2 array's,
 anchor to zero and give exact zeros at every d.  Where every table lies on
 the identity pair and label 1 acts as exactly I, as in time reversal (which
 scales H by -1/(N-1)) and selective recoupling, the average is one blockwise
-scaling of J and r, with the bits the general route gives; that route walks
-one list of the pairs whose D is nonzero.
+scaling of the blocks and r, with the bits the general route gives; that
+route walks one list of the model's pairs whose D is nonzero.
 The shared basis's adjoint layouts are built once per process, a custom
 basis's per call.  average_hamiltonian() realizes the average as a dense
 matrix; the d^n conjugation average it is tested against lives with the
@@ -50,7 +50,6 @@ RESIDUAL_TOL = 1e-9
 _TIME_TOL = 1e-12
 _SNAP_TOL = 1e-12        # adjoint entries this close to an integer are set to it
 _APPLY_ENTRIES = 1 << 18  # entries of Y or of a product per chunk of average_model
-_STRIP_ENTRIES = 1 << 18  # entries of J per strip of average_model's mirror
 _GRAM_ENTRIES = 1 << 22   # entries of A, at least, in a column chunk of _anchored_gram
 
 
@@ -181,13 +180,12 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     any u_a + v_b may be taken from a table, so each is anchored on label s,
     which drops out of tables and R alike: D = P^T w P and P^T w_k, with
     P = [I; -1], are one Gram of anchored indicator rows over the whole
-    scheme and their sums, from _anchored_gram.  The engine walks one list
-    of the pairs l > k whose D is not zero, read off D above the diagonal
-    alone, in chunks of _APPLY_ENTRIES product entries, all-zero J skipped:
-    per pair Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block sum_b Z_b R_lb^T.
-    Blocks land above the diagonal; if one did, J is mirrored once, in
-    strips of _STRIP_ENTRIES entries, so the average is exactly symmetric
-    with zero diagonal blocks.
+    scheme and their sums, from _anchored_gram.  D is read at the model's
+    own pairs k < l alone.  The engine walks the list of those whose D is
+    not zero, in chunks of _APPLY_ENTRIES product entries, all-zero blocks
+    skipped: per pair Y_b = sum_a D_ab R_ka, Z_b = Y_b J_kl, block
+    sum_b Z_b R_lb^T.  The average couples the model's pairs, or none when
+    no pair's D counts.
 
     One exit skips the walk: when label 1 acts as exactly I on every node and
     every D_kl is C_kl e_1 e_1^T (time reversal gives C = -1 in counts, the
@@ -195,11 +193,8 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
     is J_kl C_kl / total, computed as J times C, then + 0.0, then / total.
     That order keeps the walk's bits: there Y = C_kl I exactly, Z = C_kl J_kl
     rounds once and the block is Z I / total; + 0.0 turns a zero product's
-    -0.0 into the +0.0 the walk leaves.  A Gram of counts is exactly
-    symmetric, one of weights only to rounding, so there C is read from the
-    pairs l > k, as the walk reads D: the average is as symmetric as J.  Node
-    tables on label 1 alone likewise give r_k node[k, 0] / total, + 0.0, from
-    the walk's fl(node[k, 0] / total) I.
+    -0.0 into the +0.0 the walk leaves.  Node tables on label 1 alone likewise
+    give r_k node[k, 0] / total, + 0.0, from the walk's fl(node[k, 0] / total) I.
     """
     if hmodel.n != sch.n:
         raise ValueError("node counts differ")
@@ -215,48 +210,39 @@ def average_model(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> netham.Pa
               else np.ndarray((n, *y.shape), y.dtype, y, strides=(0, *y.strides))
               for x, y in enumerate((Ra, Rb)))
     total, weights = (sch.N, None) if (sch.times == sch.times[0]).all() else (1.0, sch.times)
-    D4, node = _anchored_gram(sch.pulses, s, weights)   # (k, a, l, b), (k, a)
-    J, Hrows, nodes = np.zeros(hmodel.J.shape), hmodel.J.reshape(-1, m), np.arange(n)
+    D, node = _anchored_gram(sch.pulses, s, weights)    # (k, a, l, b), (k, a)
     if not node.any():              # zero node tables: r averages to zeros
         r = np.zeros(n * m)
     elif eye and _on_label_one(node, node[:, 0]):   # r_k scaled by node[k, 0] / total
         r = (hmodel.r.reshape(n, m) * (node[:, :1] / total)).ravel() + 0.0
     else:
         r = ((node[:, None] @ Ra).reshape(n, m, m) / total @ hmodel.r.reshape(n, m, 1)).ravel()
-    D4[nodes, :, nodes] = 0.0       # a node is no pair of its own
-    if not D4.any():                # no pair has a table that counts
-        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
-    C = D4[:, 0, :, 0]              # (k, l): each pair's table on the identity pair
-    # node 0's tables first: those of a coloured ring or random labels leave the
-    # identity pair there, so the full count is skipped
-    if eye and _on_label_one(D4[0], C[0]) and _on_label_one(D4, C):   # J_kl C_kl / total
-        if weights is not None:     # a Gram of weights is symmetric to rounding: take l > k
-            C = np.triu(C)
-            C += C.T
-        J = hmodel.J.reshape(n, m, n, m) * C[:, None, :, None]
-        J += 0.0
-        J /= total
-        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J.reshape(n * m, -1), r)
-    Jrows = J.view((np.void, J.itemsize * m)).ravel()   # row (k, e, l) holds J_kl[e], one item
-    chunk, strip = max(1, _APPLY_ENTRIES // (s * m * m)), max(1, _STRIP_ENTRIES // (n * m))
-    cell, one, wrote = np.arange(m)[:, None], slice(None if others else 1), False # one basis, one R
-    live = np.triu(np.einsum("kalb,kalb->kl", D4, D4), 1).ravel().nonzero()[0]
-    for c in range(0, len(live), chunk):        # the pairs l > k whose D is not zero
-        k, l = np.divmod(live[c:c + chunk], n)
-        at = cell * n + (k * m * n + l)         # (e, pair): the rows of J_kl, and of D_kl
-        HJ = Hrows.take(at, axis=0)
+    pairs, blocks = hmodel.pairs, hmodel.blocks
+    D = D[pairs[:, 0], :, pairs[:, 1]]              # (pair, a, b): the coupled pairs' tables
+    if not D.any():                 # no coupled pair has a table that counts
+        return netham.PairHamiltonian.from_blocks(n, hmodel.d, pairs[:0], blocks[:0], r)
+    C = D[:, 0, 0]                  # each pair's table on the identity pair
+    if eye and _on_label_one(D, C):     # J_kl C_kl / total
+        avg = blocks * C[:, None, None]
+        avg += 0.0
+        avg /= total
+        return netham.PairHamiltonian.from_blocks(n, hmodel.d, pairs, avg, r)
+    avg = np.zeros(blocks.shape)    # pages of pairs the walk skips stay unwritten
+    chunk, one = max(1, _APPLY_ENTRIES // (s * m * m)), slice(None if others else 1)
+    live = D.any(axis=(1, 2)).nonzero()[0]
+    for c in range(0, len(live), chunk):        # the pairs whose D is not zero
+        at = live[c:c + chunk]
+        HJ = blocks[at]
         if not HJ.any():
             continue                # zero blocks average to exact zeros
-        D = D4.reshape(-1, m).take(at, axis=0).astype(float).transpose(1, 2, 0)  # counts: float32
-        Rk, Rl = Ra[k[one]], Rb[l[one]]
-        Y = (D.reshape(len(Rk), -1, m) @ Rk).reshape(len(k), m, m, m)     # (pair, b, x, e)
-        Z = Y.swapaxes(1, 2).reshape(len(k), -1, m) @ HJ.transpose(1, 0, 2)   # (pair, x, b, f)
+        k, l = pairs[at].T
+        Rk, Rl = Ra[k[one]], Rb[l[one]]         # one basis, one R
+        Dt = D[at].astype(float).transpose(0, 2, 1)    # (pair, b, a); counts: float32
+        Y = (Dt.reshape(len(Rk), -1, m) @ Rk).reshape(len(k), m, m, m)    # (pair, b, x, e)
+        Z = Y.swapaxes(1, 2).reshape(len(k), -1, m) @ HJ                  # (pair, x, b, f)
         blk = Z.reshape(len(Rl), -1, m * m) @ Rl.reshape(len(Rl), -1, m) / total
-        Jrows[at.T] = blk.view(Jrows.dtype).reshape(len(k), m)
-        wrote = True
-    for e in range(0, n * m, strip) if wrote else ():   # mirror J once, in strips
-        J[e:, e:e + strip] += J[e:e + strip, e:].T
-    return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)
+        avg[at] = blk.reshape(len(k), m, m)
+    return netham.PairHamiltonian.from_blocks(n, hmodel.d, pairs, avg, r)
 
 
 def average_hamiltonian(hmodel: netham.PairHamiltonian, sch: PulseScheme) -> np.ndarray:
@@ -358,11 +344,17 @@ def verify_scheme(hmodel: netham.PairHamiltonian, sch: PulseScheme,
     overhead = sch.target_overhead if overhead is None else overhead
     check_overhead(overhead)
     diff = average_model(hmodel, sch)       # scaled and shifted in place into the difference
-    diff.J *= overhead
+    if overhead != 1.0:                     # x * 1.0 == x: zero blocks stay unwritten
+        diff.blocks *= overhead
     diff.r = overhead * diff.r - (c or 0.0) * sub.r     # None is the zero model
-    if c:
-        for row, want in zip(diff.J, sub.J):    # a row at a time: no second (mn)^2 array
-            row -= c * want
+    if c and np.array_equal(diff.pairs, sub.pairs):
+        diff.blocks -= c * sub.blocks
+    elif c:                                 # on every pair k < l, at row k(2n - k - 1)/2 + l - k - 1
+        n, blocks = hmodel.n, np.zeros((hmodel.n * (hmodel.n - 1) // 2, hmodel.m, hmodel.m))
+        for h, scale in ((diff, 1.0), (sub, -c)):
+            k, l = h.pairs.T
+            blocks[k * (2 * n - k - 1) // 2 + l - k - 1] += scale * h.blocks
+        diff = netham.PairHamiltonian.from_blocks(n, hmodel.d, netham._pairs(n), blocks, diff.r)
     return residual_report(netham.frobenius_norm(diff), netham.frobenius_norm(hmodel))
 
 

@@ -48,27 +48,15 @@ MUTANTS = (
            ("test_scheme.py",),
            "the Gram keeps only its last column chunk"),
     Mutant("pulseforge/scheme.py",
-           "# no pair has a table that counts\n"
-           "        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, J, r)",
-           "# no pair has a table that counts\n"
-           "        return netham.PairHamiltonian._built(hmodel.n, hmodel.d, hmodel.J, r)",
+           "pairs[:0], blocks[:0], r)",
+           "pairs, blocks, r)",
            ("test_scheme.py",),
            "a scheme whose pair tables all vanish leaves J as it was"),
-    Mutant("pulseforge/scheme.py",
-           "range(0, n * m, strip)",
-           "range(0, n * m, 2 * strip)",
-           ("test_scheme.py",),
-           "the mirror skips every other strip of J"),
     Mutant("pulseforge/scheme.py",
            "node += wA.sum(axis=1)",
            "node = wA.sum(axis=1)",
            ("test_scheme.py",),
            "the node tables come from the last column chunk only"),
-    Mutant("pulseforge/scheme.py",
-           "J[e:, e:e + strip] += J[e:e + strip, e:].T",
-           "J[e + strip:, e:e + strip] += J[e:e + strip, e + strip:].T",
-           ("test_scheme.py",),
-           "the mirror leaves out the square of each strip on the diagonal"),
     Mutant("pulseforge/scheme.py",
            "(sch.times == sch.times[0]).all()",
            "(sch.times == sch.times[0]).any()",
@@ -81,17 +69,17 @@ MUTANTS = (
            "the residual is no longer relative to the model's norm"),
     Mutant("pulseforge/scheme.py",
            "if not HJ.any():",
-           "if not HJ[:, 0].any():",
+           "if not HJ[:1].any():",
            ("test_scheme.py",),
            "a chunk is skipped when its first pair's coupling block is zero"),
     Mutant("pulseforge/scheme.py",
-           'np.triu(np.einsum("kalb,kalb->kl", D4, D4), 1)',
-           'np.tril(np.einsum("kalb,kalb->kl", D4, D4), -1)',
+           "D[pairs[:, 0], :, pairs[:, 1]]",
+           "D[pairs[:, 1], :, pairs[:, 0]]",
            ("test_scheme.py",),
-           "the walk takes the pairs l < k, below the diagonal"),
+           "the pairs' tables are read below the diagonal, at (l, k)"),
     Mutant("pulseforge/scheme.py",
-           'np.einsum("kalb,kalb->kl", D4, D4)',
-           'np.einsum("kalb,kalb->kl", D4[:, :1, :, :1], D4[:, :1, :, :1])',
+           "live = D.any(axis=(1, 2))",
+           "live = D[:, :1, :1].any(axis=(1, 2))",
            ("test_scheme.py",),
            "the liveness pass reads label 1 alone, so pairs whose table leaves it are dropped"),
     Mutant("pulseforge/scheme.py",
@@ -100,17 +88,17 @@ MUTANTS = (
            ("test_scheme.py",),
            "the Gram's copy of a narrow chunk holds its rows in reverse order"),
     Mutant("pulseforge/scheme.py",
-           "and _on_label_one(D4, C):",
-           "and _on_label_one(D4[0, :, 1], C[0, 1]):",
+           "and _on_label_one(D, C):",
+           "and _on_label_one(D[:1], C[:1]):",
            ("test_scheme.py",),
-           "the blockwise exit reads the table of pair (0, 1) alone"),
+           "the blockwise exit reads the table of the first coupled pair alone"),
     Mutant("pulseforge/scheme.py",
            "bool((R[0] == np.eye(len(R[0]))).all())",
            "True",
            ("test_scheme.py",),
            "the blockwise exit is taken where label 1 does not act as exactly I"),
     Mutant("pulseforge/scheme.py",
-           "        J += 0.0\n",
+           "        avg += 0.0\n",
            "",
            ("test_scheme.py",),
            "the blockwise exit leaves -0.0 where the walk leaves +0.0 in J"),
@@ -120,8 +108,8 @@ MUTANTS = (
            ("test_scheme.py",),
            "the node tables' exit leaves -0.0 where the walk leaves +0.0 in r"),
     Mutant("pulseforge/scheme.py",
-           "* C[:, None, :, None]\n        J += 0.0\n        J /= total",
-           "* (C[:, None, :, None] / total)\n        J += 0.0",
+           "* C[:, None, None]\n        avg += 0.0\n        avg /= total",
+           "* (C[:, None, None] / total)\n        avg += 0.0",
            ("test_scheme.py",),
            "the blockwise exit divides by the total before it multiplies, rounding twice"),
     Mutant("pulseforge/netham.py",
@@ -134,6 +122,26 @@ MUTANTS = (
            "[nodes[:1], :, nodes[:1], :] != 0.0",
            ("test_netham.py",),
            "the model check reads node 0's diagonal block alone"),
+    Mutant("pulseforge/scheme.py",
+           "avg[at] = blk",
+           "avg[at - 1] = blk",
+           ("test_scheme.py",),
+           "a chunk's averaged blocks land one pair early"),
+    Mutant("pulseforge/scheme.py",
+           "+= scale * h.blocks",
+           "+= scale * h.blocks * np.isin(k * n + l, diff.pairs @ (n, 1))[:, None, None]",
+           ("test_scheme.py",),
+           "verify_scheme's difference drops the target's pairs that the average does not hold"),
+    Mutant("pulseforge/netham.py",
+           "J[l, :, k] = self.blocks.transpose(0, 2, 1)",
+           "J[l, :, k] = self.blocks",
+           ("test_netham.py",),
+           "the dense J holds each block, not its transpose, below the diagonal"),
+    Mutant("pulseforge/netham.py",
+           "(k >= l)",
+           "(k > l)",
+           ("test_netham.py",),
+           "from_blocks takes a node as a pair of its own"),
     Mutant("pulseforge/cli.py",
            "except (ValueError, OSError) as e:",
            "except OSError as e:",

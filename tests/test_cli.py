@@ -124,9 +124,10 @@ def test_decouple_graph_draws_only_the_edge_blocks(capsys, tmp_path, monkeypatch
     same_colour = 0
     for k, l in off:
         if k < l:
-            coupled = copy.deepcopy(model)
-            coupled.J.reshape(6, m, 6, m)[k, :, l, :] = 0.5
-            coupled.J.reshape(6, m, 6, m)[l, :, k, :] = 0.5
+            J = model.J.copy()
+            J.reshape(6, m, 6, m)[k, :, l, :] = 0.5
+            J.reshape(6, m, 6, m)[l, :, k, :] = 0.5
+            coupled = netham.PairHamiltonian(6, d, J, model.r)
             shared = bool((sch.pulses[k] == sch.pulses[l]).all())
             same_colour += shared
             assert scheme.verify_scheme(coupled, sch, 0.0)["ok"] is not shared, (k, l)
@@ -444,8 +445,8 @@ def test_size_caps_refuse_before_allocating(capsys, tmp_path, monkeypatch):
 
     def refuse(*args):
         raise AssertionError("built before the size check")
-    for cls in (netham.PairHamiltonian, harmonic.OscillatorNetwork,
-                scheme.PulseScheme, harmonic.PhaseScheme):
+    monkeypatch.setattr(netham.PairHamiltonian, "_set", refuse)     # every model's check
+    for cls in (harmonic.OscillatorNetwork, scheme.PulseScheme, harmonic.PhaseScheme):
         monkeypatch.setattr(cls, "__post_init__", refuse)
     # the constructions allocate before any constructor runs
     for module, name in ((harmonic, "fourier_inversion"), (harmonic, "random_network"),
@@ -506,25 +507,25 @@ def test_unsupported_qudit_d_refused_before_any_build(capsys, tmp_path, monkeypa
                                   ["verify", "--model", "MODEL", "--scheme", "SCHEME",
                                    "--target", "invert"]])
 def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, argv):
-    # a model is checked where it is read; the models the library draws, on
-    # every pair or on a graph's edges alone, and the average check no (mn)^2
-    # coupling matrix at all
+    # a dense J is checked where it is read; the models the library draws, on
+    # every pair or on a graph's edges alone, and the average are checked as
+    # blocks, and no command here builds an (mn)^2 coupling matrix at all
     files = {"GRAPH": tmp_path / "graph.json", "MODEL": tmp_path / "model.json",
              "SCHEME": tmp_path / "sch.json"}
     g = graphcolor.InteractionGraph(6, {(k, k + 3) for k in range(3)} | {(0, 4), (1, 5)})
     files["GRAPH"].write_text(json.dumps(graphcolor.graph_to_json(g)))
     files["MODEL"].write_text(json.dumps(netham.model_to_json(netham.random_model(3, 2, 4))))
     files["SCHEME"].write_text(json.dumps(scheme.scheme_to_json(scheme.inversion_scheme(3, 2))))
-    checked = []
-    post_init = netham.PairHamiltonian.__post_init__
+    checked, check = [], netham._check_symmetric
 
-    def counted(self):
-        checked.append(self.n)
-        post_init(self)
-    monkeypatch.setattr(netham.PairHamiltonian, "__post_init__", counted)
+    def counted(M, name, *args):
+        checked.append(name)
+        return check(M, name, *args)
+    monkeypatch.setattr(netham, "_check_symmetric", counted)
+    monkeypatch.setattr(netham.PairHamiltonian, "J", property(lambda h: 1 / 0))
     code, rep = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 0 and rep["ok"]
-    assert len(checked) == (argv[0] == "verify"), checked
+    assert checked == ["J"] * (argv[0] == "verify"), checked
 
 
 def test_qudit_certification_builds_no_dense_matrix(capsys, tmp_path, monkeypatch):

@@ -98,11 +98,11 @@ def test_colored_decoupling_fails_off_the_graph(d):
                 if (u, v) not in g.edges and (sch.pulses[u] == sch.pulses[v]).all())
     h = _supported_model(g, d, d)
     assert scheme.verify_scheme(h, sch, None)["ok"]
-    m = h.m
+    m, J = h.m, h.J.copy()
     block = netham.random_model(2, d, d).J[:m, m:]
-    h.J[u * m:(u + 1) * m, v * m:(v + 1) * m] = block
-    h.J[v * m:(v + 1) * m, u * m:(u + 1) * m] = block.T
-    assert not scheme.verify_scheme(h, sch, None)["ok"]
+    J[u * m:(u + 1) * m, v * m:(v + 1) * m] = block
+    J[v * m:(v + 1) * m, u * m:(u + 1) * m] = block.T
+    assert not scheme.verify_scheme(netham.PairHamiltonian(6, d, J, h.r), sch, None)["ok"]
 
 
 def test_colored_decoupling_star():

@@ -247,7 +247,7 @@ def test_random_model_invariants_and_determinism():
     m = h1.m
     for k in range(4):
         assert np.all(h1.J[k * m:(k + 1) * m, k * m:(k + 1) * m] == 0)
-    assert np.array_equal(h1.J, h1.J.T)     # exactly, as the model skips the check
+    assert np.array_equal(h1.J, h1.J.T)     # exactly, as .J mirrors each block
 
 
 
@@ -281,6 +281,61 @@ def test_model_refuses_each_diagonal_block(node):
     J[node * m, node * m + 1] = J[node * m + 1, node * m] = 0.5
     with pytest.raises(ValueError, match="^diagonal blocks of J must be zero"):
         netham.PairHamiltonian(3, 2, J, np.zeros(9))
+
+
+def test_dense_J_is_built_anew_and_read_only():
+    h = netham.random_model(3, 2, 1)
+    J = h.J
+    assert J is not h.J and np.array_equal(J, h.J)
+    with pytest.raises(ValueError):
+        J[0, 3] = 1.0
+    with pytest.raises(ValueError):
+        h.J[3:6, 0:3] += 1.0
+
+
+@pytest.mark.parametrize("n, d, seed", [(1, 2, 0), (2, 3, 1), (6, 2, 2), (5, 4, 3)])
+def test_constructor_keeps_the_blocks_above_the_diagonal(n, d, seed):
+    # the dense constructor and from_blocks hold the same model, pair by pair
+    h = netham.random_model(n, d, seed)
+    back = netham.PairHamiltonian(n, d, h.J, h.r)
+    assert np.array_equal(back.pairs, np.column_stack(np.triu_indices(n, 1)))
+    assert back.blocks.tobytes() == h.blocks.tobytes() and back.J.tobytes() == h.J.tobytes()
+
+
+@pytest.mark.parametrize("pairs, shape, bad, message", [
+    ([[1, 1]], None, None, "pairs must be"),
+    ([[2, 1]], None, None, "pairs must be"),
+    ([[0, 2], [0, 1]], None, None, "pairs must be"),
+    ([[0, 1], [0, 1]], None, None, "pairs must be"),
+    ([[1, 3]], None, None, "pairs must be"),
+    ([[-1, 1]], None, None, "pairs must be"),
+    ([[0, 1, 2]], None, None, "need"),
+    ([[0, 1]], (1, 3, 2), None, "need"),
+    ([[0, 1], [1, 2]], (1, 3, 3), None, "need"),
+    ([[0, 1]], None, np.nan, "blocks must hold finite numbers"),
+    ([[0, 1]], None, np.inf, "blocks must hold finite numbers"),
+    ([[0.5, 1]], None, None, "pairs must hold integers"),
+])
+def test_from_blocks_refuses_what_is_no_model(pairs, shape, bad, message):
+    # node pairs k < l < n, strictly increasing; one finite m x m block each
+    blocks = np.ones(shape or (len(pairs), 3, 3))
+    blocks.flat[0] = 1.0 if bad is None else bad
+    with pytest.raises(ValueError, match=f"^{message}"):
+        netham.PairHamiltonian.from_blocks(3, 2, pairs, blocks, np.zeros(9))
+    with pytest.raises(ValueError, match="^r must have length 9"):
+        netham.PairHamiltonian.from_blocks(3, 2, [[0, 1]], np.ones((1, 3, 3)), np.zeros(8))
+
+
+def test_a_model_file_J_is_read_as_its_blocks_above_the_diagonal():
+    # a J symmetric within the check (here a 1e-13 nudge below the diagonal)
+    # is kept as its upper blocks: the model, and all it averages to, is
+    # exactly symmetric
+    h = netham.random_model(4, 2, 5)
+    doc = netham.model_to_json(h)
+    doc["J"][4][1] += 1e-13                 # block (1, 0), below the diagonal
+    back = netham.model_from_json(doc)
+    assert back.blocks.tobytes() == h.blocks.tobytes()
+    assert np.array_equal(back.J, back.J.T)
 
 def _symmetric_entry_points():
     """(name of the matrix, call on it, a valid matrix) for each library entry
@@ -320,8 +375,9 @@ def test_local_vector_refuses_non_finite_entries(bad):
 
 
 def test_only_models_from_outside_are_checked(monkeypatch):
-    # random_model and average_model build symmetric models with zero diagonal
-    # blocks and skip the check; the public constructor and the loader run it
+    # random_model and average_model build their models as blocks, which
+    # from_blocks checks without a dense J; the public constructor and the
+    # loader check the dense J they are given
     names = []
     check = netham._check_symmetric
 

@@ -491,8 +491,7 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     # nodes share one standard basis or have their own conjugated one; the
     # anchored Gram sums column chunks of n * (d^2 - 1) intervals (narrow), so
     # more than one when N is larger, or takes every interval at once, and
-    # blocks are applied one pair at a time or all at once, and mirrored one
-    # row at a time or all at once.
+    # blocks are applied one pair at a time or all at once.
     # Pulse rows are random labels, or rows of a strength-2 array, some
     # repeated and some all-identity, so that one chunk mixes zero anchored
     # tables (distinct rows, an identity row against an array row), ones on
@@ -518,16 +517,17 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     if rng.random() < 0.5:
         u, v = rng.integers(0, n, 2) // run * run
         zero[u:u + run, v:v + run] = True
-    h.J.reshape(n, h.m, n, h.m).transpose(0, 2, 1, 3)[zero | zero.T] = 0.0
+    J = h.J.copy()
+    J.reshape(n, h.m, n, h.m).transpose(0, 2, 1, 3)[zero | zero.T] = 0.0
+    h = netham.PairHamiltonian(n, d, J, h.r)
     with pytest.MonkeyPatch.context() as mp:
         if narrow:
             mp.setattr(scheme, "_GRAM_ENTRIES", 1)
         mp.setattr(scheme, "_APPLY_ENTRIES", apply)
-        mp.setattr(scheme, "_STRIP_ENTRIES", apply)
         avg = scheme.average_model(h, sch)
     J_ref, r_ref = _loop_average(h, sch)
-    # exactly what the unchecked model promises: symmetric to the sign of a zero,
-    # zero diagonal blocks, finite
+    # the dense J of the blocks: symmetric to the sign of a zero, zero diagonal
+    # blocks, finite
     assert avg.J.tobytes() == avg.J.T.tobytes()
     nodes = np.arange(n)
     assert not avg.J.reshape(n, h.m, n, h.m)[nodes, :, nodes, :].any()
@@ -535,6 +535,65 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     assert np.abs(avg.J - J_ref).max(initial=0.0) <= 1e-12
     assert np.abs(avg.r - r_ref).max() <= 1e-12
 
+
+
+def _dense_residual(h, sch, target, overhead):
+    """verify_scheme's residual from the dense J of the average and the target."""
+    avg = scheme.average_model(h, sch)
+    tJ, tr = ((target.J, target.r) if isinstance(target, netham.PairHamiltonian)
+              else ((target or 0.0) * h.J, (target or 0.0) * h.r))
+
+    def norm(J, r):
+        return np.sqrt(8.0 * np.vdot(J, J) + 2.0 * h.d * np.vdot(r, r)) * np.sqrt(h.d) ** (h.n - 2)
+    return scheme.residual_report(norm(overhead * avg.J - tJ, overhead * avg.r - tr),
+                                  norm(h.J, h.r))["residual"]
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_residual_over_the_pairs_of_model_and_target(d):
+    # models that couple every pair, the ring's edges alone or no pair, against
+    # targets that couple other pairs, or none: the residual sums over every
+    # pair that either holds, as a dense J does
+    n, rng = 6, np.random.default_rng(d)
+    ring = sorted((k, (k + 1) % n) if k < n - 1 else (0, n - 1) for k in range(n))
+    star = np.array([[0, l] for l in range(1, n)])
+    m = d * d - 1
+
+    def some(pairs, seed):
+        return netham.PairHamiltonian.from_blocks(
+            n, d, np.reshape(pairs, (-1, 2)), np.random.default_rng(seed).uniform(-1, 1, (len(pairs), m, m)),
+            np.random.default_rng(seed).uniform(-1, 1, n * m))
+    models = [netham.random_model(n, d, d), netham._seeded_model(n, d, d, ring), some([], 1)]
+    targets = [None, -1.0, 0.5, netham.random_model(n, d, 9), some(star, 2), some([], 3),
+               netham._seeded_model(n, d, 4, ring)]
+    g = graphcolor.InteractionGraph(n, set(ring))
+    basis = error_basis.generalized_pauli_basis(d)
+    N = 12
+    schemes = [scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d),
+               scheme.selective_scheme(n, d, [1, 4]), graphcolor.colored_decoupling_scheme(g, d),
+               scheme.PulseScheme(n, N, np.full(N, 1 / N), rng.integers(1, d * d + 1, (n, N)),
+                                  [basis] * n, 2.0)]
+    for h in models:
+        for sch in schemes:
+            for target in targets:
+                got = scheme.verify_scheme(h, sch, target)["residual"]
+                want = _dense_residual(h, sch, target, sch.target_overhead)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), (len(h.pairs), target)
+
+
+def test_a_model_file_averages_to_an_exactly_symmetric_J():
+    # a model file's J, nudged by 1e-13 below the diagonal, is read as its
+    # blocks above the diagonal, so its average is exactly symmetric, through
+    # the blockwise exit (inversion) and the walk (random labels)
+    h = netham.random_model(5, 2, 3)
+    doc = netham.model_to_json(h)
+    doc["J"][3][0] *= 1 + 1e-13             # block (1, 0), below the diagonal
+    nudged = netham.model_from_json(doc)
+    pulses = np.random.default_rng(3).integers(1, 5, (5, 8))
+    for sch in (scheme.inversion_scheme(5, 2), scheme._pauli_scheme(pulses, 2)):
+        avg = scheme.average_model(nudged, sch)
+        assert avg.J.any() and np.array_equal(avg.J, avg.J.T)
+        assert avg.J.tobytes() == scheme.average_model(h, sch).J.tobytes()
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_adjoint_matrices_match_trace_loop(d):
@@ -667,7 +726,7 @@ def test_walk_matches_the_pair_loop_when_label_one_is_not_exactly_i(d):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_walk_reads_only_the_pairs_above_the_diagonal(d):
-    # the walk averages each pair l > k once and mirrors its block, so the
+    # the walk averages each coupled pair l > k once, as one block, so the
     # Gram's tables below the diagonal must not count: NaN there would reach J
     # through any product or liveness pass that read it.  One changed entry of
     # a strength-2 array (equal times: counts) and the array at unequal times
@@ -702,7 +761,7 @@ def _average_and_exit(h, sch):
 
     def spy(tables, first):
         ok = test(tables, first)
-        if tables.ndim == 4:
+        if tables.ndim == 3:
             passed.append(ok)
         return ok
     with pytest.MonkeyPatch.context() as mp:
@@ -728,8 +787,10 @@ def test_identity_pair_exit_gives_the_walks_bits(n, d):
     # One kept node leaves no pair table at all, only its node table.
     # Zero couplings and local terms must give +0.0, as the walk's zeros do
     h = netham.random_model(n, d, n * d)
-    h.J.reshape(n, h.m, n, h.m)[[0, 1], :, [1, 0]] = 0.0
-    h.r[::3] = 0.0
+    J, r = h.J.copy(), h.r.copy()
+    J.reshape(n, h.m, n, h.m)[[0, 1], :, [1, 0]] = 0.0
+    r[::3] = 0.0
+    h = netham.PairHamiltonian(n, d, J, r)
     times = np.random.default_rng(n).uniform(0.1, 1.0, 6)
     basis = error_basis.generalized_pauli_basis(d)
     for sch, scales in ((scheme.inversion_scheme(n, d), True),
