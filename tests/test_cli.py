@@ -521,8 +521,10 @@ def test_certification_validates_each_model_once(capsys, tmp_path, monkeypatch, 
     def counted(M, name, *args):
         checked.append(name)
         return check(M, name, *args)
+    def dense(h):
+        raise AssertionError("built the dense J")
     monkeypatch.setattr(netham, "_check_symmetric", counted)
-    monkeypatch.setattr(netham.PairHamiltonian, "J", property(lambda h: 1 / 0))
+    monkeypatch.setattr(netham.PairHamiltonian, "J", property(dense))
     code, rep = run(capsys, *[str(files.get(a, a)) for a in argv])
     assert code == 0 and rep["ok"]
     assert checked == ["J"] * (argv[0] == "verify"), checked

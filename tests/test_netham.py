@@ -326,17 +326,6 @@ def test_from_blocks_refuses_what_is_no_model(pairs, shape, bad, message):
         netham.PairHamiltonian.from_blocks(3, 2, [[0, 1]], np.ones((1, 3, 3)), np.zeros(8))
 
 
-def test_a_model_file_J_is_read_as_its_blocks_above_the_diagonal():
-    # a J symmetric within the check (here a 1e-13 nudge below the diagonal)
-    # is kept as its upper blocks: the model, and all it averages to, is
-    # exactly symmetric
-    h = netham.random_model(4, 2, 5)
-    doc = netham.model_to_json(h)
-    doc["J"][4][1] += 1e-13                 # block (1, 0), below the diagonal
-    back = netham.model_from_json(doc)
-    assert back.blocks.tobytes() == h.blocks.tobytes()
-    assert np.array_equal(back.J, back.J.T)
-
 def _symmetric_entry_points():
     """(name of the matrix, call on it, a valid matrix) for each library entry
     point that takes a real symmetric matrix."""

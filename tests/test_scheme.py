@@ -536,7 +536,6 @@ def test_row_batched_average_matches_pair_loop(n, d, N, run, narrow, apply, seed
     assert np.abs(avg.r - r_ref).max() <= 1e-12
 
 
-
 def _dense_residual(h, sch, target, overhead):
     """verify_scheme's residual from the dense J of the average and the target."""
     avg = scheme.average_model(h, sch)
@@ -554,19 +553,18 @@ def test_residual_over_the_pairs_of_model_and_target(d):
     # models that couple every pair, the ring's edges alone or no pair, against
     # targets that couple other pairs, or none: the residual sums over every
     # pair that either holds, as a dense J does
-    n, rng = 6, np.random.default_rng(d)
-    ring = sorted((k, (k + 1) % n) if k < n - 1 else (0, n - 1) for k in range(n))
-    star = np.array([[0, l] for l in range(1, n)])
-    m = d * d - 1
+    n, m, rng = 6, d * d - 1, np.random.default_rng(d)
+    g = graphcolor.InteractionGraph(n, {(k, (k + 1) % n) for k in range(n)})
+    ring, star = sorted(g.edges), [(0, l) for l in range(1, n)]
 
     def some(pairs, seed):
-        return netham.PairHamiltonian.from_blocks(
-            n, d, np.reshape(pairs, (-1, 2)), np.random.default_rng(seed).uniform(-1, 1, (len(pairs), m, m)),
-            np.random.default_rng(seed).uniform(-1, 1, n * m))
+        draw = np.random.default_rng(seed)
+        return netham.PairHamiltonian.from_blocks(n, d, np.reshape(pairs, (-1, 2)),
+                                                  draw.uniform(-1, 1, (len(pairs), m, m)),
+                                                  draw.uniform(-1, 1, n * m))
     models = [netham.random_model(n, d, d), netham._seeded_model(n, d, d, ring), some([], 1)]
     targets = [None, -1.0, 0.5, netham.random_model(n, d, 9), some(star, 2), some([], 3),
                netham._seeded_model(n, d, 4, ring)]
-    g = graphcolor.InteractionGraph(n, set(ring))
     basis = error_basis.generalized_pauli_basis(d)
     N = 12
     schemes = [scheme.decoupling_scheme(n, d), scheme.inversion_scheme(n, d),
@@ -589,11 +587,13 @@ def test_a_model_file_averages_to_an_exactly_symmetric_J():
     doc = netham.model_to_json(h)
     doc["J"][3][0] *= 1 + 1e-13             # block (1, 0), below the diagonal
     nudged = netham.model_from_json(doc)
+    assert nudged.blocks.tobytes() == h.blocks.tobytes()
     pulses = np.random.default_rng(3).integers(1, 5, (5, 8))
     for sch in (scheme.inversion_scheme(5, 2), scheme._pauli_scheme(pulses, 2)):
         avg = scheme.average_model(nudged, sch)
         assert avg.J.any() and np.array_equal(avg.J, avg.J.T)
         assert avg.J.tobytes() == scheme.average_model(h, sch).J.tobytes()
+
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_adjoint_matrices_match_trace_loop(d):
