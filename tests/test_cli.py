@@ -188,6 +188,21 @@ def test_bound_complete_zz(capsys, tmp_path):
     assert rep["target"] == "J"
 
 
+def test_bound_reads_a_nudged_file_as_its_upper_blocks(capsys, tmp_path):
+    # a J symmetric only within the check is bounded as its blocks above
+    # the diagonal, mirrored
+    model = netham.random_model(4, 2, 5)
+    path = write_model(tmp_path, model)
+    doc = netham.model_to_json(model)
+    doc["J"][3][0] *= 1 + 1e-13             # block (1, 0), below the diagonal
+    nudged = tmp_path / "nudged.json"
+    nudged.write_text(json.dumps(doc))
+    for extra in ([], ["--invert"]):
+        reps = [run(capsys, "bound", "--model", p, *extra)[1] for p in (path, str(nudged))]
+        assert reps[0]["tau_min"] == reps[1]["tau_min"]
+        assert reps[0]["inversion_bound"] == reps[1]["inversion_bound"]
+
+
 def test_bound_rescale_search(capsys, tmp_path):
     model = oracle.complete_coupling_model(4, 2, alpha=2)
     path = write_model(tmp_path, model)
